@@ -12,16 +12,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
+# unused here; bench/layers.py traces splu through this module attribute
+import scipy.sparse.linalg as spla  # noqa: F401
 
-from .linalg import SaddleSystem, SolverError, cg_solve, saddle_solve
+from .linalg import (SaddleSystem, SolverError, infsup_constant, saddle_solve,
+                     spd_solver)
 from .mesh import Mesh, generate_structured
 from .polynomials import poly_hessian
 from .quadrature import tri_rule
 from .spaces import (FieldFunction, assemble_bilinear, assemble_load,
                      build_space, error_norms)
 from .stokes_complex import B3Basis
-from .linalg import infsup_constant
 
 
 # ---------------------------------------------------------------------------
@@ -115,21 +116,6 @@ class SolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _spd_solve(A, b, tol: float, solver: str) -> np.ndarray:
-    if solver == "cg":
-        return cg_solve(A, b, tol=tol)
-    import scipy.sparse as sp
-
-    lu = spla.splu(sp.csc_matrix(A))
-    x = lu.solve(b)
-    bnorm = np.linalg.norm(b)
-    res = np.linalg.norm(A @ x - b)
-    if bnorm > 0 and res > tol * bnorm:
-        raise SolverError(f"direct solve residual {res / bnorm:.3e} > tol",
-                          residual=res / bnorm)
-    return x
-
-
 def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float,
                       solver: str, load_degree: int) -> SolveResult:
     pot_kind, vel_kind, pres_kind = {
@@ -141,16 +127,17 @@ def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float,
     pres = build_space(mesh, pres_kind)
     A1 = assemble_bilinear(pot, pot, "grad_grad")
     b1 = assemble_load(pot, f, quad_degree=load_degree)
-    r = _spd_solve(A1, b1, tol, solver)
+    solve_a1 = spd_solver(A1, tol, solver)
+    r = solve_a1(b1)
     A2 = assemble_bilinear(vel, vel, "grad_grad")
     B = assemble_bilinear(vel, pres, "rot_pressure")
     D = assemble_bilinear(vel, pot, "vecfield_grad")
+    Mp = assemble_bilinear(pres, pres, "mass")
     rhs2 = D.T @ r
     try:
-        phi, p = saddle_solve(SaddleSystem(A2, B, rhs2, np.zeros(pres.ndof)),
-                              tol=tol)
+        phi, p = saddle_solve(
+            SaddleSystem(A2, B, rhs2, np.zeros(pres.ndof), Mp), tol=tol)
     except SolverError as exc:
-        Mp = assemble_bilinear(pres, pres, "mass")
         try:
             c_h = infsup_constant(B, A2, Mp, tol=tol)
             diagnosis = f"inf-sup constant of the pair: {c_h:.6g}"
@@ -160,7 +147,7 @@ def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float,
             f"{scheme} stage-2 Stokes solve failed ({exc}); {diagnosis}"
         ) from exc
     rhs3 = D @ phi
-    u = _spd_solve(A1, rhs3, tol, solver)
+    u = solve_a1(rhs3)
     diag = {
         "dofs_potential": pot.ndof,
         "dofs_velocity": vel.ndof,
@@ -189,7 +176,7 @@ def solve_morley(mesh: Mesh, f, tol: float = 1e-10, solver: str = "direct",
     space = build_space(mesh, "Morley_0")
     A = assemble_bilinear(space, space, "hess_hess")
     b = assemble_load(space, f, quad_degree=load_degree)
-    u = _spd_solve(A, b, tol, solver)
+    u = spd_solver(A, tol, solver)(b)
     return FieldFunction(space, u)
 
 

@@ -567,6 +567,13 @@ def _build_dg(mesh: Mesh, k: int) -> Space:
 
 FORMS = ("mass", "grad_grad", "hess_hess", "rot_pressure", "vecfield_grad")
 
+#: Assembled entries with |a| <= ROUNDOFF_RTOL * max|a| are dropped.  Haar-tree
+#: and edge-moment cancellation leaves entries of at most about 1e-14 of the
+#: largest, and genuine entries are at least about 1e-8 of it on criss,
+#: jittered, relabeled and refined meshes; stored, the round-off entries
+#: fill the rows of the saddle-point system and its factorizations.
+ROUNDOFF_RTOL = 1e-12
+
 
 def _local_matrix(form, trial: Space, test: Space, c: int, degree: int):
     rule = tri_rule(degree)
@@ -643,6 +650,10 @@ def assemble_bilinear(trial: Space, test: Space, form: str,
         M = sp.coo_matrix((test.ndof, trial.ndof))
     out = M.tocsr()
     out.sum_duplicates()
+    mag = np.abs(out.data)
+    if mag.size:
+        out.data[mag <= ROUNDOFF_RTOL * mag.max()] = 0.0
+    out.eliminate_zeros()
     out.sort_indices()
     return out
 

@@ -1,4 +1,19 @@
+import numpy as np
+import pytest
 from hypothesis import settings
+
+from biharmfem.mesh import Mesh, generate_structured
 
 settings.register_profile("ci", max_examples=50, derandomize=True, deadline=None)
 settings.load_profile("ci")
+
+
+@pytest.fixture(scope="session")
+def jittered4():
+    """Criss n=4 mesh, each interior vertex coordinate moved by up to 0.2 h."""
+    mesh = generate_structured(4)
+    v = mesh.vertices.copy()
+    inner = np.all((v > 0) & (v < 1), axis=1)
+    rng = np.random.default_rng(7)
+    v[inner] += 0.2 / 4 * rng.uniform(-1, 1, size=(int(inner.sum()), 2))
+    return Mesh(v, mesh.cells)

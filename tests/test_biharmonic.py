@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import biharmfem.biharmonic as bh
+from biharmfem.linalg import SolverError
 from biharmfem.mesh import generate_structured
 from biharmfem.biharmonic import (convergence_study, galerkin_residual,
                                   infsup_study, manufactured, solve_cubic,
@@ -112,6 +114,17 @@ def test_cubic_stage2_constraint(mesh2, poly8):
     B = assemble_bilinear(g2, dg1, "rot_pressure")
     scale = max(1.0, float(np.abs(res.phi_h.coeffs).max()))
     assert np.abs(B @ res.phi_h.coeffs).max() < 1e-10 * scale
+
+
+def test_stage2_failure_reports_infsup_constant(monkeypatch, mesh2, poly8):
+    def fail(system, tol):
+        raise SolverError("forced failure")
+
+    monkeypatch.setattr(bh, "saddle_solve", fail)
+    with pytest.raises(SolverError) as err:
+        solve_cubic(mesh2, poly8.f)
+    assert "stage-2 Stokes solve failed" in str(err.value)
+    assert "inf-sup constant of the pair" in str(err.value)
 
 
 def test_quartic_pressure_mean_zero(mesh2, poly8):

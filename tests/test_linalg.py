@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from biharmfem.linalg import (SaddleSystem, SolverError, cg_solve,
                               infsup_constant, is_symmetric, kernel_dimension,
                               matrix_rank, saddle_solve)
+from biharmfem.mesh import generate_structured
+from biharmfem.spaces import assemble_bilinear, build_space
 
 
 def test_cg_identity():
@@ -47,7 +50,8 @@ def test_cg_deterministic():
 def test_saddle_empty_pressure_reduces_to_spd_solve():
     A = sp.diags([2.0, 3.0], format="csr")
     B = sp.csr_matrix((0, 2))
-    u, p = saddle_solve(SaddleSystem(A, B, np.array([2.0, 6.0]), np.zeros(0)))
+    u, p = saddle_solve(SaddleSystem(A, B, np.array([2.0, 6.0]), np.zeros(0),
+                                     M=sp.identity(0)))
     assert np.allclose(u, [1.0, 2.0])
     assert p.size == 0
 
@@ -59,7 +63,8 @@ def test_saddle_hand_system():
     A = sp.diags([2.0, 4.0], format="csc")
     B = sp.csr_matrix(np.array([[1.0, 1.0]]))
     u, p = saddle_solve(SaddleSystem(A, B, np.array([1.0, 2.0]),
-                                     np.array([3.0])), tol=1e-12)
+                                     np.array([3.0]), M=sp.identity(1)),
+                        tol=1e-12)
     assert p[0] == pytest.approx(-8.0 / 3.0, abs=1e-12)
     assert np.allclose(u, [11.0 / 6.0, 7.0 / 6.0], atol=1e-12)
 
@@ -68,7 +73,36 @@ def test_saddle_rank_deficient_rejected():
     A = sp.identity(2, format="csr")
     B = sp.csr_matrix(np.zeros((1, 2)))
     with pytest.raises(SolverError):
-        saddle_solve(SaddleSystem(A, B, np.zeros(2), np.array([1.0])))
+        saddle_solve(SaddleSystem(A, B, np.zeros(2), np.array([1.0]),
+                                  M=sp.identity(1)))
+
+
+@pytest.mark.parametrize("pair,jittered", [(("G2_0", "P1_0"), False),
+                                           (("G3_0", "P2_0"), True)],
+                         ids=["cubic-criss", "quartic-jittered"])
+def test_saddle_schur_pcg_matches_monolithic_lu(request, pair, jittered):
+    mesh = (request.getfixturevalue("jittered4") if jittered
+            else generate_structured(4))
+    vel, pres = (build_space(mesh, kind) for kind in pair)
+    A = assemble_bilinear(vel, vel, "grad_grad")
+    B = assemble_bilinear(vel, pres, "rot_pressure")
+    M = assemble_bilinear(pres, pres, "mass")
+    rng = np.random.default_rng(11)
+    f, g = rng.standard_normal(vel.ndof), rng.standard_normal(pres.ndof)
+    u, p = saddle_solve(SaddleSystem(A, B, f, g, M))
+    K = sp.bmat([[A, B.T], [B, None]], format="csc")
+    ref = spla.spsolve(K, np.concatenate([f, g]))
+    u_ref, p_ref = ref[:vel.ndof], ref[vel.ndof:]
+    assert np.linalg.norm(u - u_ref) <= 1e-8 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(p - p_ref) <= 1e-8 * np.linalg.norm(p_ref)
+
+
+def test_saddle_singular_velocity_block_rejected():
+    A = sp.csr_matrix((2, 2))
+    B = sp.csr_matrix(np.array([[1.0, 1.0]]))
+    with pytest.raises(SolverError, match="factorization failed"):
+        saddle_solve(SaddleSystem(A, B, np.ones(2), np.zeros(1),
+                                  M=sp.identity(1)))
 
 
 def test_kernel_dimension_zero_and_identity():
@@ -132,8 +166,8 @@ def test_saddle_deterministic():
     A = sp.csc_matrix(M @ M.T + 20 * np.eye(20))
     B = sp.csr_matrix(rng.standard_normal((5, 20)))
     f, g = rng.standard_normal(20), rng.standard_normal(5)
-    u1, p1 = saddle_solve(SaddleSystem(A, B, f, g))
-    u2, p2 = saddle_solve(SaddleSystem(A, B, f, g))
+    u1, p1 = saddle_solve(SaddleSystem(A, B, f, g, M=sp.identity(5)))
+    u2, p2 = saddle_solve(SaddleSystem(A, B, f, g, M=sp.identity(5)))
     assert u1.tobytes() == u2.tobytes() and p1.tobytes() == p2.tobytes()
 
 

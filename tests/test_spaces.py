@@ -3,9 +3,10 @@ import pytest
 
 from biharmfem.linalg import is_symmetric
 from biharmfem.mesh import generate_structured, refine_uniform
-from biharmfem.spaces import (FieldFunction, assemble_bilinear, assemble_load,
-                              build_space, edge_jump_moments, error_norms,
-                              eval_field, interpolate, interpolate_vector)
+from biharmfem.spaces import (ROUNDOFF_RTOL, FieldFunction, assemble_bilinear,
+                              assemble_load, build_space, edge_jump_moments,
+                              error_norms, eval_field, interpolate,
+                              interpolate_vector)
 
 
 def counts(mesh):
@@ -86,6 +87,24 @@ def test_symmetric_forms_are_symmetric():
         s = build_space(mesh, kind)
         A = assemble_bilinear(s, s, form)
         assert is_symmetric(A, rel=1e-12), (kind, form)
+
+
+@pytest.mark.parametrize("jittered", [False, True], ids=["criss", "jittered"])
+def test_assembly_stores_no_roundoff(request, jittered):
+    mesh = (request.getfixturevalue("jittered4") if jittered
+            else generate_structured(4))
+    for trial, test, form in (("A3_0", "A3_0", "grad_grad"),
+                              ("G2_0", "G2_0", "grad_grad"),
+                              ("G2_0", "P1_0", "rot_pressure"),
+                              ("G2_0", "A3_0", "vecfield_grad"),
+                              ("P1_0", "P1_0", "mass"),
+                              ("G3_0", "P2_0", "rot_pressure"),
+                              ("P2_0", "P2_0", "mass"),
+                              ("Morley_0", "Morley_0", "hess_hess")):
+        M = assemble_bilinear(build_space(mesh, trial), build_space(mesh, test),
+                              form)
+        mag = np.abs(M.data)
+        assert mag.min() > ROUNDOFF_RTOL * mag.max(), (trial, test, form)
 
 
 def test_load_zero_and_constant():

@@ -246,6 +246,7 @@ def test_exactness_quartic_n2(mesh2):
     assert rep.rank == 6 * 8 - 1 == 47
     assert rep.dim_velocity == 64
     assert rep.kernel == rep.kernel_dim_formula == rep.kernel_dim_derived == 17
+    assert rep.aux_identity_ok
 
 
 def _jittered_criss(n, seed, amp=0.2):
@@ -268,6 +269,7 @@ def test_exactness_quartic_kernel_formula_off_criss(make_mesh, kernel):
     assert rep.kernel == rep.kernel_dim_formula == rep.kernel_dim_derived \
         == 4 * mesh.n_interior_vertices + 2 * mesh.n_interior_edges - 3 \
         == kernel
+    assert rep.aux_identity_ok
 
 
 def test_rot_grad_composition_is_zero(mesh2):
