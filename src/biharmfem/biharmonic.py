@@ -135,7 +135,7 @@ def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float,
     Mp = assemble_bilinear(pres, pres, "mass")
     rhs2 = D.T @ r
     try:
-        phi, p = saddle_solve(
+        phi, p, iterations = saddle_solve(
             SaddleSystem(A2, B, rhs2, np.zeros(pres.ndof), Mp), tol=tol)
     except SolverError as exc:
         try:
@@ -155,6 +155,7 @@ def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float,
         "stage1_residual": float(np.linalg.norm(A1 @ r - b1)),
         "stage2_residual": float(np.linalg.norm(A2 @ phi + B.T @ p - rhs2)),
         "stage2_constraint": float(np.linalg.norm(B @ phi)),
+        "stage2_iterations": iterations,
         "stage3_residual": float(np.linalg.norm(A1 @ u - rhs3)),
     }
     return SolveResult(scheme, FieldFunction(pot, r), FieldFunction(vel, phi),

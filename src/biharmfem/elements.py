@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -224,13 +225,66 @@ def dof_matrix(elem: ElementDef, geom, exact: bool = False):
                      for d in dofs])
 
 
-def nodal_coefficients(elem: ElementDef, geom, sigma_tol: float = 1e-13):
+#: a DOF matrix with sigma_min <= NODAL_SIGMA_TOL * sigma_max is not unisolvent
+NODAL_SIGMA_TOL = 1e-13
+
+
+def nodal_coefficients(elem: ElementDef, geom,
+                       sigma_tol: float = NODAL_SIGMA_TOL):
     """Columns express the nodal (dual) basis in the shape basis: N = S @ Minv."""
     M = dof_matrix(elem, geom)
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[-1] <= sigma_tol * sv[0]:
         raise ValueError(f"unisolvence failure for {elem.name}: "
                          f"sigma_min/sigma_max = {sv[-1] / sv[0]:.3e}")
+    return np.linalg.inv(M)
+
+
+@lru_cache(maxsize=None)
+def _edge_normal_split(name: str):
+    """The DOF matrix of a scalar element split into geometry-free parts.
+
+    Returns (M0, rows, edges, E): M0 is the float DOF matrix with its
+    edge_normal rows zero, rows and edges index those DOFs and their edges,
+    and E[r, j, s] is minus the weighted edge average of d(shape_s)/d(lam_j)
+    for DOF rows[r].  On a cell with Gram matrix g the row reads
+    sum_j g[j, k] E[r, j] / sqrt(g[k, k]) with k = edges[r] (see eval_dof).
+    """
+    elem = element_catalog(name)
+    if any(s.kind != "scalar" for s in elem.shapes):
+        raise ValueError(f"{name} has geometry-dependent shape functions")
+    rows = [i for i, d in enumerate(elem.dofs) if d.kind == "edge_normal"]
+    M0 = np.array([[0.0 if i in rows
+                     else float(eval_dof(d, s, REFERENCE_EXACT, exact=True))
+                     for s in elem.shapes] for i, d in enumerate(elem.dofs)])
+    E = np.array([[[-float(_edge_average(s.p.dlam(j), elem.dofs[i].entity,
+                                         elem.dofs[i].weight))
+                    for s in elem.shapes] for j in range(3)] for i in rows]
+                 ).reshape(len(rows), 3, len(elem.shapes))
+    edges = np.array([elem.dofs[i].entity for i in rows], dtype=np.int64)
+    rows = np.array(rows, dtype=np.int64)
+    for arr in (M0, rows, edges, E):
+        arr.setflags(write=False)
+    return M0, rows, edges, E
+
+
+def nodal_coefficients_stack(elem: ElementDef, gram: np.ndarray) -> np.ndarray:
+    """nodal_coefficients on every cell of a (ncells, 3, 3) Gram stack.
+
+    For scalar elements whose DOFs are point values, moments and edge normal
+    moments: only the normal rows depend on the cell, linearly in its Gram
+    matrix, so all DOF matrices are built and inverted in one batch.
+    """
+    M0, rows, edges, E = _edge_normal_split(elem.name)
+    M = np.repeat(M0[None], gram.shape[0], axis=0)
+    scale = np.sqrt(gram[:, edges, edges])
+    M[:, rows] = np.einsum("cjr,rjs->crs", gram[:, :, edges], E) \
+        / scale[:, :, None]
+    sv = np.linalg.svd(M, compute_uv=False)
+    ratio = sv[:, -1] / sv[:, 0]
+    if np.any(sv[:, -1] <= NODAL_SIGMA_TOL * sv[:, 0]):
+        raise ValueError(f"unisolvence failure for {elem.name}: "
+                         f"sigma_min/sigma_max = {ratio.min():.3e}")
     return np.linalg.inv(M)
 
 

@@ -35,6 +35,7 @@ class Mesh:
         self._check_orientation()
         self._build_edges()
         self._geom_cache: dict[int, CellGeometry] = {}
+        self._geom_arrays = None
         for arr in (self.vertices, self.cells, self.edges, self.cell_edges,
                     self.cell_edge_signs, self.edge_cells):
             arr.setflags(write=False)
@@ -117,6 +118,24 @@ class Mesh:
             geom = cell_geometry(self, c)
             self._geom_cache[c] = geom
         return geom
+
+    def geometry_arrays(self):
+        """(grad_lambda (nc, 3, 2), area (nc,), verts (nc, 3, 2)) of all cells.
+
+        Computed once, with the floating-point operations of cell_geometry.
+        """
+        if self._geom_arrays is None:
+            verts = self.vertices[self.cells]
+            e1 = verts[:, 1] - verts[:, 0]
+            e2 = verts[:, 2] - verts[:, 0]
+            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+            opp = verts[:, [2, 0, 1]] - verts[:, [1, 2, 0]]
+            gl = np.stack([-opp[..., 1], opp[..., 0]], axis=-1) \
+                / det[:, None, None]
+            self._geom_arrays = (gl, det / 2.0, verts)
+            for arr in self._geom_arrays:
+                arr.setflags(write=False)
+        return self._geom_arrays
 
     def vertex_cells(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.n_vertices)]

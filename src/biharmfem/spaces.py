@@ -1,10 +1,23 @@
 """Global finite element spaces: DOF maps, assembly, and field evaluation.
 
-A Space stores, per cell, a local basis (the element's nodal basis, or a
-generator frame for the bubble-enriched velocity space) together with a
-small matrix C mapping global coefficients to local basis coefficients.
-Inter-cell identification of edge moments goes through canonical-edge
-Legendre moments; orientation flips and normal signs live entirely in C.
+A Space is a shape set, tabulated once on the reference cell, plus two
+arrays built once per mesh:
+
+  A  the local basis in the shape basis, local_l = sum_s A[l, s] shape_s: one
+     (nloc, nshape) matrix where every cell has the same nodal transform, a
+     (ncells, nloc, nshape) stack where normal-derivative DOFs make it depend
+     on the cell (A4_0, Morley_0);
+  P  the sparse cell-to-global operator of shape (ncells * nloc, ndof): row
+     c * nloc + l expresses local DOF l of cell c in the global DOFs.
+
+Vector spaces repeat the scalar shape set once per cartesian component.  The
+reference tables hold values and lambda-derivatives up to order 2 at each
+tri_rule degree, cached process-wide; physical derivatives follow by the
+chain rule through grad_lambda.  Assembly contracts geometry-free reference
+tensors with per-cell grad_lambda/Gram arrays and forms
+P_test^T blockdiag(M_c) P_trial.  Inter-cell identification of edge moments
+goes through canonical-edge Legendre moments; orientation flips and normal
+signs live entirely in P.
 
 Global DOF layouts (deterministic):
   A3_0      interior-vertex values | interior-edge means | 4 per cell
@@ -21,11 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import ShapeFunction, element_catalog, nodal_coefficients
+from .elements import (REFERENCE_EXACT, element_catalog, nodal_coefficients,
+                       nodal_coefficients_stack)
 from .mesh import Mesh
 from .polynomials import (EDGE_LEGENDRE, BaryPoly, poly1d_eval, poly_gradient,
                           poly_hessian)
@@ -36,103 +51,85 @@ L1 = BaryPoly.lam(1)
 L2 = BaryPoly.lam(2)
 LAMS = (L0, L1, L2)
 THIRD = Fraction(1, 3)
+_BUBBLE = (L0 * L0 + L1 * L1 + L2 * L2) - Fraction(2, 3)
 
 
-@dataclass
-class LocalBlock:
-    cell: int
-    shapes: tuple            # raw shape functions (shared per class)
-    A: np.ndarray            # local basis = A @ shapes (shared per class)
-    C: np.ndarray            # local coeffs = C @ u[cols]
-    cols: np.ndarray
-    key: tuple               # tabulation cache key (congruence class)
+def _pressure_modes(k: int) -> list[BaryPoly]:
+    if k == 0:
+        return []
+    modes = [L0 - THIRD, L1 - THIRD]
+    if k == 2:
+        modes += [L0 * L0 - Fraction(1, 6), L1 * L1 - Fraction(1, 6),
+                  L0 * L1 - Fraction(1, 12)]
+    return modes
+
+
+@lru_cache(maxsize=None)
+def shape_set(name: str) -> tuple[BaryPoly, ...]:
+    """Scalar shape polynomials (float coefficients): a catalog element,
+    'g2' (fs + bubble) or 'pres<k>' (the constant and the mean-zero modes)."""
+    if name == "g2":
+        return shape_set("fs") + (_BUBBLE.as_float(),)
+    if name.startswith("pres"):
+        polys = [BaryPoly.const(1.0)] + _pressure_modes(int(name[4:]))
+    else:
+        polys = [s.p for s in element_catalog(name).shapes]
+    return tuple(p.as_float() for p in polys)
+
+
+@lru_cache(maxsize=None)
+def reference_tables(shapes: str, degree: int):
+    """A shape set at the points of tri_rule(degree): values (nsh, nq) and
+    first (nsh, 3, nq) and second (nsh, 3, 3, nq) lambda-derivatives."""
+    pts = tri_rule(degree).points
+    polys = shape_set(shapes)
+    val = np.array([p.eval(pts) for p in polys])
+    d1 = np.array([[p.dlam(i).eval(pts) for i in range(3)] for p in polys])
+    d2 = np.array([[[p.dlam(i).dlam(j).eval(pts) for j in range(3)]
+                    for i in range(3)] for p in polys])
+    for arr in (val, d1, d2):
+        arr.setflags(write=False)
+    return val, d1, d2
 
 
 class Space:
     def __init__(self, mesh: Mesh, kind: str, vector: bool, ndof: int,
-                 blocks: list[LocalBlock], poly_degree: int, meta: dict):
+                 shapes: str, A: np.ndarray, P: sp.csr_matrix,
+                 poly_degree: int, meta: dict):
         self.mesh = mesh
         self.kind = kind
         self.vector = vector
         self.ndof = ndof
-        self.blocks = blocks
+        self.shapes = shapes
+        self.A = A
+        self.P = P
         self.poly_degree = poly_degree
         self.meta = meta
-        self._tab_cache: dict = {}
 
     def __repr__(self):
         return f"Space({self.kind}, ndof={self.ndof})"
 
-    # -- local polynomial reconstruction -----------------------------------
+    @property
+    def nloc(self) -> int:
+        return self.A.shape[-2]
 
-    def cell_shape_coeffs(self, c: int, coeffs: np.ndarray) -> np.ndarray:
-        blk = self.blocks[c]
-        local = blk.C @ coeffs[blk.cols] if blk.cols.size else np.zeros(blk.C.shape[0])
-        return blk.A.T @ local
+    def shape_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
+        """(ncells, nshape) shape-basis coefficients of a global vector."""
+        local = (self.P @ coeffs).reshape(self.mesh.n_cells, 1, self.nloc)
+        return (local @ self.A)[:, 0]
 
     def cell_poly(self, c: int, coeffs: np.ndarray):
         """Cell-local polynomial(s): BaryPoly, or (BaryPoly, BaryPoly)."""
-        blk = self.blocks[c]
-        svec = self.cell_shape_coeffs(c, coeffs)
-        geom = self.mesh.geometry(c)
-        if self.vector:
-            px, py = BaryPoly(), BaryPoly()
-            for w, s in zip(svec, blk.shapes):
-                if w == 0.0:
-                    continue
-                px = px + float(w) * s.component(0, geom)
-                py = py + float(w) * s.component(1, geom)
-            return px, py
-        p = BaryPoly()
-        for w, s in zip(svec, blk.shapes):
-            if w != 0.0:
-                p = p + float(w) * s.p.as_float()
-        return p
-
-    # -- tabulation ---------------------------------------------------------
-
-    def tabulation(self, c: int, degree: int, order: int):
-        """Values/derivatives of the local basis at the degree-`degree` rule.
-
-        Returns dict with 'val' (ncomp, nloc, nq), and for order >= 1 'grad'
-        (ncomp, nloc, nq, 2), for order >= 2 'hess' (ncomp, nloc, nq, 3).
-        """
-        blk = self.blocks[c]
-        key = (blk.key, degree, order)
-        hit = self._tab_cache.get(key)
-        if hit is not None:
-            return hit
-        rule = tri_rule(degree)
-        geom = self.mesh.geometry(c)
-        ncomp = 2 if self.vector else 1
-        nsh = len(blk.shapes)
-        nq = rule.points.shape[0]
-        val = np.zeros((ncomp, nsh, nq))
-        grad = np.zeros((ncomp, nsh, nq, 2)) if order >= 1 else None
-        hess = np.zeros((ncomp, nsh, nq, 3)) if order >= 2 else None
-        for k, s in enumerate(blk.shapes):
-            for comp in range(ncomp):
-                p = s.component(comp, geom)
-                if not isinstance(p, BaryPoly) or p.is_zero():
-                    continue
-                val[comp, k] = p.eval(rule.points)
-                if order >= 1:
-                    gx, gy = poly_gradient(p, geom.grad_lambda)
-                    grad[comp, k, :, 0] = gx.eval(rule.points)
-                    grad[comp, k, :, 1] = gy.eval(rule.points)
-                if order >= 2:
-                    hxx, hxy, hyy = poly_hessian(p, geom.grad_lambda)
-                    hess[comp, k, :, 0] = hxx.eval(rule.points)
-                    hess[comp, k, :, 1] = hxy.eval(rule.points)
-                    hess[comp, k, :, 2] = hyy.eval(rule.points)
-        A = blk.A
-        out = {"val": np.einsum("ls,csq->clq", A, val)}
-        if order >= 1:
-            out["grad"] = np.einsum("ls,csqd->clqd", A, grad)
-        if order >= 2:
-            out["hess"] = np.einsum("ls,csqd->clqd", A, hess)
-        self._tab_cache[key] = out
-        return out
+        local = self.P[c * self.nloc:(c + 1) * self.nloc] @ coeffs
+        svec = local @ (self.A if self.A.ndim == 2 else self.A[c])
+        polys = []
+        for part in svec.reshape(2 if self.vector else 1, -1):
+            p = BaryPoly()
+            for w, s in zip(part, shape_set(self.shapes)):
+                if w != 0.0:
+                    p = p + float(w) * s
+            polys.append(p)
+        return tuple(polys) if self.vector else polys[0]
 
 
 @dataclass
@@ -153,43 +150,62 @@ class FieldFunction:
 
 
 # ---------------------------------------------------------------------------
-# global DOF layout helpers
+# DOF numbering and the cell-to-global operator
 # ---------------------------------------------------------------------------
 
-class _DofAllocator:
-    def __init__(self):
-        self.count = 0
+def _numbering(free: np.ndarray, start: int, per: int = 1):
+    """`per` consecutive DOF numbers on each free entity, in index order,
+    from `start`; -1 on the others.  Returns (table (n, per), next start)."""
+    table = np.full((free.size, per), -1, dtype=np.int64)
+    k = np.flatnonzero(free)
+    table[k] = start + per * np.arange(k.size)[:, None] + np.arange(per)
+    return table, start + per * k.size
 
-    def take(self, n: int = 1) -> int:
-        base = self.count
-        self.count += n
-        return base
 
-
-def _legendre_row(power: int, sign: int) -> np.ndarray:
-    """Coefficients of (G0, G1, G2) reproducing fint lam_{i+1}^power v.
+def _legendre_terms(l: int, moments: np.ndarray, power: int, sign):
+    """Terms of local DOF l = fint lam_{i+1}^power v from the canonical
+    Legendre moments (G0, G1, G2)[:ncols] of the edge, per cell.
 
     lam_{i+1} = 1/2 - s*(t - 1/2) along the canonical parameter t, with
     s = +1 when the local edge direction agrees with the canonical one.
     """
-    if power == 0:
-        return np.array([1.0, 0.0, 0.0])
-    if power == 1:
-        return np.array([0.5, -float(sign), 0.0])
-    if power == 2:
-        return np.array([1.0 / 3.0, -float(sign), 1.0])
-    raise ValueError(power)
+    row = {0: (1.0, 0.0, 0.0), 1: (0.5, -sign, 0.0),
+           2: (1.0 / 3.0, -sign, 1.0)}[power]
+    return [(l, moments[:, m], row[m]) for m in range(moments.shape[1])]
 
 
-def _rows_to_C(rows: list[list[tuple[int, float]]]):
-    """Convert per-local-dof (global index, weight) lists to (C, cols)."""
-    cols = sorted({g for row in rows for g, _ in row})
-    index = {g: k for k, g in enumerate(cols)}
-    C = np.zeros((len(rows), len(cols)))
-    for l, row in enumerate(rows):
-        for g, w in row:
-            C[l, index[g]] += w
-    return C, np.array(cols, dtype=np.int64)
+def _operator(mesh: Mesh, nloc: int, ndof: int, terms) -> sp.csr_matrix:
+    """P from (local DOF, global DOF per cell, weight per cell) terms.
+
+    Terms on global index -1 (eliminated boundary DOFs) or with weight 0 are
+    left out; terms on the same entry add up.
+    """
+    nc = mesh.n_cells
+    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], \
+        [np.zeros(0)]
+    for l, g, w in terms:
+        g = np.broadcast_to(g, (nc,))
+        w = np.broadcast_to(np.asarray(w, dtype=float), (nc,))
+        keep = (g >= 0) & (w != 0.0)
+        rows.append(np.flatnonzero(keep) * nloc + l)
+        cols.append(g[keep])
+        vals.append(w[keep])
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(nc * nloc, ndof))
+
+
+def _vertex_terms(mesh: Mesh, vdof: np.ndarray, l0: int = 0):
+    return [(l0 + i, vdof[mesh.cells[:, i]], 1.0) for i in range(3)]
+
+
+def _cell_terms(cdofs: np.ndarray, l0: int):
+    return [(l0 + j, cdofs[:, j], 1.0) for j in range(cdofs.shape[1])]
+
+
+def _gram(mesh: Mesh) -> np.ndarray:
+    gl = mesh.geometry_arrays()[0]
+    return np.einsum("cid,cjd->cij", gl, gl)
 
 
 # ---------------------------------------------------------------------------
@@ -223,342 +239,187 @@ def build_space(mesh: Mesh, kind: str) -> Space:
     return builders[key]()
 
 
-def _element_classes(mesh: Mesh, elem):
-    """Per-congruence-class nodal combination matrices."""
-    cache: dict = {}
-    out = []
-    for c in range(mesh.n_cells):
-        geom = mesh.geometry(c)
-        sig = geom.signature()
-        if sig not in cache:
-            cache[sig] = nodal_coefficients(elem, geom).T.copy()
-        out.append((sig, cache[sig]))
-    return out
+@lru_cache(maxsize=None)
+def _shared_transform(name: str) -> np.ndarray:
+    """The nodal transform of an element whose DOFs are point values and
+    moments only: the same on every cell, so computed once per process."""
+    A = nodal_coefficients(element_catalog(name), REFERENCE_EXACT).T
+    A.setflags(write=False)
+    return A
 
 
 def _build_a3(mesh: Mesh) -> Space:
-    elem = element_catalog("nsc")
-    alloc = _DofAllocator()
-    vdof = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    for a in mesh.interior_vertices():
-        vdof[a] = alloc.take()
-    edof = np.full(mesh.n_edges, -1, dtype=np.int64)
-    for e in mesh.interior_edges():
-        edof[e] = alloc.take()
-    cdof = np.array([alloc.take(4) for _ in range(mesh.n_cells)], dtype=np.int64)
-    classes = _element_classes(mesh, elem)
-    blocks = []
-    for c in range(mesh.n_cells):
-        rows: list[list] = []
-        for i in range(3):
-            g = vdof[mesh.cells[c, i]]
-            rows.append([(int(g), 1.0)] if g >= 0 else [])
-        for i in range(3):
-            g = edof[mesh.cell_edges[c, i]]
-            rows.append([(int(g), 1.0)] if g >= 0 else [])
-        for j in range(4):
-            rows.append([(int(cdof[c] + j), 1.0)])
-        C, cols = _rows_to_C(rows)
-        sig, A = classes[c]
-        blocks.append(LocalBlock(c, elem.shapes, A, C, cols, (sig,)))
-    meta = {"vertex_dof": vdof, "edge_dof": edof, "cell_dof0": cdof,
-            "element": elem}
-    return Space(mesh, "A3_0", False, alloc.count, blocks, 3, meta)
+    vdof, n = _numbering(~mesh.vertex_is_boundary, 0)
+    edof, n = _numbering(~mesh.edge_is_boundary, n)
+    cdofs, n = _numbering(np.ones(mesh.n_cells, dtype=bool), n, 4)
+    vdof, edof = vdof[:, 0], edof[:, 0]
+    terms = (_vertex_terms(mesh, vdof)
+             + [(3 + i, edof[mesh.cell_edges[:, i]], 1.0) for i in range(3)]
+             + _cell_terms(cdofs, 6))
+    meta = {"vertex_dof": vdof, "edge_dof": edof, "cell_dof0": cdofs[:, 0],
+            "element": element_catalog("nsc")}
+    return Space(mesh, "A3_0", False, n, "nsc", _shared_transform("nsc"),
+                 _operator(mesh, 10, n, terms), 3, meta)
 
 
 def _build_a4(mesh: Mesh) -> Space:
     elem = element_catalog("nsq")
-    alloc = _DofAllocator()
-    vdof = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    for a in mesh.interior_vertices():
-        vdof[a] = alloc.take()
-    edofs = np.full((mesh.n_edges, 3), -1, dtype=np.int64)  # G0, G1, GN
-    for e in mesh.interior_edges():
-        edofs[e] = [alloc.take(), alloc.take(), alloc.take()]
-    cdofs = np.array([alloc.take(3) for _ in range(mesh.n_cells)],
-                     dtype=np.int64)
-    classes = _element_classes(mesh, elem)
-    blocks = []
-    for c in range(mesh.n_cells):
-        rows: list[list] = []
+    vdof, n = _numbering(~mesh.vertex_is_boundary, 0)
+    edofs, n = _numbering(~mesh.edge_is_boundary, n, 3)   # G0, G1, GN
+    cdofs, n = _numbering(np.ones(mesh.n_cells, dtype=bool), n, 3)
+    vdof = vdof[:, 0]
+    terms = _vertex_terms(mesh, vdof)
+    for power in (0, 1):
         for i in range(3):
-            g = vdof[mesh.cells[c, i]]
-            rows.append([(int(g), 1.0)] if g >= 0 else [])
-        for power in (0, 1):
-            for i in range(3):
-                e = mesh.cell_edges[c, i]
-                if edofs[e, 0] < 0:
-                    rows.append([])
-                    continue
-                lr = _legendre_row(power, int(mesh.cell_edge_signs[c, i]))
-                rows.append([(int(edofs[e, m]), lr[m]) for m in range(2)
-                             if lr[m] != 0.0])
-        for i in range(3):
-            e = mesh.cell_edges[c, i]
-            if edofs[e, 2] < 0:
-                rows.append([])
-            else:
-                rows.append([(int(edofs[e, 2]),
-                              float(mesh.cell_edge_signs[c, i]))])
-        for j in range(3):
-            rows.append([(int(cdofs[c] + j), 1.0)])
-        C, cols = _rows_to_C(rows)
-        sig, A = classes[c]
-        blocks.append(LocalBlock(c, elem.shapes, A, C, cols, (sig,)))
-    meta = {"vertex_dof": vdof, "edge_dofs": edofs, "cell_dof0": cdofs,
+            terms += _legendre_terms(3 + 3 * power + i,
+                                     edofs[mesh.cell_edges[:, i], :2], power,
+                                     mesh.cell_edge_signs[:, i])
+    terms += [(9 + i, edofs[mesh.cell_edges[:, i], 2],
+               mesh.cell_edge_signs[:, i]) for i in range(3)]
+    terms += _cell_terms(cdofs, 12)
+    A = nodal_coefficients_stack(elem, _gram(mesh)).transpose(0, 2, 1)
+    meta = {"vertex_dof": vdof, "edge_dofs": edofs, "cell_dof0": cdofs[:, 0],
             "element": elem}
-    return Space(mesh, "A4_0", False, alloc.count, blocks, 4, meta)
+    return Space(mesh, "A4_0", False, n, "nsq", A,
+                 _operator(mesh, 15, n, terms), 4, meta)
 
 
 def _build_morley(mesh: Mesh) -> Space:
     elem = element_catalog("morley")
-    alloc = _DofAllocator()
-    vdof = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    for a in mesh.interior_vertices():
-        vdof[a] = alloc.take()
-    edof = np.full(mesh.n_edges, -1, dtype=np.int64)
-    for e in mesh.interior_edges():
-        edof[e] = alloc.take()
-    classes = _element_classes(mesh, elem)
-    blocks = []
-    for c in range(mesh.n_cells):
-        rows: list[list] = []
-        for i in range(3):
-            g = vdof[mesh.cells[c, i]]
-            rows.append([(int(g), 1.0)] if g >= 0 else [])
-        for i in range(3):
-            g = edof[mesh.cell_edges[c, i]]
-            rows.append([(int(g), float(mesh.cell_edge_signs[c, i]))]
-                        if g >= 0 else [])
-        C, cols = _rows_to_C(rows)
-        sig, A = classes[c]
-        blocks.append(LocalBlock(c, elem.shapes, A, C, cols, (sig,)))
+    vdof, n = _numbering(~mesh.vertex_is_boundary, 0)
+    edof, n = _numbering(~mesh.edge_is_boundary, n)
+    vdof, edof = vdof[:, 0], edof[:, 0]
+    terms = _vertex_terms(mesh, vdof) + [
+        (3 + i, edof[mesh.cell_edges[:, i]], mesh.cell_edge_signs[:, i])
+        for i in range(3)]
+    A = nodal_coefficients_stack(elem, _gram(mesh)).transpose(0, 2, 1)
     meta = {"vertex_dof": vdof, "edge_dof": edof, "element": elem}
-    return Space(mesh, "Morley_0", False, alloc.count, blocks, 2, meta)
+    return Space(mesh, "Morley_0", False, n, "morley", A,
+                 _operator(mesh, 6, n, terms), 2, meta)
 
 
 def _build_lagrange(mesh: Mesh, k: int) -> Space:
-    elem = element_catalog(f"p{k}")
-    alloc = _DofAllocator()
-    vdof = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    for a in mesh.interior_vertices():
-        vdof[a] = alloc.take()
+    vdof, n = _numbering(~mesh.vertex_is_boundary, 0)
     npts = k - 1
-    edofs = np.full((mesh.n_edges, max(npts, 1)), -1, dtype=np.int64)
-    if npts:
-        for e in mesh.interior_edges():
-            for j in range(npts):
-                edofs[e, j] = alloc.take()
+    edofs, n = _numbering(~mesh.edge_is_boundary & (npts > 0), n,
+                          max(npts, 1))
     ncell = {1: 0, 2: 0, 3: 1, 4: 3}[k]
-    cdofs = np.array([alloc.take(ncell) if ncell else 0
-                      for _ in range(mesh.n_cells)], dtype=np.int64)
-    classes = _element_classes(mesh, elem)
-    blocks = []
-    for c in range(mesh.n_cells):
-        rows: list[list] = []
-        for i in range(3):
-            g = vdof[mesh.cells[c, i]]
-            rows.append([(int(g), 1.0)] if g >= 0 else [])
-        for i in range(3):
-            e = mesh.cell_edges[c, i]
-            s = int(mesh.cell_edge_signs[c, i])
-            for step in range(1, k):
-                if edofs[e, 0] < 0:
-                    rows.append([])
-                    continue
-                idx = step - 1 if s == 1 else (k - step) - 1
-                rows.append([(int(edofs[e, idx]), 1.0)])
-        for j in range(ncell):
-            rows.append([(int(cdofs[c] + j), 1.0)])
-        C, cols = _rows_to_C(rows)
-        sig, A = classes[c]
-        blocks.append(LocalBlock(c, elem.shapes, A, C, cols, (sig,)))
-    meta = {"vertex_dof": vdof, "edge_dofs": edofs, "cell_dof0": cdofs,
-            "element": elem, "order": k}
-    return Space(mesh, f"Lagrange{k}_0", False, alloc.count, blocks, k, meta)
-
-
-_BUBBLE = (L0 * L0 + L1 * L1 + L2 * L2) - Fraction(2, 3)
-
-
-def _vec_shape(p: BaryPoly, comp: int) -> ShapeFunction:
-    z = BaryPoly()
-    return ShapeFunction(kind="vector", px=p if comp == 0 else z,
-                         py=p if comp == 1 else z)
+    cdofs, n = _numbering(np.full(mesh.n_cells, ncell > 0), n, max(ncell, 1))
+    vdof = vdof[:, 0]
+    terms = _vertex_terms(mesh, vdof)
+    for i in range(3):
+        e = mesh.cell_edges[:, i]
+        forward = mesh.cell_edge_signs[:, i] == 1
+        for step in range(1, k):
+            terms.append((3 + i * npts + step - 1,
+                          np.where(forward, edofs[e, step - 1],
+                                   edofs[e, k - step - 1]), 1.0))
+    terms += _cell_terms(cdofs[:, :ncell], 3 + 3 * npts)
+    # cell_dof0 is 0 where there are no cell DOFs (k <= 2)
+    meta = {"vertex_dof": vdof, "edge_dofs": edofs,
+            "cell_dof0": np.maximum(cdofs[:, 0], 0),
+            "element": element_catalog(f"p{k}"), "order": k}
+    nloc = 3 + 3 * npts + ncell
+    return Space(mesh, f"Lagrange{k}_0", False, n, f"p{k}",
+                 _shared_transform(f"p{k}"), _operator(mesh, nloc, n, terms),
+                 k, meta)
 
 
 def _build_s2g2(mesh: Mesh, bubbles: bool, bc: bool) -> Space:
-    fs = element_catalog("fs")
-    ref_geom = mesh.geometry(0)
-    Afs = nodal_coefficients(fs, ref_geom).T  # geometry independent
-    alloc = _DofAllocator()
-    nv, ne = mesh.n_vertices, mesh.n_edges
-    vdofs = np.full((nv, 2), -1, dtype=np.int64)
-    for a in (range(nv) if not bc else mesh.interior_vertices()):
-        vdofs[a] = [alloc.take(), alloc.take()]
-    edofs = np.full((ne, 2), -1, dtype=np.int64)
-    for e in (range(ne) if not bc else mesh.interior_edges()):
-        edofs[e] = [alloc.take(), alloc.take()]
+    vfree = ~mesh.vertex_is_boundary if bc else np.ones(mesh.n_vertices, bool)
+    efree = ~mesh.edge_is_boundary if bc else np.ones(mesh.n_edges, bool)
+    vdofs, n = _numbering(vfree, 0, 2)
+    edofs, n = _numbering(efree, n, 2)
     bdofs = None
     if bubbles:
-        bdofs = np.array([[alloc.take(), alloc.take()]
-                          for _ in range(mesh.n_cells)], dtype=np.int64)
-    nloc_comp = 7 if bubbles else 6
-    shapes = []
+        bdofs, n = _numbering(np.ones(mesh.n_cells, dtype=bool), n, 2)
+    Acomp = _shared_transform("fs")
+    if bubbles:
+        Acomp = np.block([[Acomp, np.zeros((6, 1))], [np.zeros((1, 6)), 1.0]])
+    ncomp = Acomp.shape[0]
+    terms = []
     for comp in range(2):
-        shapes += [_vec_shape(s.p, comp) for s in fs.shapes]
+        l0 = comp * ncomp
+        terms += _vertex_terms(mesh, vdofs[:, comp], l0)
+        terms += [(l0 + 3 + i, edofs[mesh.cell_edges[:, i], comp], 1.0)
+                  for i in range(3)]
         if bubbles:
-            shapes.append(_vec_shape(_BUBBLE, comp))
-    A = np.zeros((2 * nloc_comp, len(shapes)))
-    off_sh = len(fs.shapes) + (1 if bubbles else 0)
-    for comp in range(2):
-        A[comp * nloc_comp: comp * nloc_comp + 6,
-          comp * off_sh: comp * off_sh + 6] = Afs
-        if bubbles:
-            A[comp * nloc_comp + 6, comp * off_sh + 6] = 1.0
-    shapes = tuple(shapes)
-    blocks = []
-    for c in range(mesh.n_cells):
-        rows: list[list] = []
-        for comp in range(2):
-            for i in range(3):
-                g = vdofs[mesh.cells[c, i], comp]
-                rows.append([(int(g), 1.0)] if g >= 0 else [])
-            for i in range(3):
-                g = edofs[mesh.cell_edges[c, i], comp]
-                rows.append([(int(g), 1.0)] if g >= 0 else [])
-            if bubbles:
-                rows.append([(int(bdofs[c, comp]), 1.0)])
-        C, cols = _rows_to_C(rows)
-        sig = mesh.geometry(c).signature()
-        blocks.append(LocalBlock(c, shapes, A, C, cols, ("s2g2", bubbles, sig)))
+            terms.append((l0 + 6, bdofs[:, comp], 1.0))
     kind = ("G2_0" if bc else "G2") if bubbles else "S2_0"
     meta = {"vertex_dofs": vdofs, "edge_dofs": edofs, "bubble_dofs": bdofs,
             "bc": bc}
-    return Space(mesh, kind, True, alloc.count, blocks, 2, meta)
+    return Space(mesh, kind, True, n, "g2" if bubbles else "fs",
+                 np.kron(np.eye(2), Acomp),
+                 _operator(mesh, 2 * ncomp, n, terms), 2, meta)
 
 
 def _build_g3(mesh: Mesh, bc: bool) -> Space:
-    cf = element_catalog("cf")
-    classes = _element_classes(mesh, cf)
-    alloc = _DofAllocator()
-    ne = mesh.n_edges
-    edofs = np.full((ne, 2, 3), -1, dtype=np.int64)  # edge, comp, moment
-    for e in (range(ne) if not bc else mesh.interior_edges()):
-        for comp in range(2):
-            for m in range(3):
-                edofs[e, comp, m] = alloc.take()
-    cdofs = np.array([[alloc.take(), alloc.take()]
-                      for _ in range(mesh.n_cells)], dtype=np.int64)
-    shapes0 = tuple([_vec_shape(s.p, 0) for s in cf.shapes]
-                    + [_vec_shape(s.p, 1) for s in cf.shapes])
-    a_cache: dict = {}
-    blocks = []
-    for c in range(mesh.n_cells):
-        sig, Acf = classes[c]
-        if sig not in a_cache:
-            A2 = np.zeros((20, 20))
-            A2[:10, :10] = Acf
-            A2[10:, 10:] = Acf
-            a_cache[sig] = A2
-        A = a_cache[sig]
-        rows: list[list] = []
-        for comp in range(2):
-            for power in range(3):
-                for i in range(3):
-                    e = mesh.cell_edges[c, i]
-                    if edofs[e, comp, 0] < 0:
-                        rows.append([])
-                        continue
-                    lr = _legendre_row(power, int(mesh.cell_edge_signs[c, i]))
-                    rows.append([(int(edofs[e, comp, m]), lr[m])
-                                 for m in range(3) if lr[m] != 0.0])
-            rows.append([(int(cdofs[c, comp]), 1.0)])
-        C, cols = _rows_to_C(rows)
-        blocks.append(LocalBlock(c, shapes0, A, C, cols, (sig,)))
+    efree = ~mesh.edge_is_boundary if bc else np.ones(mesh.n_edges, bool)
+    edofs, n = _numbering(efree, 0, 6)
+    edofs = edofs.reshape(-1, 2, 3)            # edge, comp, moment
+    cdofs, n = _numbering(np.ones(mesh.n_cells, dtype=bool), n, 2)
+    terms = []
+    for comp in range(2):
+        for power in range(3):
+            for i in range(3):
+                terms += _legendre_terms(
+                    10 * comp + 3 * power + i,
+                    edofs[mesh.cell_edges[:, i], comp], power,
+                    mesh.cell_edge_signs[:, i])
+        terms.append((10 * comp + 9, cdofs[:, comp], 1.0))
     meta = {"edge_dofs": edofs, "cell_dofs": cdofs, "bc": bc}
-    return Space(mesh, "G3_0" if bc else "G3", True, alloc.count, blocks, 3,
-                 meta)
-
-
-def _pressure_modes(k: int) -> list[BaryPoly]:
-    if k == 0:
-        return []
-    modes = [L0 - THIRD, L1 - THIRD]
-    if k == 2:
-        modes += [L0 * L0 - Fraction(1, 6), L1 * L1 - Fraction(1, 6),
-                  L0 * L1 - Fraction(1, 12)]
-    return modes
+    return Space(mesh, "G3_0" if bc else "G3", True, n, "cf",
+                 np.kron(np.eye(2), _shared_transform("cf")),
+                 _operator(mesh, 20, n, terms), 3, meta)
 
 
 def _haar_tree(areas: np.ndarray):
     """L2-orthonormal mean-zero basis over cell constants.
 
-    Returns per-cell lists of (haar index, value on that cell).
+    Returns (cells, haar index, value on that cell) arrays; the tree is
+    numbered in preorder.
     """
-    n = len(areas)
-    per_cell: list[list] = [[] for _ in range(n)]
-    counter = [0]
-
-    def rec(lo, hi):
+    cells, index, value = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], \
+        [np.zeros(0)]
+    nhaar = 0
+    stack = [(0, len(areas))]
+    while stack:
+        lo, hi = stack.pop()
         if hi - lo < 2:
-            return
+            continue
         mid = (lo + hi) // 2
         aL = float(areas[lo:mid].sum())
         aR = float(areas[mid:hi].sum())
         norm = np.sqrt(aL * aR * (aL + aR))
-        idx = counter[0]
-        counter[0] += 1
-        for c in range(lo, mid):
-            per_cell[c].append((idx, aR / norm))
-        for c in range(mid, hi):
-            per_cell[c].append((idx, -aL / norm))
-        rec(lo, mid)
-        rec(mid, hi)
-
-    rec(0, n)
-    assert counter[0] == max(n - 1, 0)
-    return per_cell, counter[0]
+        cells.append(np.arange(lo, hi))
+        index.append(np.full(hi - lo, nhaar))
+        value.append(np.repeat([aR / norm, -aL / norm], [mid - lo, hi - mid]))
+        nhaar += 1
+        stack += [(mid, hi), (lo, mid)]
+    return (np.concatenate(cells), np.concatenate(index),
+            np.concatenate(value)), nhaar
 
 
 def _build_pressure(mesh: Mesh, k: int) -> Space:
-    modes = _pressure_modes(k)
-    nmodes = len(modes)
-    areas = np.array([mesh.geometry(c).area for c in range(mesh.n_cells)])
-    haar_per_cell, nhaar = _haar_tree(areas)
+    nmodes = len(_pressure_modes(k))
     nT = mesh.n_cells
+    (hcells, hindex, hvalue), nhaar = _haar_tree(mesh.geometry_arrays()[1])
     ndof = nT * nmodes + nhaar
-    shapes = tuple([ShapeFunction(kind="scalar", p=BaryPoly.const(Fraction(1)))]
-                   + [ShapeFunction(kind="scalar", p=m) for m in modes])
-    A = np.eye(1 + nmodes)
-    blocks = []
-    for c in range(nT):
-        rows: list[list] = [[(nT * nmodes + h, w) for h, w in haar_per_cell[c]]]
-        for j in range(nmodes):
-            rows.append([(c * nmodes + j, 1.0)])
-        C, cols = _rows_to_C(rows)
-        sig = mesh.geometry(c).signature()
-        blocks.append(LocalBlock(c, shapes, A, C, cols, ("pres", k, sig)))
+    nloc = 1 + nmodes
+    modes = np.arange(nT * nmodes).reshape(nT, nmodes)
+    P = _operator(mesh, nloc, ndof, _cell_terms(modes, 1)) + sp.csr_matrix(
+        (hvalue, (hcells * nloc, nT * nmodes + hindex)), shape=(nT * nloc, ndof))
     meta = {"order": k, "n_modes": nmodes, "n_haar": nhaar}
-    return Space(mesh, f"P{k}_0", False, ndof, blocks, k, meta)
+    return Space(mesh, f"P{k}_0", False, ndof, f"pres{k}", np.eye(nloc),
+                 P, k, meta)
 
 
 def _build_dg(mesh: Mesh, k: int) -> Space:
-    modes = _pressure_modes(k)
-    nmodes = len(modes)
-    shapes = tuple([ShapeFunction(kind="scalar", p=BaryPoly.const(Fraction(1)))]
-                   + [ShapeFunction(kind="scalar", p=m) for m in modes])
-    A = np.eye(1 + nmodes)
-    per_cell = 1 + nmodes
-    blocks = []
-    for c in range(mesh.n_cells):
-        cols = np.arange(c * per_cell, (c + 1) * per_cell, dtype=np.int64)
-        sig = mesh.geometry(c).signature()
-        blocks.append(LocalBlock(c, shapes, A, np.eye(per_cell), cols,
-                                 ("dg", k, sig)))
+    per_cell = 1 + len(_pressure_modes(k))
+    ndof = mesh.n_cells * per_cell
     meta = {"order": k, "per_cell": per_cell}
-    return Space(mesh, f"DG{k}", False, mesh.n_cells * per_cell, blocks, k,
-                 meta)
+    return Space(mesh, f"DG{k}", False, ndof, f"pres{k}", np.eye(per_cell),
+                 sp.identity(ndof, format="csr"), k, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -575,47 +436,49 @@ FORMS = ("mass", "grad_grad", "hess_hess", "rot_pressure", "vecfield_grad")
 ROUNDOFF_RTOL = 1e-12
 
 
-def _local_matrix(form, trial: Space, test: Space, c: int, degree: int):
-    rule = tri_rule(degree)
-    w = rule.weights
-    area = trial.mesh.geometry(c).area
+def _form_tensor(form: str, trial: Space, test: Space, degree: int):
+    """(R, G) of a form: the cell matrix in the test x trial shape bases is
+    sum_k G[c, k] R[:, :, k], with R geometry-free and G per cell."""
+    w = tri_rule(degree).weights
+    vt, d1t, d2t = reference_tables(test.shapes, degree)
+    vr, d1r, d2r = reference_tables(trial.shapes, degree)
+    gl, area, _ = trial.mesh.geometry_arrays()
+    nc, na, nb = len(area), len(vt), len(vr)
+    if form in ("rot_pressure", "vecfield_grad"):
+        if not trial.vector or test.vector:
+            raise ValueError(f"{form} needs vector trial, scalar test")
+        # channel (j, d): area * d(lam_j)/dx_d; trial shapes per component
+        R = np.zeros((na, 2, nb, 3, 2))
+        if form == "rot_pressure":
+            # (q, rot v) with rot v = d(v2)/dx - d(v1)/dy
+            R1 = np.einsum("aq,q,bjq->abj", vt, w, d1r)
+            R[:, 1, :, :, 0] = R1
+            R[:, 0, :, :, 1] = -R1
+        else:
+            # (v, grad w): trial vector v, test scalar w
+            R1 = np.einsum("ajq,q,bq->abj", d1t, w, vr)
+            R[:, 0, :, :, 0] = R1
+            R[:, 1, :, :, 1] = R1
+        return R.reshape(na, 2 * nb, 6), area[:, None] * gl.reshape(nc, 6)
+    if trial.vector != test.vector:
+        raise ValueError(f"{form} needs trial and test of the same kind")
+    gram = _gram(trial.mesh)
     if form == "mass":
-        tt = test.tabulation(c, degree, 0)["val"]
-        tr = trial.tabulation(c, degree, 0)["val"]
-        M = sum(np.einsum("lq,q,mq->lm", tt[comp], w, tr[comp])
-                for comp in range(tt.shape[0]))
-        return area * M
-    if form == "grad_grad":
-        tt = test.tabulation(c, degree, 1)["grad"]
-        tr = trial.tabulation(c, degree, 1)["grad"]
-        M = sum(np.einsum("lqd,q,mqd->lm", tt[comp], w, tr[comp])
-                for comp in range(tt.shape[0]))
-        return area * M
-    if form == "hess_hess":
-        tt = test.tabulation(c, degree, 2)["hess"]
-        tr = trial.tabulation(c, degree, 2)["hess"]
-        weights = np.array([1.0, 2.0, 1.0])  # xx, xy (twice), yy
-        M = sum(np.einsum("lqd,q,d,mqd->lm", tt[comp], w, weights, tr[comp])
-                for comp in range(tt.shape[0]))
-        return area * M
-    if form == "rot_pressure":
-        # (q, rot v) with rot v = d(v2)/dx - d(v1)/dy; trial vector, test scalar
-        if not trial.vector or test.vector:
-            raise ValueError("rot_pressure needs vector trial, scalar test")
-        tq = test.tabulation(c, degree, 0)["val"][0]
-        gv = trial.tabulation(c, degree, 1)["grad"]
-        rot = gv[1, :, :, 0] - gv[0, :, :, 1]
-        return area * np.einsum("lq,q,mq->lm", tq, w, rot)
-    if form == "vecfield_grad":
-        # (v, grad w): trial vector v, test scalar w
-        if not trial.vector or test.vector:
-            raise ValueError("vecfield_grad needs vector trial, scalar test")
-        gw = test.tabulation(c, degree, 1)["grad"]
-        tv = trial.tabulation(c, degree, 0)["val"]
-        M = area * (np.einsum("lq,q,mq->lm", gw[0, :, :, 0], w, tv[0])
-                    + np.einsum("lq,q,mq->lm", gw[0, :, :, 1], w, tv[1]))
-        return M
-    raise ValueError(f"unknown form '{form}'")
+        R = np.einsum("aq,q,bq->ab", vt, w, vr)[..., None]
+        G = area[:, None]
+    elif form == "grad_grad":
+        R = np.einsum("aiq,q,bjq->abij", d1t, w, d1r).reshape(na, nb, 9)
+        G = area[:, None] * gram.reshape(nc, 9)
+    elif form == "hess_hess":
+        # H(u):H(v) = sum gram[i, k] gram[j, l] u_ij v_kl, u_ij = d2u/dlam_i dlam_j
+        R = np.einsum("aijq,q,bklq->abikjl", d2t, w, d2r).reshape(na, nb, 81)
+        G = area[:, None] * np.einsum("cik,cjl->cikjl", gram,
+                                      gram).reshape(nc, 81)
+    else:
+        raise ValueError(f"unknown form '{form}'")
+    if test.vector:
+        R = np.einsum("xy,abk->xaybk", np.eye(2), R).reshape(2 * na, 2 * nb, -1)
+    return R, G
 
 
 def assemble_bilinear(trial: Space, test: Space, form: str,
@@ -624,32 +487,16 @@ def assemble_bilinear(trial: Space, test: Space, form: str,
         raise ValueError("trial and test spaces live on different meshes")
     if quad_degree is None:
         quad_degree = max(trial.poly_degree + test.poly_degree, 2)
-    cache: dict = {}
-    rows, cols, vals = [], [], []
-    for c in range(trial.mesh.n_cells):
-        bt = test.blocks[c]
-        br = trial.blocks[c]
-        key = (bt.key, br.key, trial.mesh.geometry(c).signature())
-        Mloc = cache.get(key)
-        if Mloc is None:
-            Mloc = _local_matrix(form, trial, test, c, quad_degree)
-            cache[key] = Mloc
-        contrib = bt.C.T @ Mloc @ br.C
-        if bt.cols.size == 0 or br.cols.size == 0:
-            continue
-        r = np.repeat(bt.cols, br.cols.size)
-        k = np.tile(br.cols, bt.cols.size)
-        rows.append(r)
-        cols.append(k)
-        vals.append(contrib.ravel())
-    if rows:
-        M = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(test.ndof, trial.ndof))
-    else:
-        M = sp.coo_matrix((test.ndof, trial.ndof))
-    out = M.tocsr()
-    out.sum_duplicates()
+    R, G = _form_tensor(form, trial, test, quad_degree)
+    nc = trial.mesh.n_cells
+    shape_mats = (G @ R.reshape(-1, R.shape[2]).T).reshape(nc, *R.shape[:2])
+    local = test.A @ shape_mats @ np.swapaxes(trial.A, -1, -2)
+    nt, nr = test.nloc, trial.nloc
+    cols = np.arange(nc * nr).reshape(nc, 1, nr).repeat(nt, axis=1)
+    blocks = sp.csr_matrix((local.ravel(), cols.ravel(),
+                            np.arange(nc * nt + 1) * nr),
+                           shape=(nc * nt, nc * nr))
+    out = (test.P.T @ (blocks @ trial.P)).tocsr()
     mag = np.abs(out.data)
     if mag.size:
         out.data[mag <= ROUNDOFF_RTOL * mag.max()] = 0.0
@@ -658,44 +505,36 @@ def assemble_bilinear(trial: Space, test: Space, form: str,
     return out
 
 
+def _quadrature_points(mesh: Mesh, degree: int):
+    """Every (cell, point) pair of tri_rule(degree), as flat x and y."""
+    verts = mesh.geometry_arrays()[2]
+    xy = np.einsum("qi,cid->cqd", tri_rule(degree).points, verts)
+    return xy[..., 0].ravel(), xy[..., 1].ravel()
+
+
 def assemble_load(space: Space, f, quad_degree: int = 12) -> np.ndarray:
     if space.vector:
         raise ValueError("loads are assembled against scalar spaces only")
     rule = tri_rule(quad_degree)
-    out = np.zeros(space.ndof)
-    for c in range(space.mesh.n_cells):
-        geom = space.mesh.geometry(c)
-        xy = rule.points @ geom.verts
-        fv = np.asarray(f(xy[:, 0], xy[:, 1]), dtype=float)
-        tab = space.tabulation(c, quad_degree, 0)["val"][0]
-        lloc = geom.area * (tab @ (rule.weights * fv))
-        blk = space.blocks[c]
-        if blk.cols.size:
-            np.add.at(out, blk.cols, blk.C.T @ lloc)
-    return out
+    val = reference_tables(space.shapes, quad_degree)[0]
+    area = space.mesh.geometry_arrays()[1]
+    x, y = _quadrature_points(space.mesh, quad_degree)
+    fv = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
+    shape_load = area[:, None] * ((fv.reshape(len(area), -1) * rule.weights)
+                                  @ val.T)
+    local = (space.A @ shape_load[:, :, None])[:, :, 0]
+    return space.P.T @ local.ravel()
 
 
 # ---------------------------------------------------------------------------
 # field evaluation / error norms
 # ---------------------------------------------------------------------------
 
-def _locate_arrays(mesh: Mesh):
-    hit = getattr(mesh, "_locate_arrays_cache", None)
-    if hit is None:
-        gl = np.stack([mesh.geometry(c).grad_lambda
-                       for c in range(mesh.n_cells)])
-        verts = np.stack([mesh.geometry(c).verts for c in range(mesh.n_cells)])
-        offs = 1.0 - np.einsum("cid,cid->ci", gl, verts)
-        hit = (gl, offs)
-        mesh._locate_arrays_cache = hit
-    return hit
-
-
 def locate_cell(mesh: Mesh, point) -> int:
     """Deterministic point location: lowest cell index containing the point."""
     pt = np.asarray(point, dtype=float)
-    gl, offs = _locate_arrays(mesh)
-    lam = gl @ pt + offs
+    gl, _, verts = mesh.geometry_arrays()
+    lam = np.einsum("cid,cid->ci", gl, pt - verts) + 1.0
     inside = (lam >= -1e-12).all(axis=1)
     c = int(np.argmax(inside))
     if not inside[c]:
@@ -728,37 +567,42 @@ def eval_field(field: FieldFunction, point, order: int = 0):
     return out[0] if not field.space.vector else out
 
 
+def _derivative(S: np.ndarray, gl: np.ndarray, table: np.ndarray, dirs):
+    """Cartesian derivative along dirs (one axis per order) of the fields
+    with shape coefficients S (ncells, nshape), at every (cell, point)."""
+    T = S
+    for d in dirs:
+        T = T[..., None] * gl[:, :, d].reshape(len(S), *(1,) * (T.ndim - 1), 3)
+    return T.reshape(len(S), -1) @ table.reshape(-1, table.shape[-1])
+
+
 def error_norms(field: FieldFunction, u, grad_u=None, hess_u=None,
                 quad_degree: int = 17):
     """(L2, broken H1 seminorm, broken H2 seminorm) errors against callbacks."""
     space = field.space
     if space.vector:
         raise ValueError("error_norms expects a scalar field")
-    rule = tri_rule(quad_degree)
-    order = 2 if hess_u is not None else (1 if grad_u is not None else 0)
+    w = tri_rule(quad_degree).weights
+    tables = reference_tables(space.shapes, quad_degree)
+    gl, area, _ = space.mesh.geometry_arrays()
+    x, y = _quadrature_points(space.mesh, quad_degree)
+    S = space.shape_coefficients(field.coeffs)
+
+    def sq_error(dirs, exact):
+        exact = np.broadcast_to(np.asarray(exact, dtype=float), x.shape)
+        diff = _derivative(S, gl, tables[len(dirs)], dirs) \
+            - exact.reshape(len(S), -1)
+        return float(area @ (diff**2 @ w))
+
     acc = np.zeros(3)
-    for c in range(space.mesh.n_cells):
-        geom = space.mesh.geometry(c)
-        xy = rule.points @ geom.verts
-        x, y = xy[:, 0], xy[:, 1]
-        tab = space.tabulation(c, quad_degree, order)
-        blk = space.blocks[c]
-        local = blk.C @ field.coeffs[blk.cols] if blk.cols.size else \
-            np.zeros(blk.C.shape[0])
-        vals = local @ tab["val"][0]
-        diff = vals - np.asarray(u(x, y), dtype=float)
-        acc[0] += geom.area * np.sum(rule.weights * diff**2)
-        if order >= 1:
-            g = np.einsum("l,lqd->qd", local, tab["grad"][0])
-            gx, gy = grad_u(x, y)
-            acc[1] += geom.area * np.sum(
-                rule.weights * ((g[:, 0] - gx)**2 + (g[:, 1] - gy)**2))
-        if order >= 2:
-            h = np.einsum("l,lqd->qd", local, tab["hess"][0])
-            hxx, hxy, hyy = hess_u(x, y)
-            acc[2] += geom.area * np.sum(
-                rule.weights * ((h[:, 0] - hxx)**2 + 2 * (h[:, 1] - hxy)**2
-                                + (h[:, 2] - hyy)**2))
+    acc[0] = sq_error((), u(x, y))
+    if grad_u is not None:
+        gx, gy = grad_u(x, y)
+        acc[1] = sq_error((0,), gx) + sq_error((1,), gy)
+    if hess_u is not None:
+        hxx, hxy, hyy = hess_u(x, y)
+        acc[2] = (sq_error((0, 0), hxx) + 2 * sq_error((0, 1), hxy)
+                  + sq_error((1, 1), hyy))
     return tuple(np.sqrt(acc))
 
 

@@ -20,7 +20,7 @@ from .mesh import Mesh
 from .polynomials import (BaryPoly, bary_to_xy, poly2d_antider_x,
                           poly2d_antider_y, poly2d_partial, poly_gradient,
                           xy_to_bary)
-from .spaces import (Space, assemble_bilinear, build_space,
+from .spaces import (_BUBBLE, Space, assemble_bilinear, build_space,
                      edge_jump_moments)
 
 
@@ -123,12 +123,9 @@ def bubble_correct(g2: Space, coeffs: np.ndarray,
     bdofs = g2.meta["bubble_dofs"]
     out = coeffs.copy()
     scale = max(1.0, float(np.abs(coeffs).max()))
-    bubble = None
-    for c in range(mesh.n_cells):
-        blk = g2.blocks[c]
-        local = blk.C @ coeffs[blk.cols] if blk.cols.size else None
-        if local is None or not np.any(np.abs(local) > 1e-15 * scale):
-            continue
+    local = (g2.P @ coeffs).reshape(mesh.n_cells, g2.nloc)
+    active = np.flatnonzero((np.abs(local) > 1e-15 * scale).any(axis=1))
+    for c in active.tolist():
         rot = _cell_rot(g2, c, coeffs)
         if rot.is_zero():
             continue
@@ -136,7 +133,6 @@ def bubble_correct(g2: Space, coeffs: np.ndarray,
         mean = float(rot.cell_average())
         if abs(mean) > mean_tol * scale:
             raise ComplexError(f"cell {c}: rot has nonzero mean {mean:.3e}")
-        from .spaces import _BUBBLE
         bx, by = poly_gradient(_BUBBLE.as_float(), geom.grad_lambda)
         bx1, bx2 = _meanzero_coords(bx)
         by1, by2 = _meanzero_coords(by)

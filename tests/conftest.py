@@ -17,3 +17,18 @@ def jittered4():
     rng = np.random.default_rng(7)
     v[inner] += 0.2 / 4 * rng.uniform(-1, 1, size=(int(inner.sum()), 2))
     return Mesh(v, mesh.cells)
+
+
+@pytest.fixture(scope="session")
+def relabeled4():
+    """Criss n=4 mesh under a random vertex numbering, cell order and cyclic
+    rotation of each cell's vertices (which keeps every cell counter-clockwise)."""
+    mesh = generate_structured(4)
+    rng = np.random.default_rng(11)
+    new_of_old = rng.permutation(mesh.n_vertices)
+    verts = np.empty_like(mesh.vertices)
+    verts[new_of_old] = mesh.vertices
+    cells = new_of_old[mesh.cells[rng.permutation(mesh.n_cells)]]
+    shift = rng.integers(0, 3, size=mesh.n_cells)
+    cols = (np.arange(3)[None, :] + shift[:, None]) % 3
+    return Mesh(verts, np.take_along_axis(cells, cols, axis=1))

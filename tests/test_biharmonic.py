@@ -116,6 +116,13 @@ def test_cubic_stage2_constraint(mesh2, poly8):
     assert np.abs(B @ res.phi_h.coeffs).max() < 1e-10 * scale
 
 
+def test_stage2_iterations_reach_diagnostics():
+    # mass-preconditioned Schur PCG on the inf-sup stable cubic pair: 15
+    # iterations at criss n=8; a band, since round-off may shift it by one
+    res = solve_cubic(generate_structured(8), manufactured("sin2").f)
+    assert 10 <= res.diagnostics["stage2_iterations"] <= 25
+
+
 def test_stage2_failure_reports_infsup_constant(monkeypatch, mesh2, poly8):
     def fail(system, tol):
         raise SolverError("forced failure")
@@ -268,7 +275,7 @@ def test_galerkin_residual_sin2(n):
 
 def test_hessian_consistency_global_quadratic(mesh2):
     # a DG2 field reproducing x^2 + x*y - y^2 has the exact constant hessian
-    from biharmfem.polynomials import xy_to_bary
+    from biharmfem.polynomials import poly2d_mul, xy_to_bary
     from biharmfem.spaces import FieldFunction, eval_field
     dg2 = build_space(mesh2, "DG2")
     coeffs = np.zeros(dg2.ndof)
@@ -281,7 +288,6 @@ def test_hessian_consistency_global_quadratic(mesh2):
         for (a, b, cc), v in p.coeffs.items():
             # substitute l3 = 1 - l1 - l2
             term = {(0, 0): float(v)}
-            from biharmfem.polynomials import poly2d_mul
             for _ in range(a):
                 term = poly2d_mul(term, {(1, 0): 1.0})
             for _ in range(b):
@@ -291,7 +297,7 @@ def test_hessian_consistency_global_quadratic(mesh2):
                                          (0, 1): -1.0})
             for k, v2 in term.items():
                 flat[k] = flat.get(k, 0.0) + v2
-        base0 = dg2.blocks[c].cols[0]
+        base0 = c * dg2.meta["per_cell"]
         mode = {(1, 0): 1, (0, 1): 2, (2, 0): 3, (0, 2): 4, (1, 1): 5}
         const = flat.get((0, 0), 0.0)
         shift = {(1, 0): 1 / 3, (0, 1): 1 / 3, (2, 0): 1 / 6, (0, 2): 1 / 6,

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from biharmfem.linalg import (SaddleSystem, SolverError, cg_solve,
-                              infsup_constant, is_symmetric, kernel_dimension,
-                              matrix_rank, saddle_solve)
+from biharmfem.linalg import (SaddleSystem, SolverError, _pin_mmap_threshold,
+                              _splu, cg_solve, infsup_constant, is_symmetric,
+                              kernel_dimension, matrix_rank, saddle_solve)
 from biharmfem.mesh import generate_structured
 from biharmfem.spaces import assemble_bilinear, build_space
 
@@ -50,7 +55,7 @@ def test_cg_deterministic():
 def test_saddle_empty_pressure_reduces_to_spd_solve():
     A = sp.diags([2.0, 3.0], format="csr")
     B = sp.csr_matrix((0, 2))
-    u, p = saddle_solve(SaddleSystem(A, B, np.array([2.0, 6.0]), np.zeros(0),
+    u, p, _ = saddle_solve(SaddleSystem(A, B, np.array([2.0, 6.0]), np.zeros(0),
                                      M=sp.identity(0)))
     assert np.allclose(u, [1.0, 2.0])
     assert p.size == 0
@@ -62,7 +67,7 @@ def test_saddle_hand_system():
     # u = (11/6, 7/6)
     A = sp.diags([2.0, 4.0], format="csc")
     B = sp.csr_matrix(np.array([[1.0, 1.0]]))
-    u, p = saddle_solve(SaddleSystem(A, B, np.array([1.0, 2.0]),
+    u, p, _ = saddle_solve(SaddleSystem(A, B, np.array([1.0, 2.0]),
                                      np.array([3.0]), M=sp.identity(1)),
                         tol=1e-12)
     assert p[0] == pytest.approx(-8.0 / 3.0, abs=1e-12)
@@ -89,7 +94,7 @@ def test_saddle_schur_pcg_matches_monolithic_lu(request, pair, jittered):
     M = assemble_bilinear(pres, pres, "mass")
     rng = np.random.default_rng(11)
     f, g = rng.standard_normal(vel.ndof), rng.standard_normal(pres.ndof)
-    u, p = saddle_solve(SaddleSystem(A, B, f, g, M))
+    u, p, _ = saddle_solve(SaddleSystem(A, B, f, g, M))
     K = sp.bmat([[A, B.T], [B, None]], format="csc")
     ref = spla.spsolve(K, np.concatenate([f, g]))
     u_ref, p_ref = ref[:vel.ndof], ref[vel.ndof:]
@@ -103,6 +108,48 @@ def test_saddle_singular_velocity_block_rejected():
     with pytest.raises(SolverError, match="factorization failed"):
         saddle_solve(SaddleSystem(A, B, np.ones(2), np.zeros(1),
                                   M=sp.identity(1)))
+
+
+@pytest.mark.parametrize("kind", ["A3_0", "G2_0"])
+def test_spd_factorization_pivots_depend_on_pattern_only(kind):
+    # The criss mesh is full of pivot ties: with partial pivoting a change
+    # of 4e-16 relative in the values changed the row permutation.
+    space = build_space(generate_structured(4), kind)
+    A = assemble_bilinear(space, space, "grad_grad").tocsc()
+    E = sp.triu(A, format="coo")
+    E.data *= np.random.default_rng(3).uniform(-4e-16, 4e-16, E.nnz)
+    lu, lu_perturbed = _splu(A), _splu((A + E + sp.triu(E, 1).T).tocsc())
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert np.array_equal(lu_perturbed.perm_r, lu.perm_r)
+    assert np.array_equal(lu_perturbed.perm_c, lu.perm_c)
+
+
+def test_freed_large_buffers_leave_no_resident_heap():
+    # Once an mmapped 20 MB buffer is freed, glibc's dynamic threshold puts
+    # the next 8 MB buffer on the heap and keeps it resident after it is
+    # freed (about 8 MB in a process that does not import biharmfem).
+    if not os.path.exists("/proc/self/statm") or not _pin_mmap_threshold():
+        pytest.skip("needs glibc and /proc")
+    code = textwrap.dedent("""
+        import os
+        import numpy as np
+        import biharmfem
+
+        def rss():
+            with open("/proc/self/statm") as fh:
+                return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        a = np.ones(20 << 17)
+        del a
+        base = rss()
+        b = np.ones(8 << 17)
+        del b
+        print(rss() - base)
+        """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ,
+                         "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
+    assert int(out) < 1 << 20
 
 
 def test_kernel_dimension_zero_and_identity():
@@ -166,8 +213,8 @@ def test_saddle_deterministic():
     A = sp.csc_matrix(M @ M.T + 20 * np.eye(20))
     B = sp.csr_matrix(rng.standard_normal((5, 20)))
     f, g = rng.standard_normal(20), rng.standard_normal(5)
-    u1, p1 = saddle_solve(SaddleSystem(A, B, f, g, M=sp.identity(5)))
-    u2, p2 = saddle_solve(SaddleSystem(A, B, f, g, M=sp.identity(5)))
+    u1, p1, _ = saddle_solve(SaddleSystem(A, B, f, g, M=sp.identity(5)))
+    u2, p2, _ = saddle_solve(SaddleSystem(A, B, f, g, M=sp.identity(5)))
     assert u1.tobytes() == u2.tobytes() and p1.tobytes() == p2.tobytes()
 
 

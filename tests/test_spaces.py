@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from biharmfem.biharmonic import manufactured
+from biharmfem.elements import element_catalog, nodal_coefficients
 from biharmfem.linalg import is_symmetric
-from biharmfem.mesh import generate_structured, refine_uniform
+from biharmfem.mesh import Mesh, generate_structured, refine_uniform
+from biharmfem.polynomials import poly_gradient, poly_hessian
+from biharmfem.quadrature import tri_rule
 from biharmfem.spaces import (ROUNDOFF_RTOL, FieldFunction, assemble_bilinear,
                               assemble_load, build_space, edge_jump_moments,
                               error_norms, eval_field, interpolate,
@@ -279,3 +283,137 @@ def test_error_norms_zero_field():
     gz = lambda x, y: (np.zeros_like(x), np.zeros_like(x))
     hz = lambda x, y: (np.zeros_like(x), np.zeros_like(x), np.zeros_like(x))
     assert error_norms(f, z, gz, hz, quad_degree=4) == (0.0, 0.0, 0.0)
+
+
+# -- batched assembly against a per-cell polynomial oracle ---------------------
+
+#: every (trial, test, form) the library assembles: the cubic and quartic
+#: solvers, the Morley baseline, the inf-sup study and the exactness reports
+LIBRARY_FORMS = (
+    ("A3_0", "A3_0", "grad_grad"), ("A4_0", "A4_0", "grad_grad"),
+    ("G2_0", "G2_0", "grad_grad"), ("G3_0", "G3_0", "grad_grad"),
+    ("G2_0", "P1_0", "rot_pressure"), ("G3_0", "P2_0", "rot_pressure"),
+    ("G2_0", "P0_0", "rot_pressure"), ("G2_0", "DG1", "rot_pressure"),
+    ("G3_0", "DG2", "rot_pressure"), ("G2_0", "A3_0", "vecfield_grad"),
+    ("G3_0", "A4_0", "vecfield_grad"), ("P1_0", "P1_0", "mass"),
+    ("P2_0", "P2_0", "mass"), ("P0_0", "P0_0", "mass"),
+    ("Morley_0", "Morley_0", "hess_hess"),
+)
+
+ORACLE_MESHES = ("jittered4", "relabeled4", "refined2")
+
+
+def _oracle_mesh(request, name):
+    if name == "refined2":
+        return refine_uniform(generate_structured(2))
+    return request.getfixturevalue(name)
+
+
+def _cell_fields(space, coeffs, c, pts, order):
+    """Components of a field on cell c at barycentric pts, from cell_poly and
+    the BaryPoly chain rule: per component (value, grad, hessian)."""
+    gl = space.mesh.geometry(c).grad_lambda
+    polys = space.cell_poly(c, coeffs)
+    out = []
+    for p in (polys if space.vector else (polys,)):
+        grad = [g.eval(pts) for g in poly_gradient(p, gl)] if order >= 1 else None
+        hess = [h.eval(pts) for h in poly_hessian(p, gl)] if order >= 2 else None
+        out.append((p.eval(pts), grad, hess))
+    return out
+
+
+def _oracle_form(form, trial, test, u, v, degree=10):
+    rule = tri_rule(degree)
+    order = {"mass": 0, "grad_grad": 1, "hess_hess": 2, "rot_pressure": 1,
+             "vecfield_grad": 1}[form]
+    total = 0.0
+    for c in range(trial.mesh.n_cells):
+        fu = _cell_fields(trial, u, c, rule.points, order)
+        fv = _cell_fields(test, v, c, rule.points, order)
+        if form == "mass":
+            vals = sum(a[0] * b[0] for a, b in zip(fu, fv))
+        elif form == "grad_grad":
+            vals = sum(a[1][0] * b[1][0] + a[1][1] * b[1][1]
+                       for a, b in zip(fu, fv))
+        elif form == "hess_hess":
+            (_, _, hu), (_, _, hv) = fu[0], fv[0]
+            vals = hu[0] * hv[0] + 2 * hu[1] * hv[1] + hu[2] * hv[2]
+        elif form == "rot_pressure":
+            vals = fv[0][0] * (fu[1][1][0] - fu[0][1][1])
+        else:
+            vals = fu[0][0] * fv[0][1][0] + fu[1][0] * fv[0][1][1]
+        total += trial.mesh.geometry(c).area * float(rule.weights @ vals)
+    return total
+
+
+@pytest.mark.parametrize("mesh_name", ORACLE_MESHES)
+def test_assembly_matches_cellwise_oracle(request, mesh_name):
+    mesh = _oracle_mesh(request, mesh_name)
+    rng = np.random.default_rng(5)
+    spaces = {}
+    for trial_kind, test_kind, form in LIBRARY_FORMS:
+        for kind in (trial_kind, test_kind):
+            spaces.setdefault(kind, build_space(mesh, kind))
+        trial, test = spaces[trial_kind], spaces[test_kind]
+        u = rng.standard_normal(trial.ndof)
+        v = rng.standard_normal(test.ndof)
+        got = v @ (assemble_bilinear(trial, test, form) @ u)
+        want = _oracle_form(form, trial, test, u, v)
+        assert abs(got - want) <= 1e-12 * abs(want), \
+            (trial_kind, test_kind, form, got, want)
+
+
+@pytest.mark.parametrize("mesh_name", ORACLE_MESHES)
+def test_load_and_error_norms_match_cellwise_oracle(request, mesh_name):
+    mesh = _oracle_mesh(request, mesh_name)
+    prob = manufactured("sin2")
+    rng = np.random.default_rng(6)
+    for kind in ("A3_0", "A4_0", "Morley_0", "P1_0"):
+        space = build_space(mesh, kind)
+        v = rng.standard_normal(space.ndof)
+        for degree in (12, 17):
+            rule = tri_rule(degree)
+            load = 0.0
+            acc = np.zeros(3)
+            for c in range(mesh.n_cells):
+                geom = mesh.geometry(c)
+                xy = rule.points @ geom.verts
+                x, y = xy[:, 0], xy[:, 1]
+                val, grad, hess = _cell_fields(space, v, c, rule.points, 2)[0]
+                load += geom.area * float(rule.weights @ (prob.f(x, y) * val))
+                ex_g, ex_h = prob.grad_u(x, y), prob.hess_u(x, y)
+                acc += geom.area * np.array([
+                    rule.weights @ (val - prob.u(x, y))**2,
+                    rule.weights @ sum((g - e)**2 for g, e in zip(grad, ex_g)),
+                    rule.weights @ ((hess[0] - ex_h[0])**2
+                                    + 2 * (hess[1] - ex_h[1])**2
+                                    + (hess[2] - ex_h[2])**2)])
+            got = v @ assemble_load(space, prob.f, quad_degree=degree)
+            assert abs(got - load) <= 1e-12 * abs(load), (kind, degree)
+            norms = error_norms(FieldFunction(space, v), prob.u, prob.grad_u,
+                                prob.hess_u, quad_degree=degree)
+            assert np.allclose(norms, np.sqrt(acc), rtol=1e-12, atol=0), \
+                (kind, degree, norms, np.sqrt(acc))
+
+
+# -- batched nodal transforms -------------------------------------------------
+
+@pytest.mark.parametrize("kind,name", [("A4_0", "nsq"),
+                                       ("Morley_0", "morley")])
+def test_batched_transform_matches_per_cell(jittered4, kind, name):
+    space = build_space(jittered4, kind)
+    elem = element_catalog(name)
+    assert space.A.shape == (jittered4.n_cells, elem.dim, elem.dim)
+    for c in range(jittered4.n_cells):
+        want = nodal_coefficients(elem, jittered4.geometry(c)).T
+        assert np.abs(space.A[c] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind,height", [("A4_0", 1e-11),
+                                         ("Morley_0", 1e-13)])
+def test_batched_transform_rejects_near_degenerate_cell(kind, height):
+    sliver = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, height]]),
+                  np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError, match="unisolvence failure .* "
+                                         "sigma_min/sigma_max = "):
+        build_space(sliver, kind)
