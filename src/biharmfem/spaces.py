@@ -19,13 +19,12 @@ P_test^T blockdiag(M_c) P_trial.  Inter-cell identification of edge moments
 goes through canonical-edge Legendre moments; orientation flips and normal
 signs live entirely in P.
 
-Global DOF layouts (deterministic):
-  A3_0      interior-vertex values | interior-edge means | 4 per cell
-  A4_0      interior-vertex values | 3 per interior edge (G0, G1, GN) | 3 per cell
-  Morley_0  interior-vertex values | interior-edge normal means
-  Lagrange  interior-vertex values | edge lattice points | cell lattice points
-  S2/G2     2 per (interior) vertex | 2 per (interior) edge | [2 bubbles/cell]
-  G3        6 per (interior) edge (G0, G1, G2 per component) | 2 per cell
+Global DOF layouts (deterministic): every space but the pressure spaces is a
+row of LAYOUT_KINDS, a catalog element with its component count, G2 bubble
+and boundary elimination.  Its layout (see layout()) is read from the
+element's DOF functionals, and DOFs are numbered vertex | edge | cell, each
+entity's slots together, component-major (S2_0 is thus a prefix of G2_0).
+The pressure spaces are built by hand:
   P*_0      per-cell mean-zero modes | Haar tree over cell constants
   DG*       per-cell lattice basis
 """
@@ -49,7 +48,6 @@ from .quadrature import edge_rule, tri_rule
 L0 = BaryPoly.lam(0)
 L1 = BaryPoly.lam(1)
 L2 = BaryPoly.lam(2)
-LAMS = (L0, L1, L2)
 THIRD = Fraction(1, 3)
 _BUBBLE = (L0 * L0 + L1 * L1 + L2 * L2) - Fraction(2, 3)
 
@@ -162,23 +160,11 @@ def _numbering(free: np.ndarray, start: int, per: int = 1):
     return table, start + per * k.size
 
 
-def _legendre_terms(l: int, moments: np.ndarray, power: int, sign):
-    """Terms of local DOF l = fint lam_{i+1}^power v from the canonical
-    Legendre moments (G0, G1, G2)[:ncols] of the edge, per cell.
-
-    lam_{i+1} = 1/2 - s*(t - 1/2) along the canonical parameter t, with
-    s = +1 when the local edge direction agrees with the canonical one.
-    """
-    row = {0: (1.0, 0.0, 0.0), 1: (0.5, -sign, 0.0),
-           2: (1.0 / 3.0, -sign, 1.0)}[power]
-    return [(l, moments[:, m], row[m]) for m in range(moments.shape[1])]
-
-
 def _operator(mesh: Mesh, nloc: int, ndof: int, terms) -> sp.csr_matrix:
     """P from (local DOF, global DOF per cell, weight per cell) terms.
 
-    Terms on global index -1 (eliminated boundary DOFs) or with weight 0 are
-    left out; terms on the same entry add up.
+    Terms on global index -1 (eliminated boundary DOFs) are left out; terms
+    on the same entry add up.
     """
     nc = mesh.n_cells
     rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], \
@@ -186,7 +172,7 @@ def _operator(mesh: Mesh, nloc: int, ndof: int, terms) -> sp.csr_matrix:
     for l, g, w in terms:
         g = np.broadcast_to(g, (nc,))
         w = np.broadcast_to(np.asarray(w, dtype=float), (nc,))
-        keep = (g >= 0) & (w != 0.0)
+        keep = g >= 0
         rows.append(np.flatnonzero(keep) * nloc + l)
         cols.append(g[keep])
         vals.append(w[keep])
@@ -195,48 +181,122 @@ def _operator(mesh: Mesh, nloc: int, ndof: int, terms) -> sp.csr_matrix:
                          shape=(nc * nloc, ndof))
 
 
-def _vertex_terms(mesh: Mesh, vdof: np.ndarray, l0: int = 0):
-    return [(l0 + i, vdof[mesh.cells[:, i]], 1.0) for i in range(3)]
-
-
-def _cell_terms(cdofs: np.ndarray, l0: int):
-    return [(l0 + j, cdofs[:, j], 1.0) for j in range(cdofs.shape[1])]
-
-
 def _gram(mesh: Mesh) -> np.ndarray:
     gl = mesh.geometry_arrays()[0]
     return np.einsum("cid,cjd->cij", gl, gl)
 
 
 # ---------------------------------------------------------------------------
-# builders
+# DOF layouts: one table, one builder
 # ---------------------------------------------------------------------------
+
+#: The spaces built from a catalog element: (kind, element, components,
+#: G2 bubble per component, boundary vertex and edge DOFs eliminated).
+LAYOUT_KINDS = (
+    ("A3_0", "nsc", 1, False, True),
+    ("A4_0", "nsq", 1, False, True),
+    ("Morley_0", "morley", 1, False, True),
+    ("Lagrange1_0", "p1", 1, False, True),
+    ("Lagrange2_0", "p2", 1, False, True),
+    ("Lagrange3_0", "p3", 1, False, True),
+    ("Lagrange4_0", "p4", 1, False, True),
+    ("S2_0", "fs", 2, False, True),
+    ("G2_0", "fs", 2, True, True),
+    ("G2", "fs", 2, True, False),
+    ("G3_0", "cf", 2, False, True),
+    ("G3", "cf", 2, False, False),
+)
+
+ENTITIES = ("vertex", "edge", "cell")
+
+#: fint lam_{i+1}^p v on edge i as a combination of the canonical Legendre
+#: moments (G0, G1, G2): lam_{i+1} = 1/2 - (t - 1/2) along the canonical
+#: parameter t when the local edge direction is the canonical one; on a
+#: reversed edge the odd moments change sign.
+_LEGENDRE_ROWS = ((1.0,), (0.5, -1.0), (1.0 / 3.0, -1.0, 1.0))
+
+
+@dataclass(frozen=True)
+class Layout:
+    """Where the local DOFs of an element sit on the mesh entities.
+
+    slots[etype] lists the functionals one entity of that type carries, in
+    the canonical edge orientation: ("value",) at a vertex; ("legendre", m),
+    ("normal",) or ("point", t) on an edge; the element's cell DofFunctional,
+    or None for the G2 bubble, on a cell.  local[l] = (etype, local entity,
+    forward, reversed) gives local DOF l as (slot, weight) terms of its
+    entity, on an edge whose local direction is the canonical one or not.
+    """
+
+    slots: dict
+    local: tuple
+
+
+def _edge_power(dof) -> int:
+    """p of an edge moment weighted by lam_{i+1}^p (weight None: p = 0)."""
+    if dof.weight is None:
+        return 0
+    (exps,) = dof.weight.coeffs
+    return exps[(dof.entity + 1) % 3]
+
+
+@lru_cache(maxsize=None)
+def layout(element: str, bubble: bool = False) -> Layout:
+    """The layout of a catalog element, read from its DOF functionals.
+
+    Edge slots are the canonical Legendre moments up to the highest weight
+    power, then the normal mean, then the lattice points by canonical
+    parameter; cell slots follow the element's cell DOFs, then the bubble.
+    """
+    dofs = element_catalog(element).dofs
+
+    def on_edge(d):
+        return d.kind == "point" and 0 in d.point
+
+    cell = [d for d in dofs if d.kind == "cell"
+            or (d.kind == "point" and not on_edge(d))]
+    nleg = max((_edge_power(d) + 1 for d in dofs if d.kind == "edge"),
+               default=0)
+    normal = any(d.kind == "edge_normal" for d in dofs)
+    ts = sorted({d.point[(d.point.index(0) + 2) % 3] for d in dofs
+                 if on_edge(d)})
+    slots = {"vertex": [("value",)] * any(d.kind == "vertex" for d in dofs),
+             "edge": [("legendre", m) for m in range(nleg)]
+             + [("normal",)] * normal + [("point", t) for t in ts],
+             "cell": cell + [None] * bubble}
+    local, ncell = [], 0
+    for d in dofs:
+        if d.kind == "vertex":
+            local.append(("vertex", d.entity, [(0, 1.0)], [(0, 1.0)]))
+        elif d.kind == "edge":
+            row = _LEGENDRE_ROWS[_edge_power(d)]
+            local.append(("edge", d.entity, list(enumerate(row)),
+                          [(m, w * (-1) ** m) for m, w in enumerate(row)]))
+        elif d.kind == "edge_normal":
+            local.append(("edge", d.entity, [(nleg, 1.0)], [(nleg, -1.0)]))
+        elif on_edge(d):
+            i = d.point.index(0)
+            t = d.point[(i + 2) % 3]
+            first = nleg + normal
+            local.append(("edge", i, [(first + ts.index(t), 1.0)],
+                          [(first + ts.index(1 - t), 1.0)]))
+        else:
+            local.append(("cell", 0, [(ncell, 1.0)], [(ncell, 1.0)]))
+            ncell += 1
+    if bubble:
+        local.append(("cell", 0, [(ncell, 1.0)], [(ncell, 1.0)]))
+    return Layout(slots, tuple(local))
+
 
 def build_space(mesh: Mesh, kind: str) -> Space:
     key = kind.lower()
-    builders = {
-        "a3_0": lambda: _build_a3(mesh),
-        "a4_0": lambda: _build_a4(mesh),
-        "morley_0": lambda: _build_morley(mesh),
-        "s2_0": lambda: _build_s2g2(mesh, bubbles=False, bc=True),
-        "g2_0": lambda: _build_s2g2(mesh, bubbles=True, bc=True),
-        "g2": lambda: _build_s2g2(mesh, bubbles=True, bc=False),
-        "g3_0": lambda: _build_g3(mesh, bc=True),
-        "g3": lambda: _build_g3(mesh, bc=False),
-        "p0_0": lambda: _build_pressure(mesh, 0),
-        "p1_0": lambda: _build_pressure(mesh, 1),
-        "p2_0": lambda: _build_pressure(mesh, 2),
-        "dg0": lambda: _build_dg(mesh, 0),
-        "dg1": lambda: _build_dg(mesh, 1),
-        "dg2": lambda: _build_dg(mesh, 2),
-        "lagrange1_0": lambda: _build_lagrange(mesh, 1),
-        "lagrange2_0": lambda: _build_lagrange(mesh, 2),
-        "lagrange3_0": lambda: _build_lagrange(mesh, 3),
-        "lagrange4_0": lambda: _build_lagrange(mesh, 4),
-    }
-    if key not in builders:
-        raise KeyError(f"unknown space kind '{kind}'; known: {sorted(builders)}")
-    return builders[key]()
+    if key in _LAYOUT_BY_KEY:
+        return _build_layout(mesh, *_LAYOUT_BY_KEY[key])
+    if key in _MODAL_KINDS:
+        builder, k = _MODAL_KINDS[key]
+        return builder(mesh, k)
+    known = sorted([*_LAYOUT_BY_KEY, *_MODAL_KINDS])
+    raise KeyError(f"unknown space kind '{kind}'; known: {known}")
 
 
 @lru_cache(maxsize=None)
@@ -248,129 +308,54 @@ def _shared_transform(name: str) -> np.ndarray:
     return A
 
 
-def _build_a3(mesh: Mesh) -> Space:
-    vdof, n = _numbering(~mesh.vertex_is_boundary, 0)
-    edof, n = _numbering(~mesh.edge_is_boundary, n)
-    cdofs, n = _numbering(np.ones(mesh.n_cells, dtype=bool), n, 4)
-    vdof, edof = vdof[:, 0], edof[:, 0]
-    terms = (_vertex_terms(mesh, vdof)
-             + [(3 + i, edof[mesh.cell_edges[:, i]], 1.0) for i in range(3)]
-             + _cell_terms(cdofs, 6))
-    meta = {"vertex_dof": vdof, "edge_dof": edof, "cell_dof0": cdofs[:, 0],
-            "element": element_catalog("nsc")}
-    return Space(mesh, "A3_0", False, n, "nsc", _shared_transform("nsc"),
-                 _operator(mesh, 10, n, terms), 3, meta)
+def _build_layout(mesh: Mesh, kind: str, element: str, ncomp: int,
+                  bubble: bool, bc: bool) -> Space:
+    """A space from its row of LAYOUT_KINDS.
 
-
-def _build_a4(mesh: Mesh) -> Space:
-    elem = element_catalog("nsq")
-    vdof, n = _numbering(~mesh.vertex_is_boundary, 0)
-    edofs, n = _numbering(~mesh.edge_is_boundary, n, 3)   # G0, G1, GN
-    cdofs, n = _numbering(np.ones(mesh.n_cells, dtype=bool), n, 3)
-    vdof = vdof[:, 0]
-    terms = _vertex_terms(mesh, vdof)
-    for power in (0, 1):
-        for i in range(3):
-            terms += _legendre_terms(3 + 3 * power + i,
-                                     edofs[mesh.cell_edges[:, i], :2], power,
-                                     mesh.cell_edge_signs[:, i])
-    terms += [(9 + i, edofs[mesh.cell_edges[:, i], 2],
-               mesh.cell_edge_signs[:, i]) for i in range(3)]
-    terms += _cell_terms(cdofs, 12)
-    A = nodal_coefficients_stack(elem, _gram(mesh)).transpose(0, 2, 1)
-    meta = {"vertex_dof": vdof, "edge_dofs": edofs, "cell_dof0": cdofs[:, 0],
-            "element": elem}
-    return Space(mesh, "A4_0", False, n, "nsq", A,
-                 _operator(mesh, 15, n, terms), 4, meta)
-
-
-def _build_morley(mesh: Mesh) -> Space:
-    elem = element_catalog("morley")
-    vdof, n = _numbering(~mesh.vertex_is_boundary, 0)
-    edof, n = _numbering(~mesh.edge_is_boundary, n)
-    vdof, edof = vdof[:, 0], edof[:, 0]
-    terms = _vertex_terms(mesh, vdof) + [
-        (3 + i, edof[mesh.cell_edges[:, i]], mesh.cell_edge_signs[:, i])
-        for i in range(3)]
-    A = nodal_coefficients_stack(elem, _gram(mesh)).transpose(0, 2, 1)
-    meta = {"vertex_dof": vdof, "edge_dof": edof, "element": elem}
-    return Space(mesh, "Morley_0", False, n, "morley", A,
-                 _operator(mesh, 6, n, terms), 2, meta)
-
-
-def _build_lagrange(mesh: Mesh, k: int) -> Space:
-    vdof, n = _numbering(~mesh.vertex_is_boundary, 0)
-    npts = k - 1
-    edofs, n = _numbering(~mesh.edge_is_boundary & (npts > 0), n,
-                          max(npts, 1))
-    ncell = {1: 0, 2: 0, 3: 1, 4: 3}[k]
-    cdofs, n = _numbering(np.full(mesh.n_cells, ncell > 0), n, max(ncell, 1))
-    vdof = vdof[:, 0]
-    terms = _vertex_terms(mesh, vdof)
-    for i in range(3):
-        e = mesh.cell_edges[:, i]
-        forward = mesh.cell_edge_signs[:, i] == 1
-        for step in range(1, k):
-            terms.append((3 + i * npts + step - 1,
-                          np.where(forward, edofs[e, step - 1],
-                                   edofs[e, k - step - 1]), 1.0))
-    terms += _cell_terms(cdofs[:, :ncell], 3 + 3 * npts)
-    # cell_dof0 is 0 where there are no cell DOFs (k <= 2)
-    meta = {"vertex_dof": vdof, "edge_dofs": edofs,
-            "cell_dof0": np.maximum(cdofs[:, 0], 0),
-            "element": element_catalog(f"p{k}"), "order": k}
-    nloc = 3 + 3 * npts + ncell
-    return Space(mesh, f"Lagrange{k}_0", False, n, f"p{k}",
-                 _shared_transform(f"p{k}"), _operator(mesh, nloc, n, terms),
-                 k, meta)
-
-
-def _build_s2g2(mesh: Mesh, bubbles: bool, bc: bool) -> Space:
-    vfree = ~mesh.vertex_is_boundary if bc else np.ones(mesh.n_vertices, bool)
-    efree = ~mesh.edge_is_boundary if bc else np.ones(mesh.n_edges, bool)
-    vdofs, n = _numbering(vfree, 0, 2)
-    edofs, n = _numbering(efree, n, 2)
-    bdofs = None
-    if bubbles:
-        bdofs, n = _numbering(np.ones(mesh.n_cells, dtype=bool), n, 2)
-    Acomp = _shared_transform("fs")
-    if bubbles:
-        Acomp = np.block([[Acomp, np.zeros((6, 1))], [np.zeros((1, 6)), 1.0]])
-    ncomp = Acomp.shape[0]
+    DOFs are numbered vertex | edge | cell, entity by entity, component-major
+    within an entity: entity table column comp * nslot + slot.
+    """
+    elem = element_catalog(element)
+    lay = layout(element, bubble)
+    free = {"vertex": ~mesh.vertex_is_boundary if bc
+            else np.ones(mesh.n_vertices, bool),
+            "edge": ~mesh.edge_is_boundary if bc
+            else np.ones(mesh.n_edges, bool),
+            "cell": np.ones(mesh.n_cells, bool)}
+    tables, n = {}, 0
+    for etype in ENTITIES:
+        tables[etype], n = _numbering(free[etype], n,
+                                      ncomp * len(lay.slots[etype]))
+    incident = {"vertex": mesh.cells, "edge": mesh.cell_edges,
+                "cell": np.arange(mesh.n_cells)[:, None]}
+    forward = mesh.cell_edge_signs == 1
+    nloc = len(lay.local)
     terms = []
-    for comp in range(2):
-        l0 = comp * ncomp
-        terms += _vertex_terms(mesh, vdofs[:, comp], l0)
-        terms += [(l0 + 3 + i, edofs[mesh.cell_edges[:, i], comp], 1.0)
-                  for i in range(3)]
-        if bubbles:
-            terms.append((l0 + 6, bdofs[:, comp], 1.0))
-    kind = ("G2_0" if bc else "G2") if bubbles else "S2_0"
-    meta = {"vertex_dofs": vdofs, "edge_dofs": edofs, "bubble_dofs": bdofs,
-            "bc": bc}
-    return Space(mesh, kind, True, n, "g2" if bubbles else "fs",
-                 np.kron(np.eye(2), Acomp),
-                 _operator(mesh, 2 * ncomp, n, terms), 2, meta)
+    for comp in range(ncomp):
+        for l, (etype, i, fwd, rev) in enumerate(lay.local):
+            ent = incident[etype][:, i]
+            first = comp * len(lay.slots[etype])
+            orient = forward[:, i] if etype == "edge" else True
+            for (fs, fw), (rs, rw) in zip(fwd, rev):
+                slot = np.where(orient, fs, rs)
+                terms.append((comp * nloc + l,
+                              tables[etype][ent, first + slot],
+                              np.where(orient, fw, rw)))
+    if ("normal",) in lay.slots["edge"]:
+        A = nodal_coefficients_stack(elem, _gram(mesh)).transpose(0, 2, 1)
+    else:
+        A = _shared_transform(element)
+    if bubble:
+        A = np.block([[A, np.zeros((len(A), 1))], [np.zeros((1, len(A))), 1.0]])
+    if ncomp == 2:
+        A = np.kron(np.eye(2), A)
+    meta = {f"{etype}_dofs": tables[etype] for etype in ENTITIES}
+    meta["layout"] = lay
+    return Space(mesh, kind, ncomp == 2, n, "g2" if bubble else element, A,
+                 _operator(mesh, ncomp * nloc, n, terms), elem.degree, meta)
 
 
-def _build_g3(mesh: Mesh, bc: bool) -> Space:
-    efree = ~mesh.edge_is_boundary if bc else np.ones(mesh.n_edges, bool)
-    edofs, n = _numbering(efree, 0, 6)
-    edofs = edofs.reshape(-1, 2, 3)            # edge, comp, moment
-    cdofs, n = _numbering(np.ones(mesh.n_cells, dtype=bool), n, 2)
-    terms = []
-    for comp in range(2):
-        for power in range(3):
-            for i in range(3):
-                terms += _legendre_terms(
-                    10 * comp + 3 * power + i,
-                    edofs[mesh.cell_edges[:, i], comp], power,
-                    mesh.cell_edge_signs[:, i])
-        terms.append((10 * comp + 9, cdofs[:, comp], 1.0))
-    meta = {"edge_dofs": edofs, "cell_dofs": cdofs, "bc": bc}
-    return Space(mesh, "G3_0" if bc else "G3", True, n, "cf",
-                 np.kron(np.eye(2), _shared_transform("cf")),
-                 _operator(mesh, 20, n, terms), 3, meta)
+_LAYOUT_BY_KEY = {row[0].lower(): row for row in LAYOUT_KINDS}
 
 
 def _haar_tree(areas: np.ndarray):
@@ -407,7 +392,8 @@ def _build_pressure(mesh: Mesh, k: int) -> Space:
     ndof = nT * nmodes + nhaar
     nloc = 1 + nmodes
     modes = np.arange(nT * nmodes).reshape(nT, nmodes)
-    P = _operator(mesh, nloc, ndof, _cell_terms(modes, 1)) + sp.csr_matrix(
+    terms = [(1 + j, modes[:, j], 1.0) for j in range(nmodes)]
+    P = _operator(mesh, nloc, ndof, terms) + sp.csr_matrix(
         (hvalue, (hcells * nloc, nT * nmodes + hindex)), shape=(nT * nloc, ndof))
     meta = {"order": k, "n_modes": nmodes, "n_haar": nhaar}
     return Space(mesh, f"P{k}_0", False, ndof, f"pres{k}", np.eye(nloc),
@@ -420,6 +406,10 @@ def _build_dg(mesh: Mesh, k: int) -> Space:
     meta = {"order": k, "per_cell": per_cell}
     return Space(mesh, f"DG{k}", False, ndof, f"pres{k}", np.eye(per_cell),
                  sp.identity(ndof, format="csr"), k, meta)
+
+
+_MODAL_KINDS = {**{f"p{k}_0": (_build_pressure, k) for k in range(3)},
+                **{f"dg{k}": (_build_dg, k) for k in range(3)}}
 
 
 # ---------------------------------------------------------------------------
@@ -530,24 +520,43 @@ def assemble_load(space: Space, f, quad_degree: int = 12) -> np.ndarray:
 # field evaluation / error norms
 # ---------------------------------------------------------------------------
 
+def locate_cells(mesh: Mesh, points):
+    """Deterministic point location: for each point the lowest index of a
+    cell containing it (barycentric coordinates >= -1e-12), and its
+    barycentric coordinates there.  Only cells whose bounding box, padded
+    far beyond that slack, meets a chunk's bounding box are tested."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    gl, _, verts = mesh.geometry_arrays()
+    pad = 1e-9 * np.ptp(verts, axis=1).max(axis=1, keepdims=True)
+    lo, hi = verts.min(axis=1) - pad, verts.max(axis=1) + pad
+    cells = np.empty(len(pts), dtype=np.int64)
+    lam = np.empty((len(pts), 3))
+    step = max(1, (1 << 16) // mesh.n_cells)     # (step, ncells, 3, 2) chunks
+    for k in range(0, len(pts), step):
+        p = pts[k:k + step]
+        near = np.flatnonzero(((lo <= p.max(axis=0))
+                               & (hi >= p.min(axis=0))).all(axis=1))
+        chunk = np.einsum("cid,pcid->pci", gl[near],
+                          p[:, None, None] - verts[near]) + 1.0
+        inside = np.append((chunk >= -1e-12).all(axis=2),
+                           np.ones((len(p), 1), bool), axis=1)
+        first = np.argmax(inside, axis=1)
+        if (first == near.size).any():
+            bad = k + int(np.argmax(first == near.size))
+            raise ValueError(f"point {tuple(pts[bad])} outside the mesh")
+        cells[k:k + step] = near[first]
+        lam[k:k + step] = chunk[np.arange(len(p)), first]
+    return cells, lam
+
+
 def locate_cell(mesh: Mesh, point) -> int:
     """Deterministic point location: lowest cell index containing the point."""
-    pt = np.asarray(point, dtype=float)
-    gl, _, verts = mesh.geometry_arrays()
-    lam = np.einsum("cid,cid->ci", gl, pt - verts) + 1.0
-    inside = (lam >= -1e-12).all(axis=1)
-    c = int(np.argmax(inside))
-    if not inside[c]:
-        raise ValueError(f"point {point} outside the mesh")
-    return c
+    return int(locate_cells(mesh, [point])[0][0])
 
 
 def eval_field(field: FieldFunction, point, order: int = 0):
-    c = locate_cell(field.space.mesh, point)
+    (c,), (lam,) = locate_cells(field.space.mesh, [point])
     geom = field.space.mesh.geometry(c)
-    pt = np.asarray(point, dtype=float)
-    lam = np.array([geom.grad_lambda[i] @ (pt - geom.verts[i]) + 1.0
-                    for i in range(3)])
     polys = field.cell_poly(c)
     if not field.space.vector:
         polys = (polys,)
@@ -608,11 +617,14 @@ def error_norms(field: FieldFunction, u, grad_u=None, hess_u=None,
 
 def sample_field_csv(field: FieldFunction, n: int = 50) -> str:
     """CSV text of (x, y, value) on a uniform n x n sample grid."""
-    lines = ["x,y,value"]
-    for yy in np.linspace(0.0, 1.0, n):
-        for xx in np.linspace(0.0, 1.0, n):
-            val = eval_field(field, (min(max(xx, 0.0), 1.0), yy))
-            lines.append(f"{xx:.12g},{yy:.12g},{val:.12g}")
+    x, y = (a.ravel() for a in np.meshgrid(np.linspace(0.0, 1.0, n),
+                                           np.linspace(0.0, 1.0, n)))
+    cells, lam = locate_cells(field.space.mesh, np.column_stack([x, y]))
+    S = field.space.shape_coefficients(field.coeffs)[cells]
+    shapes = np.array([p.eval(lam) for p in shape_set(field.space.shapes)])
+    vals = np.einsum("ps,sp->p", S, shapes)
+    lines = ["x,y,value"] + [f"{a:.12g},{b:.12g},{v:.12g}"
+                             for a, b, v in zip(x, y, vals)]
     return "\n".join(lines) + "\n"
 
 
@@ -620,119 +632,81 @@ def sample_field_csv(field: FieldFunction, n: int = 50) -> str:
 # interpolation of smooth functions
 # ---------------------------------------------------------------------------
 
-def _edge_quad_moment(mesh: Mesh, e: int, func, weight1d, degree: int = 12):
+def _at(values, x: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(np.asarray(values, dtype=float), x.shape)
+
+
+def _slot_values(mesh: Mesh, etype: str, slot, ents: np.ndarray, func, grad,
+                 degree: int = 12) -> np.ndarray:
+    """One slot functional of a layout (see Layout) applied to func on the
+    entities ents of type etype, edges in their canonical orientation."""
+    if etype == "vertex":
+        x, y = mesh.vertices[ents].T
+        return _at(func(x, y), x)
+    if etype == "cell":
+        if slot is None:                     # the G2 bubble
+            return np.zeros(ents.size)
+        verts = mesh.geometry_arrays()[2][ents]
+        if slot.kind == "point":
+            x, y = np.einsum("i,cid->dc", [float(t) for t in slot.point], verts)
+            return _at(func(x, y), x)
+        rule = tri_rule(degree)
+        w = rule.weights if slot.weight is None \
+            else rule.weights * slot.weight.eval(rule.points)
+        x, y = np.einsum("qi,cid->dcq", rule.points, verts).reshape(2, -1)
+        return _at(func(x, y), x).reshape(ents.size, -1) @ w
+    va = mesh.vertices[mesh.edges[ents, 0]]
+    vb = mesh.vertices[mesh.edges[ents, 1]]
+    if slot[0] == "point":
+        x, y = (va + float(slot[1]) * (vb - va)).T
+        return _at(func(x, y), x)
     rule = edge_rule(degree)
-    va, vb = mesh.vertices[mesh.edges[e, 0]], mesh.vertices[mesh.edges[e, 1]]
-    pts = va[None, :] + rule.points[:, None] * (vb - va)[None, :]
-    vals = np.asarray(func(pts[:, 0], pts[:, 1]), dtype=float)
-    wv = poly1d_eval([float(c) for c in weight1d], rule.points)
-    return float(np.sum(rule.weights * wv * vals))
+    pts = va[:, None, :] + rule.points[None, :, None] * (vb - va)[:, None, :]
+    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
+    if slot[0] == "legendre":
+        w = rule.weights * poly1d_eval([float(c) for c in
+                                        EDGE_LEGENDRE[slot[1]]], rule.points)
+        return _at(func(x, y), x).reshape(ents.size, -1) @ w
+    # mean normal derivative along the canonical normal (tangent turned
+    # clockwise)
+    t = (vb - va) / np.linalg.norm(vb - va, axis=1)[:, None]
+    gx, gy = (_at(g, x).reshape(ents.size, -1) for g in grad(x, y))
+    return (gx * t[:, 1:] - gy * t[:, :1]) @ rule.weights
 
 
-def _cell_quad_moment(mesh: Mesh, c: int, func, weight: BaryPoly | None,
-                      degree: int = 12):
-    rule = tri_rule(degree)
-    geom = mesh.geometry(c)
-    xy = rule.points @ geom.verts
-    vals = np.asarray(func(xy[:, 0], xy[:, 1]), dtype=float)
-    if weight is not None:
-        vals = vals * weight.eval(rule.points)
-    return float(np.sum(rule.weights * vals))
-
-
-def interpolate(space: Space, u, grad_u=None) -> FieldFunction:
-    """Canonical interpolant: global DOF functionals applied to u."""
-    mesh = space.mesh
+def _interpolate(space: Space, funcs, grads) -> FieldFunction:
+    """Every global DOF functional of a layout-built space applied to the
+    component functions funcs (gradients grads, for normal DOFs)."""
+    lay = space.meta.get("layout")
+    if lay is None:
+        raise ValueError(f"no interpolation rule for space kind {space.kind}")
+    if ("normal",) in lay.slots["edge"] and None in grads:
+        raise ValueError(f"{space.kind} interpolation needs grad_u")
     coeffs = np.zeros(space.ndof)
-    kind = space.kind
-    meta = space.meta
-    if kind in ("A3_0", "A4_0", "Morley_0") or kind.startswith("Lagrange"):
-        vdof = meta["vertex_dof"]
-        for a in range(mesh.n_vertices):
-            if vdof[a] >= 0:
-                coeffs[vdof[a]] = float(u(mesh.vertices[a, 0],
-                                          mesh.vertices[a, 1]))
-    if kind == "A3_0":
-        for e in mesh.interior_edges():
-            coeffs[meta["edge_dof"][e]] = _edge_quad_moment(
-                mesh, e, u, EDGE_LEGENDRE[0])
-        elem = meta["element"]
-        for c in range(mesh.n_cells):
-            for j in range(4):
-                dof = elem.dofs[6 + j]
-                coeffs[meta["cell_dof0"][c] + j] = _cell_quad_moment(
-                    mesh, c, u, dof.weight)
-        return FieldFunction(space, coeffs)
-    if kind in ("A4_0", "Morley_0"):
-        if grad_u is None:
-            raise ValueError(f"{kind} interpolation needs grad_u")
-        if kind == "Morley_0":
-            edof = meta["edge_dof"]
-            for e in mesh.interior_edges():
-                coeffs[edof[e]] = _edge_normal_mean(mesh, e, grad_u)
-            return FieldFunction(space, coeffs)
-        edofs = meta["edge_dofs"]
-        for e in mesh.interior_edges():
-            coeffs[edofs[e, 0]] = _edge_quad_moment(mesh, e, u, EDGE_LEGENDRE[0])
-            coeffs[edofs[e, 1]] = _edge_quad_moment(mesh, e, u, EDGE_LEGENDRE[1])
-            coeffs[edofs[e, 2]] = _edge_normal_mean(mesh, e, grad_u)
-        for c in range(mesh.n_cells):
-            for j in range(3):
-                coeffs[meta["cell_dof0"][c] + j] = _cell_quad_moment(
-                    mesh, c, u, LAMS[j])
-        return FieldFunction(space, coeffs)
-    if kind.startswith("Lagrange"):
-        k = meta["order"]
-        edofs = meta["edge_dofs"]
-        for e in mesh.interior_edges():
-            va, vb = mesh.vertices[mesh.edges[e, 0]], mesh.vertices[mesh.edges[e, 1]]
-            for j in range(1, k):
-                pt = va + (j / k) * (vb - va)
-                coeffs[edofs[e, j - 1]] = float(u(pt[0], pt[1]))
-        elem = meta["element"]
-        ncell = {1: 0, 2: 0, 3: 1, 4: 3}[k]
-        for c in range(mesh.n_cells):
-            geom = mesh.geometry(c)
-            for j in range(ncell):
-                dof = elem.dofs[3 + 3 * (k - 1) + j]
-                pt = np.array([float(t) for t in dof.point]) @ geom.verts
-                coeffs[meta["cell_dof0"][c] + j] = float(u(pt[0], pt[1]))
-        return FieldFunction(space, coeffs)
-    if kind in ("S2_0", "G2_0", "G2"):
-        raise ValueError("use interpolate_vector for vector spaces")
-    raise ValueError(f"no interpolation rule for space kind {kind}")
-
-
-def interpolate_vector(space: Space, u1, u2) -> FieldFunction:
-    """Vertex-value / edge-mean interpolant onto S2/G2 (bubbles set to 0)."""
-    mesh = space.mesh
-    if space.kind not in ("S2_0", "G2_0", "G2"):
-        raise ValueError("interpolate_vector supports S2/G2 spaces")
-    coeffs = np.zeros(space.ndof)
-    vdofs = space.meta["vertex_dofs"]
-    edofs = space.meta["edge_dofs"]
-    for a in range(mesh.n_vertices):
-        for comp, f in enumerate((u1, u2)):
-            if vdofs[a, comp] >= 0:
-                coeffs[vdofs[a, comp]] = float(f(mesh.vertices[a, 0],
-                                                 mesh.vertices[a, 1]))
-    for e in range(mesh.n_edges):
-        for comp, f in enumerate((u1, u2)):
-            if edofs[e, comp] >= 0:
-                coeffs[edofs[e, comp]] = _edge_quad_moment(
-                    mesh, e, f, EDGE_LEGENDRE[0])
+    for etype in ENTITIES:
+        table = space.meta[f"{etype}_dofs"]
+        ents = np.flatnonzero((table >= 0).any(axis=1))
+        nslot = len(lay.slots[etype])
+        for comp, (func, grad) in enumerate(zip(funcs, grads)):
+            for j, slot in enumerate(lay.slots[etype]):
+                coeffs[table[ents, comp * nslot + j]] = _slot_values(
+                    space.mesh, etype, slot, ents, func, grad)
     return FieldFunction(space, coeffs)
 
 
-def _edge_normal_mean(mesh: Mesh, e: int, grad_u, degree: int = 12) -> float:
-    rule = edge_rule(degree)
-    va, vb = mesh.vertices[mesh.edges[e, 0]], mesh.vertices[mesh.edges[e, 1]]
-    t = (vb - va) / np.linalg.norm(vb - va)
-    n = np.array([t[1], -t[0]])  # canonical normal
-    pts = va[None, :] + rule.points[:, None] * (vb - va)[None, :]
-    gx, gy = grad_u(pts[:, 0], pts[:, 1])
-    return float(np.sum(rule.weights * (np.asarray(gx) * n[0]
-                                        + np.asarray(gy) * n[1])))
+def interpolate(space: Space, u, grad_u=None) -> FieldFunction:
+    """Canonical interpolant: the global DOF functionals applied to u
+    (normal-derivative DOFs read grad_u)."""
+    if space.vector:
+        raise ValueError("use interpolate_vector for vector spaces")
+    return _interpolate(space, (u,), (grad_u,))
+
+
+def interpolate_vector(space: Space, u1, u2) -> FieldFunction:
+    """Canonical interpolant of (u1, u2) onto S2/G2/G3 (bubbles set to 0)."""
+    if not space.vector:
+        raise ValueError("interpolate_vector needs a vector space")
+    return _interpolate(space, (u1, u2), (None, None))
 
 
 # ---------------------------------------------------------------------------

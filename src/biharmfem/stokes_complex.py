@@ -120,7 +120,7 @@ def bubble_correct(g2: Space, coeffs: np.ndarray,
     if g2.kind not in ("G2_0", "G2"):
         raise ValueError("bubble_correct expects a G2 space")
     mesh = g2.mesh
-    bdofs = g2.meta["bubble_dofs"]
+    bdofs = g2.meta["cell_dofs"]
     out = coeffs.copy()
     scale = max(1.0, float(np.abs(coeffs).max()))
     local = (g2.P @ coeffs).reshape(mesh.n_cells, g2.nloc)

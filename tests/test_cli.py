@@ -1,6 +1,7 @@
 import io
 import sys
 
+import numpy as np
 import pytest
 
 from biharmfem.cli import main
@@ -63,6 +64,31 @@ def test_solve_matches_library_call():
     res = solve_cubic(generate_structured(4), p.f)
     _, _, e2 = error_norms(res.u_h, p.u, p.grad_u, p.hess_u)
     assert err_h2 == pytest.approx(e2, rel=1e-10)
+
+
+def test_solve_out_writes_field_sample(tmp_path):
+    path = tmp_path / "field.csv"
+    code, out, _ = run_cli(["solve", "--scheme", "cubic", "--n", "2",
+                            "--out", str(path)])
+    assert code == 0
+    assert f"field sample written to {path}" in out
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,y,value"
+    assert len(lines) == 2501
+    x, y, val = np.array([[float(t) for t in ln.split(",")]
+                          for ln in lines[1:]]).T
+    grid = np.linspace(0.0, 1.0, 50)
+    gx, gy = np.tile(grid, 50), np.repeat(grid, 50)
+    assert np.allclose(x, gx, rtol=0, atol=1e-12)
+    assert np.allclose(y, gy, rtol=0, atol=1e-12)
+    from biharmfem.biharmonic import manufactured, solve_cubic
+    from biharmfem.mesh import generate_structured
+    from biharmfem.spaces import eval_field
+    u_h = solve_cubic(generate_structured(2), manufactured("poly8").f).u_h
+    ref = np.array([eval_field(u_h, pt) for pt in zip(gx, gy)])
+    # 1e-12 of the largest value, plus the rounding to 12 significant digits
+    assert np.all(np.abs(val - ref)
+                  <= 1e-12 * np.abs(ref).max() + 5e-12 * np.abs(ref))
 
 
 def test_unknown_scheme_usage_error():

@@ -170,6 +170,15 @@ def test_infsup_one_dimensional_case():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_infsup_singular_velocity_block_rejected():
+    # rank-2 velocity Gram: the factorization fails with an actionable error
+    A = sp.csc_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                                [0.0, 0.0, 1.0]]))
+    B = sp.csr_matrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+    with pytest.raises(SolverError, match="factorization failed"):
+        infsup_constant(B, A, sp.identity(2, format="csr"))
+
+
 def test_infsup_small_dense_path():
     rng = np.random.default_rng(5)
     M = rng.standard_normal((8, 8))

@@ -5,8 +5,9 @@ from biharmfem.biharmonic import manufactured
 from biharmfem.elements import element_catalog, nodal_coefficients
 from biharmfem.linalg import is_symmetric
 from biharmfem.mesh import Mesh, generate_structured, refine_uniform
-from biharmfem.polynomials import poly_gradient, poly_hessian
-from biharmfem.quadrature import tri_rule
+from biharmfem.polynomials import (EDGE_LEGENDRE, poly1d_eval, poly_gradient,
+                                  poly_hessian)
+from biharmfem.quadrature import edge_rule, tri_rule
 from biharmfem.spaces import (ROUNDOFF_RTOL, FieldFunction, assemble_bilinear,
                               assemble_load, build_space, edge_jump_moments,
                               error_norms, eval_field, interpolate,
@@ -35,6 +36,12 @@ def test_dimension_closed_forms(mesh):
     assert build_space(mesh, "P0_0").ndof == nt - 1
     assert build_space(mesh, "Morley_0").ndof == xi + ei
     assert build_space(mesh, "S2_0").ndof == 2 * (xi + ei)
+    nv, ne = mesh.n_vertices, mesh.n_edges
+    assert build_space(mesh, "G2").ndof == 2 * (nv + ne) + 2 * nt
+    assert build_space(mesh, "G3").ndof == 2 * (3 * ne + nt)
+    for k in range(1, 5):
+        ndof = xi + (k - 1) * ei + (k - 1) * (k - 2) // 2 * nt
+        assert build_space(mesh, f"Lagrange{k}_0").ndof == ndof, k
 
 
 def test_dimension_examples_n2():
@@ -177,18 +184,26 @@ def test_g3_interpolant_jumps_vanish():
     g3 = build_space(mesh, "G3_0")
     u1 = lambda x, y: boundary_flat_grad(x, y)[0]
     u2 = lambda x, y: boundary_flat_grad(x, y)[1]
+    # hand-built oracle: canonical Legendre edge moments and cell means
     coeffs = np.zeros(g3.ndof)
-    from biharmfem.spaces import _cell_quad_moment, _edge_quad_moment
-    from biharmfem.polynomials import EDGE_LEGENDRE
+    erule, trule = edge_rule(12), tri_rule(12)
     for e in mesh.interior_edges():
+        va, vb = mesh.vertices[mesh.edges[e]]
+        pts = va + erule.points[:, None] * (vb - va)
         for comp, f in enumerate((u1, u2)):
+            vals = f(pts[:, 0], pts[:, 1])
             for m in range(3):
-                coeffs[g3.meta["edge_dofs"][e, comp, m]] = _edge_quad_moment(
-                    mesh, int(e), f, EDGE_LEGENDRE[m])
+                wv = poly1d_eval([float(c) for c in EDGE_LEGENDRE[m]],
+                                 erule.points)
+                coeffs[g3.meta["edge_dofs"][e, 3 * comp + m]] = np.sum(
+                    erule.weights * wv * vals)
     for c in range(mesh.n_cells):
+        xy = trule.points @ mesh.geometry(c).verts
         for comp, f in enumerate((u1, u2)):
-            coeffs[g3.meta["cell_dofs"][c, comp]] = _cell_quad_moment(
-                mesh, c, f, None)
+            coeffs[g3.meta["cell_dofs"][c, comp]] = np.sum(
+                trule.weights * f(xy[:, 0], xy[:, 1]))
+    got = interpolate_vector(g3, u1, u2).coeffs
+    assert np.abs(got - coeffs).max() <= 1e-14 * np.abs(coeffs).max()
     fld = FieldFunction(g3, coeffs)
     for e in range(mesh.n_edges):
         for comp in range(2):
@@ -208,6 +223,45 @@ def test_g2_interpolant_jumps_vanish():
             jump = edge_jump_moments(
                 mesh, lambda c: f.cell_poly(c)[comp], int(e), 0)
             assert jump < 1e-12
+
+
+def _poly(d, shift):
+    """A degree-d polynomial and its gradient, as callbacks."""
+    a = lambda x, y: shift + x - 0.7 * y
+    b = lambda x, y: 0.5 * x + y
+    u = lambda x, y: a(x, y)**d + b(x, y)**(d - 1) - x**d
+    grad = lambda x, y: (
+        d * a(x, y)**(d - 1) + 0.5 * (d - 1) * b(x, y)**max(d - 2, 0)
+        - d * x**(d - 1),
+        -0.7 * d * a(x, y)**(d - 1) + (d - 1) * b(x, y)**max(d - 2, 0))
+    return u, grad
+
+
+@pytest.mark.parametrize("kind,degree", [
+    ("A3_0", 3), ("A4_0", 4), ("Morley_0", 2), ("Lagrange1_0", 1),
+    ("Lagrange2_0", 2), ("Lagrange3_0", 3), ("Lagrange4_0", 4),
+    ("S2_0", 2), ("G2", 2), ("G3_0", 3)])
+def test_interpolant_reproduces_shape_polynomials(relabeled4, kind, degree):
+    # on a cell with no boundary entity, the canonical interpolant of a
+    # polynomial of the element's degree is that polynomial: every slot's
+    # functional, orientation and sign must match the element's DOFs
+    mesh = relabeled4
+    space = build_space(mesh, kind)
+    (u1, g1), (u2, _) = _poly(degree, 0.3), _poly(degree, -0.4)
+    if space.vector:
+        f, exact = interpolate_vector(space, u1, u2), (u1, u2)
+    else:
+        f, exact = interpolate(space, u1, grad_u=g1), (u1,)
+    inner = np.flatnonzero(~mesh.vertex_is_boundary[mesh.cells].any(axis=1))
+    assert inner.size == 8
+    pts = tri_rule(6).points
+    for c in inner:
+        xy = pts @ mesh.geometry(c).verts
+        polys = f.cell_poly(c) if space.vector else (f.cell_poly(c),)
+        for p, u in zip(polys, exact):
+            want = u(xy[:, 0], xy[:, 1])
+            assert np.allclose(p.eval(pts), want, rtol=0,
+                               atol=1e-11 * np.abs(want).max()), (kind, c)
 
 
 # -- evaluation and error norms ----------------------------------------------
