@@ -35,8 +35,7 @@ def main():
     for order in ("cubic", "quartic"):
         print(f"== {order} complex")
         for n in args.levels:
-            rep = exactness_report(generate_structured(n), order,
-                                   with_basis=(order == "cubic" and n <= 8))
+            rep = exactness_report(generate_structured(n), order)
             print(f"-- n = {n}")
             print("   " + rep.to_text().replace("\n", "\n   "))
 

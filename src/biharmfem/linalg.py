@@ -250,28 +250,28 @@ def infsup_constant(B, A, Mp, tol: float = 1e-10) -> float:
 
 
 def kernel_dimension(A, tol: float = 1e-8) -> int:
-    """Number of singular values below tol * sigma_max (columns = domain)."""
-    if sp.issparse(A):
-        A = np.asarray(A.todense())
-    else:
-        A = np.asarray(A, dtype=float)
+    """Dimension of the kernel of A (columns = domain).
+
+    Counts the eigenvalues of the smaller Gram matrix, A A^T or A^T A, below
+    tol * lambda_max, and the columns beyond the rows.  A tolerance tol on
+    the Gram eigenvalues is one of sqrt(tol) * sigma_max on the singular
+    values of A.
+    """
+    A = sp.csr_matrix(A, dtype=float) if sp.issparse(A) \
+        else np.asarray(A, dtype=float)
     ncols = A.shape[1]
-    if A.size == 0:
+    if min(A.shape) == 0:
         return ncols
-    sv = scipy.linalg.svdvals(A)
-    smax = sv[0] if sv.size else 0.0
-    if smax == 0.0:
+    G = A @ A.T if A.shape[0] <= ncols else A.T @ A
+    lam = scipy.linalg.eigvalsh(G.toarray() if sp.issparse(G) else G)
+    if lam[-1] <= 0.0:
         return ncols
-    rank = int(np.count_nonzero(sv >= tol * smax))
-    return ncols - rank
+    return ncols - int(np.count_nonzero(lam >= tol * lam[-1]))
 
 
 def matrix_rank(A, tol: float = 1e-8) -> int:
-    if sp.issparse(A):
-        ncols = A.shape[1]
-    else:
-        ncols = np.asarray(A).shape[1]
-    return ncols - kernel_dimension(A, tol)
+    """Number of columns less the kernel dimension (see kernel_dimension)."""
+    return np.shape(A)[1] - kernel_dimension(A, tol)
 
 
 def dump_matrix_market(A, path):

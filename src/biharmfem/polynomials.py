@@ -260,8 +260,8 @@ def poly_hessian(p: BaryPoly, grad_lambda) -> tuple[BaryPoly, BaryPoly, BaryPoly
     return hxx, hxy, hyy
 
 
-# -- cartesian <-> barycentric conversion (float paths, used by the cell-wise
-#    antiderivative) --------------------------------------------------------
+# -- cartesian <-> barycentric conversion (float paths, kept for the test
+#    oracles) -----------------------------------------------------------------
 
 def xy_to_bary(coeffs2d: dict, verts) -> BaryPoly:
     """Convert a polynomial in (x, y) to a barycentric representative."""
@@ -327,22 +327,4 @@ def poly2d_mul(p: dict, q: dict) -> dict:
         for (i2, j2), c2 in q.items():
             k = (i1 + i2, j1 + j2)
             out[k] = out.get(k, 0.0) + c1 * c2
-    return out
-
-
-def poly2d_antider_x(p: dict) -> dict:
-    return {(i + 1, j): c / (i + 1) for (i, j), c in p.items()}
-
-
-def poly2d_antider_y(p: dict) -> dict:
-    return {(i, j + 1): c / (j + 1) for (i, j), c in p.items()}
-
-
-def poly2d_partial(p: dict, var: int) -> dict:
-    out = {}
-    for (i, j), c in p.items():
-        if var == 0 and i > 0:
-            out[(i - 1, j)] = out.get((i - 1, j), 0.0) + c * i
-        elif var == 1 and j > 0:
-            out[(i, j - 1)] = out.get((i, j - 1), 0.0) + c * j
     return out

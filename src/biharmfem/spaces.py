@@ -65,9 +65,14 @@ def _pressure_modes(k: int) -> list[BaryPoly]:
 @lru_cache(maxsize=None)
 def shape_set(name: str) -> tuple[BaryPoly, ...]:
     """Scalar shape polynomials (float coefficients): a catalog element,
-    'g2' (fs + bubble) or 'pres<k>' (the constant and the mean-zero modes)."""
+    'g2' (fs + bubble), 'pres<k>' (the constant and the mean-zero modes) or
+    'ref<k>' (the monomials lam_1^a lam_2^b with a + b <= k, by degree)."""
     if name == "g2":
         return shape_set("fs") + (_BUBBLE.as_float(),)
+    if name.startswith("ref"):
+        return tuple(BaryPoly.monomial(0, a, d - a, 1.0)
+                     for d in range(int(name[3:]) + 1)
+                     for a in range(d, -1, -1))
     if name.startswith("pres"):
         polys = [BaryPoly.const(1.0)] + _pressure_modes(int(name[4:]))
     else:
@@ -471,6 +476,14 @@ def _form_tensor(form: str, trial: Space, test: Space, degree: int):
     return R, G
 
 
+def block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
+    """The block-diagonal CSR matrix of an (n, r, k) stack of blocks."""
+    n, r, k = blocks.shape
+    cols = np.arange(n * k).reshape(n, 1, k).repeat(r, axis=1)
+    return sp.csr_matrix((blocks.ravel(), cols.ravel(),
+                          np.arange(n * r + 1) * k), shape=(n * r, n * k))
+
+
 def assemble_bilinear(trial: Space, test: Space, form: str,
                       quad_degree: int | None = None) -> sp.csr_matrix:
     if trial.mesh is not test.mesh:
@@ -481,12 +494,7 @@ def assemble_bilinear(trial: Space, test: Space, form: str,
     nc = trial.mesh.n_cells
     shape_mats = (G @ R.reshape(-1, R.shape[2]).T).reshape(nc, *R.shape[:2])
     local = test.A @ shape_mats @ np.swapaxes(trial.A, -1, -2)
-    nt, nr = test.nloc, trial.nloc
-    cols = np.arange(nc * nr).reshape(nc, 1, nr).repeat(nt, axis=1)
-    blocks = sp.csr_matrix((local.ravel(), cols.ravel(),
-                            np.arange(nc * nt + 1) * nr),
-                           shape=(nc * nt, nc * nr))
-    out = (test.P.T @ (blocks @ trial.P)).tocsr()
+    out = (test.P.T @ (block_diagonal(local) @ trial.P)).tocsr()
     mag = np.abs(out.data)
     if mag.size:
         out.data[mag <= ROUNDOFF_RTOL * mag.max()] = 0.0
@@ -520,20 +528,40 @@ def assemble_load(space: Space, f, quad_degree: int = 12) -> np.ndarray:
 # field evaluation / error norms
 # ---------------------------------------------------------------------------
 
+#: bits per axis of the Morton key that orders points before chunking
+MORTON_BITS = 10
+
+
+def _morton_order(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Order of the points along the Morton (Z) curve on a 2^MORTON_BITS
+    grid over the box [lo, hi]."""
+    span = np.where(hi > lo, hi - lo, 1.0)
+    q = np.clip((pts - lo) / span * (1 << MORTON_BITS), 0,
+                (1 << MORTON_BITS) - 1).astype(np.int64)
+    key = np.zeros(len(pts), dtype=np.int64)
+    for b in range(MORTON_BITS):
+        key |= ((q[:, 0] >> b) & 1) << (2 * b)
+        key |= ((q[:, 1] >> b) & 1) << (2 * b + 1)
+    return np.argsort(key, kind="stable")
+
+
 def locate_cells(mesh: Mesh, points):
     """Deterministic point location: for each point the lowest index of a
     cell containing it (barycentric coordinates >= -1e-12), and its
-    barycentric coordinates there.  Only cells whose bounding box, padded
-    far beyond that slack, meets a chunk's bounding box are tested."""
+    barycentric coordinates there.  The points are taken in Morton order, in
+    chunks; only cells whose bounding box, padded far beyond that slack,
+    meets a chunk's bounding box are tested."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     gl, _, verts = mesh.geometry_arrays()
     pad = 1e-9 * np.ptp(verts, axis=1).max(axis=1, keepdims=True)
     lo, hi = verts.min(axis=1) - pad, verts.max(axis=1) + pad
     cells = np.empty(len(pts), dtype=np.int64)
     lam = np.empty((len(pts), 3))
+    order = _morton_order(pts, lo.min(axis=0), hi.max(axis=0))
     step = max(1, (1 << 16) // mesh.n_cells)     # (step, ncells, 3, 2) chunks
     for k in range(0, len(pts), step):
-        p = pts[k:k + step]
+        idx = order[k:k + step]
+        p = pts[idx]
         near = np.flatnonzero(((lo <= p.max(axis=0))
                                & (hi >= p.min(axis=0))).all(axis=1))
         chunk = np.einsum("cid,pcid->pci", gl[near],
@@ -542,10 +570,10 @@ def locate_cells(mesh: Mesh, points):
                            np.ones((len(p), 1), bool), axis=1)
         first = np.argmax(inside, axis=1)
         if (first == near.size).any():
-            bad = k + int(np.argmax(first == near.size))
+            bad = idx[first == near.size].min()
             raise ValueError(f"point {tuple(pts[bad])} outside the mesh")
-        cells[k:k + step] = near[first]
-        lam[k:k + step] = chunk[np.arange(len(p)), first]
+        cells[idx] = near[first]
+        lam[idx] = chunk[np.arange(len(p)), first]
     return cells, lam
 
 

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import settings
 
 from biharmfem.mesh import Mesh, generate_structured
+from biharmfem.quadrature import tri_rule
+from biharmfem.spaces import reference_tables
+from biharmfem.stokes_complex import GRADIENT_SHAPES
 
 settings.register_profile("ci", max_examples=50, derandomize=True, deadline=None)
 settings.load_profile("ci")
@@ -32,3 +35,21 @@ def relabeled4():
     shift = rng.integers(0, 3, size=mesh.n_cells)
     cols = (np.arange(3)[None, :] + shift[:, None]) % 3
     return Mesh(verts, np.take_along_axis(cells, cols, axis=1))
+
+
+def _grad_array(mesh, cellvec):
+    """grad_inverse's input from a callback: cellvec(c) is the (px, py)
+    BaryPoly pair on cell c, fitted to GRADIENT_SHAPES at tri_rule(4)."""
+    pts = tri_rule(4).points
+    fit = np.linalg.pinv(reference_tables(GRADIENT_SHAPES, 4)[0].T)
+    out = np.zeros((mesh.n_cells, 2, fit.shape[0]))
+    for c in range(mesh.n_cells):
+        for k, p in enumerate(cellvec(c)):
+            out[c, k] = fit @ p.eval(pts)
+    return out.ravel()
+
+
+@pytest.fixture(scope="session")
+def grad_array():
+    """The callback-to-array helper for grad_inverse (see _grad_array)."""
+    return _grad_array

@@ -181,6 +181,41 @@ def test_galerkin_residual_detects_perturbation(mesh2, poly8):
     assert bumped > max(1e-4, 10 * base)
 
 
+def test_galerkin_residual_matches_cell_loop(mesh2, poly8):
+    # a u_h far from the Galerkin solution: each residual is O(1) and equals
+    # the one summed cell by cell over BaryPoly Hessians
+    from biharmfem.polynomials import poly_hessian
+    from biharmfem.quadrature import tri_rule
+    res = solve_cubic(mesh2, poly8.f)
+    res.u_h.coeffs = np.random.default_rng(19).standard_normal(
+        res.u_h.space.ndof)
+    basis = b3_basis(mesh2)
+    rule = tri_rule(12)
+    geoms = [mesh2.geometry(c) for c in range(mesh2.n_cells)]
+    xy = [rule.points @ g.verts for g in geoms]
+    fnorm = np.sqrt(sum(g.area * np.sum(rule.weights * poly8.f(*p.T)**2)
+                        for g, p in zip(geoms, xy)))
+    want = 0.0
+    for fn in basis.functions:
+        a = l = w2 = 0.0
+        for c in fn.field.support:
+            hw = [h.eval(rule.points) for h in
+                  poly_hessian(fn.field.poly(c), geoms[c].grad_lambda)]
+            hu = [h.eval(rule.points) for h in
+                  poly_hessian(res.u_h.cell_poly(c), geoms[c].grad_lambda)]
+            area = geoms[c].area
+            a += area * np.sum(rule.weights * (hu[0] * hw[0] + 2 * hu[1] * hw[1]
+                                               + hu[2] * hw[2]))
+            w2 += area * np.sum(rule.weights * (hw[0]**2 + 2 * hw[1]**2
+                                                + hw[2]**2))
+            l += area * np.sum(rule.weights * poly8.f(*xy[c].T)
+                               * fn.field.poly(c).eval(rule.points))
+        want = max(want, abs(a - l) / (np.sqrt(w2) * max(1.0, fnorm)))
+    got = galerkin_residual(res, poly8.f, basis)
+    assert want > 1e-3
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def _eval_cellwise(fieldw, x, y):
     from biharmfem.spaces import locate_cell
     xs = np.atleast_1d(np.asarray(x, dtype=float))

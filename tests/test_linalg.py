@@ -160,6 +160,36 @@ def test_kernel_dimension_zero_and_identity():
     assert matrix_rank(A) == 1
 
 
+def _rank_r(rows, cols, r, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
+
+
+@pytest.mark.parametrize("shape", [(40, 25), (25, 40)], ids=["tall", "wide"])
+def test_kernel_dimension_known_rank(shape):
+    A = _rank_r(*shape, 10, seed=41)
+    assert kernel_dimension(sp.csr_matrix(A)) == shape[1] - 10
+    assert matrix_rank(sp.csr_matrix(A)) == 10
+
+
+def test_kernel_dimension_dense_input():
+    A = _rank_r(30, 18, 7, seed=42)
+    assert kernel_dimension(A) == 11
+    assert kernel_dimension(A.tolist()) == 11
+    assert matrix_rank(A) == 7
+    assert kernel_dimension(np.zeros((0, 5))) == 5
+
+
+def test_kernel_dimension_quartic_n16():
+    # the smallest nonzero Gram eigenvalue is about 1e-4 of the largest: a
+    # threshold of 1e-16 (the square of the singular-value one) miscounts
+    mesh = generate_structured(16)
+    B = assemble_bilinear(build_space(mesh, "G3_0"), build_space(mesh, "DG2"),
+                          "rot_pressure")
+    assert kernel_dimension(B, tol=1e-8) == 4 * mesh.n_interior_vertices \
+        + 2 * mesh.n_interior_edges - 3
+
+
 def test_infsup_one_dimensional_case():
     # dim(pressure) = 1: value is ||A^{-1/2} B^T q|| / ||q||_Mp
     A = sp.diags([2.0, 8.0], format="csc")

@@ -11,7 +11,7 @@ from biharmfem.quadrature import edge_rule, tri_rule
 from biharmfem.spaces import (ROUNDOFF_RTOL, FieldFunction, assemble_bilinear,
                               assemble_load, build_space, edge_jump_moments,
                               error_norms, eval_field, interpolate,
-                              interpolate_vector)
+                              interpolate_vector, locate_cells)
 
 
 def counts(mesh):
@@ -471,3 +471,18 @@ def test_batched_transform_rejects_near_degenerate_cell(kind, height):
     with pytest.raises(ValueError, match="unisolvence failure .* "
                                          "sigma_min/sigma_max = "):
         build_space(sliver, kind)
+
+
+def test_locate_cells_independent_of_point_order():
+    # the sample_field_csv grid, in grid order and in a seeded shuffle
+    mesh = generate_structured(8)
+    x, y = (a.ravel() for a in np.meshgrid(np.linspace(0.0, 1.0, 50),
+                                           np.linspace(0.0, 1.0, 50)))
+    pts = np.column_stack([x, y])
+    perm = np.random.default_rng(61).permutation(len(pts))
+    cells, lam = locate_cells(mesh, pts)
+    cells_s, lam_s = locate_cells(mesh, pts[perm])
+    assert np.array_equal(cells_s, cells[perm])
+    assert np.array_equal(lam_s, lam[perm])
+    with pytest.raises(ValueError, match="outside the mesh"):
+        locate_cells(mesh, np.vstack([pts[perm], [[1.5, 0.5]]]))

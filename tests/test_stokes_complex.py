@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from biharmfem.mesh import Mesh, generate_structured, refine_uniform
 from biharmfem.polynomials import BaryPoly, poly_gradient
-from biharmfem.spaces import assemble_bilinear, build_space
-from biharmfem.stokes_complex import (CellwiseField, ComplexError,
-                                      b3_basis, b3_membership_violation,
-                                      bubble_correct, embed_s2_in_g2,
-                                      exactness_report, grad_inverse,
-                                      weak_rotfree_basis)
+from biharmfem.quadrature import tri_rule
+from biharmfem.spaces import (assemble_bilinear, build_space,
+                              edge_jump_moments, reference_tables)
+from biharmfem.stokes_complex import (GRADIENT_SHAPES, CellwiseField,
+                                      ComplexError, b3_basis,
+                                      b3_membership_violation, bubble_correct,
+                                      embed_s2_in_g2, exactness_report,
+                                      grad_inverse, weak_rotfree_basis,
+                                      _edge_jump_violation, _vertex_violation)
 
 
 @pytest.fixture(scope="module")
@@ -84,14 +88,14 @@ def test_bubble_correction_preserves_cell_means(mesh2, basis2):
         assert abs(cell_rot_mean(g2, c, delta)) < 1e-13
 
 
-def test_grad_inverse_zero(mesh2):
+def test_grad_inverse_zero(mesh2, grad_array):
     z = BaryPoly()
-    w = grad_inverse(mesh2, lambda c: (z, z))
+    w = grad_inverse(mesh2, grad_array(mesh2, lambda c: (z, z)))
     assert w.support == frozenset()
-    assert all(p.is_zero() for p in w.polys)
+    assert all(w.poly(c).is_zero() for c in range(mesh2.n_cells))
 
 
-def test_grad_inverse_roundtrip_on_b3(mesh2):
+def test_grad_inverse_roundtrip_on_b3(mesh2, grad_array):
     basis = b3_basis(mesh2)
     assert len(basis) == 11
     rng = np.random.default_rng(2024)
@@ -101,25 +105,23 @@ def test_grad_inverse_roundtrip_on_b3(mesh2):
         for w, fn in zip(coef, basis.functions):
             for c in fn.field.support:
                 polys[c] = polys[c] + float(w) * fn.field.poly(c)
-        combined = CellwiseField(mesh2, polys,
-                                 frozenset(range(mesh2.n_cells)))
 
         def grad_of(c):
             geom = mesh2.geometry(c)
-            return poly_gradient(combined.poly(c), geom.grad_lambda)
+            return poly_gradient(polys[c], geom.grad_lambda)
 
-        w2 = grad_inverse(mesh2, grad_of)
+        w2 = grad_inverse(mesh2, grad_array(mesh2, grad_of))
         err = 0.0
         pts = np.array([[1 / 3, 1 / 3, 1 / 3], [0.6, 0.2, 0.2],
                         [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]])
         for c in range(mesh2.n_cells):
-            diff = combined.poly(c) - w2.poly(c)
+            diff = polys[c] - w2.poly(c)
             if diff.coeffs:
                 err = max(err, float(np.abs(diff.eval(pts)).max()))
         assert err < 1e-10
 
 
-def test_grad_inverse_rejects_non_gradient(mesh2):
+def test_grad_inverse_rejects_non_gradient(mesh2, grad_array):
     # a rot-free-per-cell field that is NOT globally a gradient: pick the
     # gradient of discontinuous per-cell polynomials with mismatched values
     rng = np.random.default_rng(5)
@@ -131,7 +133,7 @@ def test_grad_inverse_rejects_non_gradient(mesh2):
         return poly_gradient(p, geom.grad_lambda)
 
     with pytest.raises(ComplexError):
-        grad_inverse(mesh2, cellvec)
+        grad_inverse(mesh2, grad_array(mesh2, cellvec))
 
 
 def test_b3_support_preservation(mesh2):
@@ -280,3 +282,121 @@ def test_rot_grad_composition_is_zero(mesh2):
     basis = b3_basis(mesh2)
     for fn in basis.functions:
         assert np.abs(B @ fn.gradient_coeffs).max() < 1e-12
+
+
+# -- the batched layer against BaryPoly oracles --------------------------------
+
+@pytest.mark.parametrize("mesh_name", ["jittered4", "relabeled4"])
+def test_b3_gradient_matches_g2_oracle(mesh_name, request):
+    # the array gradient of every cubic equals its G2 coefficients read
+    # through g2.cell_poly, at the tri_rule(6) points of every cell
+    mesh = request.getfixturevalue(mesh_name)
+    basis = b3_basis(mesh)
+    pts = tri_rule(6).points
+    val = reference_tables(GRADIENT_SHAPES, 6)[0]
+    worst = 0.0
+    for fn in basis.functions:
+        got = fn.field.gradient().toarray().reshape(mesh.n_cells, 2, -1) @ val
+        want = np.array([[p.eval(pts) for p in
+                          basis.g2.cell_poly(c, fn.gradient_coeffs)]
+                         for c in range(mesh.n_cells)])
+        worst = max(worst, float(np.abs(got - want).max()
+                                 / np.abs(want).max()))
+    assert worst < 1e-12
+
+
+def _membership_oracle(mesh, field):
+    """Edge and vertex clauses of one field, cell by cell with BaryPoly."""
+    edge = max(max(edge_jump_moments(mesh, field.poly, e, 0, "value", 10),
+                   edge_jump_moments(mesh, field.poly, e, 1, "normal", 10))
+               for e in range(mesh.n_edges))
+    values = {}
+    for c in range(mesh.n_cells):
+        for a, v in zip(mesh.cells[c], field.poly(c).eval(np.eye(3))):
+            values.setdefault(int(a), []).append(float(v))
+    vertex = max(max(map(abs, vals)) if mesh.vertex_is_boundary[a]
+                 else max(vals) - min(vals) for a, vals in values.items())
+    return edge, vertex
+
+
+def test_membership_clauses_match_barypoly_oracle(relabeled4):
+    # field 0 combines all basis functions and perturbs one cell's cubic;
+    # fields 1 and 2 are the basis function of the middle vertex plus and
+    # minus a constant on its patch, which breaks continuity only where the
+    # patch ends
+    mesh = relabeled4
+    basis = b3_basis(mesh)
+    rng = np.random.default_rng(23)
+    k = basis.labels.index(("vx", int(np.flatnonzero(
+        (mesh.vertices == 0.5).all(axis=1))[0])))
+    coeffs = np.vstack([basis.field.coeffs.T @ rng.standard_normal(len(basis)),
+                        basis.field.coeffs[[k, k]].toarray()])
+    coeffs[0, 50:60] += 1e-3 * rng.standard_normal(10)
+    for c in basis.field.row(k).support:
+        coeffs[1:, 10 * c] += [1e-3, -1e-3]     # shape 0 is the constant
+    field = CellwiseField(mesh, sp.csr_matrix(coeffs))
+    for r in range(3):
+        edge, vertex = _membership_oracle(mesh, field.row(r))
+        assert min(edge, vertex) > 1e-6
+        assert _edge_jump_violation(mesh, field.row(r), 10) == \
+            pytest.approx(edge, rel=1e-12)
+        assert _vertex_violation(mesh, field.row(r)) == \
+            pytest.approx(vertex, rel=1e-12)
+    assert b3_membership_violation(mesh, field) == pytest.approx(
+        max(max(_membership_oracle(mesh, field.row(r))) for r in range(3)),
+        rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def jittered16():
+    return _jittered_criss(16, seed=7)
+
+
+@pytest.mark.parametrize("mesh_name", ["relabeled4", "jittered16"])
+def test_cubic_report_with_basis_off_criss(mesh_name, request):
+    mesh = request.getfixturevalue(mesh_name)
+    rep = exactness_report(mesh, "cubic", with_basis=True)
+    assert rep.exact
+    assert rep.basis_count == 3 * mesh.n_interior_vertices \
+        + mesh.n_interior_edges
+    assert rep.basis_kernel_residual <= 1e-10
+    assert rep.basis_membership_violation <= 1e-10
+
+
+def test_quartic_report_jittered16(jittered16):
+    rep = exactness_report(jittered16, "quartic")
+    assert rep.exact
+    assert rep.kernel == rep.kernel_dim_formula
+
+
+# -- the three failure paths of grad_inverse -----------------------------------
+
+def test_grad_inverse_rejects_rot(mesh2, grad_array):
+    # (lam_1, 0) has rot -d(lam_1)/dy, nonzero on some cell
+    def cellvec(c):
+        return BaryPoly.lam(1, exact=False), BaryPoly()
+
+    with pytest.raises(ComplexError, match="not pointwise rot-free"):
+        grad_inverse(mesh2, grad_array(mesh2, cellvec))
+
+
+def test_grad_inverse_rejects_constant_mismatch(mesh2, grad_array):
+    # cell-wise gradients of c_k lam_1 with different c_k: rot-free on each
+    # cell, but the antiderivatives disagree at shared vertices
+    consts = np.random.default_rng(8).uniform(1.0, 2.0, mesh2.n_cells)
+
+    def cellvec(c):
+        p = BaryPoly({(1, 0, 0): consts[c]})
+        return poly_gradient(p, mesh2.geometry(c).grad_lambda)
+
+    with pytest.raises(ComplexError, match="constant mismatch .* across edge"):
+        grad_inverse(mesh2, grad_array(mesh2, cellvec))
+
+
+def test_grad_inverse_rejects_boundary_spread(mesh2, grad_array):
+    # grad x is a broken gradient, but x is not constant on the boundary
+    def cellvec(c):
+        return BaryPoly.const(1.0), BaryPoly()
+
+    with pytest.raises(ComplexError, match="boundary vertex values spread"):
+        grad_inverse(mesh2, grad_array(mesh2, cellvec))
