@@ -116,42 +116,55 @@ class SolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _constant(pres, Mp):
+    """(1_h, m): the DG vector of the constant 1, which is 1 in each cell's
+    first (constant) slot, and the mean functional m = Mp 1_h, with
+    m @ q the integral of the pressure q."""
+    one = np.zeros(pres.ndof)
+    one[::pres.meta["per_cell"]] = 1.0
+    return one, Mp @ one
+
+
 def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float,
-                      solver: str, load_degree: int) -> SolveResult:
+                      load_degree: int) -> SolveResult:
     pot_kind, vel_kind, pres_kind = {
-        "cubic": ("A3_0", "G2_0", "P1_0"),
-        "quartic": ("A4_0", "G3_0", "P2_0"),
+        "cubic": ("A3_0", "G2_0", "DG1"),
+        "quartic": ("A4_0", "G3_0", "DG2"),
     }[scheme]
     pot = build_space(mesh, pot_kind)
     vel = build_space(mesh, vel_kind)
     pres = build_space(mesh, pres_kind)
     A1 = assemble_bilinear(pot, pot, "grad_grad")
     b1 = assemble_load(pot, f, quad_degree=load_degree)
-    solve_a1 = spd_solver(A1, tol, solver)
+    solve_a1 = spd_solver(A1, tol)
     r = solve_a1(b1)
     A2 = assemble_bilinear(vel, vel, "grad_grad")
     B = assemble_bilinear(vel, pres, "rot_pressure")
     D = assemble_bilinear(vel, pot, "vecfield_grad")
     Mp = assemble_bilinear(pres, pres, "mass")
     rhs2 = D.T @ r
+    one, m = _constant(pres, Mp)
     try:
         phi, p, iterations = saddle_solve(
             SaddleSystem(A2, B, rhs2, np.zeros(pres.ndof), Mp), tol=tol)
     except SolverError as exc:
         try:
-            c_h = infsup_constant(B, A2, Mp, tol=tol)
+            c_h = infsup_constant(B, A2, Mp, tol=tol, mean=m)
             diagnosis = f"inf-sup constant of the pair: {c_h:.6g}"
         except SolverError:
             diagnosis = "inf-sup constant could not be computed"
         raise SolverError(
             f"{scheme} stage-2 Stokes solve failed ({exc}); {diagnosis}"
         ) from exc
+    # B^T vanishes on the constant, so the PCG from p = 0 leaves only
+    # round-off in its direction; the mean-zero pressure projects it out
+    p -= (m @ p) / (m @ one) * one
     rhs3 = D @ phi
     u = solve_a1(rhs3)
     diag = {
         "dofs_potential": pot.ndof,
         "dofs_velocity": vel.ndof,
-        "dofs_pressure": pres.ndof,
+        "dofs_pressure": pres.ndof - 1,
         "stage1_residual": float(np.linalg.norm(A1 @ r - b1)),
         "stage2_residual": float(np.linalg.norm(A2 @ phi + B.T @ p - rhs2)),
         "stage2_constraint": float(np.linalg.norm(B @ phi)),
@@ -162,22 +175,22 @@ def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float,
                        FieldFunction(pres, p), FieldFunction(pot, u), diag)
 
 
-def solve_cubic(mesh: Mesh, f, tol: float = 1e-10, solver: str = "direct",
+def solve_cubic(mesh: Mesh, f, tol: float = 1e-10,
                 load_degree: int = 12) -> SolveResult:
-    return _decomposed_solve(mesh, f, "cubic", tol, solver, load_degree)
+    return _decomposed_solve(mesh, f, "cubic", tol, load_degree)
 
 
-def solve_quartic(mesh: Mesh, f, tol: float = 1e-10, solver: str = "direct",
+def solve_quartic(mesh: Mesh, f, tol: float = 1e-10,
                   load_degree: int = 12) -> SolveResult:
-    return _decomposed_solve(mesh, f, "quartic", tol, solver, load_degree)
+    return _decomposed_solve(mesh, f, "quartic", tol, load_degree)
 
 
-def solve_morley(mesh: Mesh, f, tol: float = 1e-10, solver: str = "direct",
+def solve_morley(mesh: Mesh, f, tol: float = 1e-10,
                  load_degree: int = 12) -> FieldFunction:
     space = build_space(mesh, "Morley_0")
     A = assemble_bilinear(space, space, "hess_hess")
     b = assemble_load(space, f, quad_degree=load_degree)
-    u = spd_solver(A, tol, solver)(b)
+    u = spd_solver(A, tol)(b)
     return FieldFunction(space, u)
 
 
@@ -265,19 +278,19 @@ class RateTable:
         return [getattr(r, key) for r in self.rows if getattr(r, key) is not None]
 
 
-def solve_scheme(mesh: Mesh, scheme: str, f, tol: float = 1e-10,
-                 solver: str = "direct") -> FieldFunction:
+def solve_scheme(mesh: Mesh, scheme: str, f,
+                 tol: float = 1e-10) -> FieldFunction:
     if scheme == "morley":
-        return solve_morley(mesh, f, tol=tol, solver=solver)
+        return solve_morley(mesh, f, tol=tol)
     if scheme == "cubic":
-        return solve_cubic(mesh, f, tol=tol, solver=solver).u_h
+        return solve_cubic(mesh, f, tol=tol).u_h
     if scheme == "quartic":
-        return solve_quartic(mesh, f, tol=tol, solver=solver).u_h
+        return solve_quartic(mesh, f, tol=tol).u_h
     raise KeyError(f"unknown scheme '{scheme}'")
 
 
 def convergence_study(problem: ManufacturedProblem, scheme: str,
-                      n_list, tol: float = 1e-10, solver: str = "direct",
+                      n_list, tol: float = 1e-10,
                       quad_degree: int = 17) -> RateTable:
     n_list = list(n_list)
     for a, b in zip(n_list, n_list[1:]):
@@ -287,7 +300,7 @@ def convergence_study(problem: ManufacturedProblem, scheme: str,
     prev = None
     for n in n_list:
         mesh = generate_structured(n)
-        u_h = solve_scheme(mesh, scheme, problem.f, tol=tol, solver=solver)
+        u_h = solve_scheme(mesh, scheme, problem.f, tol=tol)
         e0, e1, e2 = error_norms(u_h, problem.u, problem.grad_u,
                                  problem.hess_u, quad_degree=quad_degree)
         rates = (None, None, None)
@@ -306,9 +319,9 @@ def convergence_study(problem: ManufacturedProblem, scheme: str,
 # ---------------------------------------------------------------------------
 
 PAIRS = {
-    "g2p0": ("G2_0", "P0_0"),
-    "g2p1": ("G2_0", "P1_0"),
-    "g3p2": ("G3_0", "P2_0"),
+    "g2p0": ("G2_0", "DG0"),
+    "g2p1": ("G2_0", "DG1"),
+    "g3p2": ("G3_0", "DG2"),
 }
 
 
@@ -323,5 +336,6 @@ def infsup_study(pair: str, n_list, tol: float = 1e-10):
         A = assemble_bilinear(vel, vel, "grad_grad")
         B = assemble_bilinear(vel, pres, "rot_pressure")
         Mp = assemble_bilinear(pres, pres, "mass")
-        out.append((n, infsup_constant(B, A, Mp, tol=tol)))
+        m = _constant(pres, Mp)[1]
+        out.append((n, infsup_constant(B, A, Mp, tol=tol, mean=m)))
     return out

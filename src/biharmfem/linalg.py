@@ -97,14 +97,9 @@ def _splu(A):
         raise SolverError(f"sparse factorization failed: {exc}") from exc
 
 
-def spd_solver(A, tol: float = 1e-10, solver: str = "direct"):
-    """Return ``solve(b)`` for the SPD matrix A, factoring A at most once.
-
-    ``"direct"`` factors A with one splu and checks the residual of every
-    solve against tol; ``"cg"`` runs :func:`cg_solve` for each right-hand side.
-    """
-    if solver == "cg":
-        return lambda b: cg_solve(A, b, tol=tol)
+def spd_solver(A, tol: float = 1e-10):
+    """Return ``solve(b)`` for the SPD matrix A, factored once by splu; the
+    residual of every solve is checked against tol."""
     A = sp.csc_matrix(A)
     lu = _splu(A)
 
@@ -202,47 +197,50 @@ def saddle_solve(system: SaddleSystem, tol: float = 1e-10):
     return u, p, iterations
 
 
-def infsup_constant(B, A, Mp, tol: float = 1e-10) -> float:
+def infsup_constant(B, A, Mp, tol: float = 1e-10, mean=None) -> float:
     """sqrt of the smallest eigenvalue of B A^-1 B^T q = lam Mp q.
 
     A is the velocity Gram (SPD), Mp the pressure Gram (SPD); B pairs the
-    mean-zero pressure basis with the velocity basis.  Nonpositive smallest
-    eigenvalues (beyond roundoff) report 0: the pair is unstable.
+    pressure basis with the velocity basis.  When the pressures are the
+    mean-zero subspace of a space holding the constants, mean is the mean
+    functional m (m @ q is the integral of q) and the constant mode, on which
+    S = B A^-1 B^T vanishes, is deflated by the rank-one shift
+    S + m m^T / (m^T Mp^-1 m): this moves it to eigenvalue 1 and leaves the
+    eigenpairs Mp-orthogonal to it, the mean-zero ones, as they are.
+    Nonpositive smallest eigenvalues (beyond roundoff) report 0: the pair is
+    unstable.  Above 40 pressure DoFs the eigenvalue comes from Lanczos
+    (ARPACK) on the shifted S, from a fixed random start vector: a symmetric
+    one can miss the smallest mode on the symmetric criss mesh.
     """
     B = sp.csr_matrix(B)
-    A = sp.csc_matrix(A)
-    Mp = sp.csr_matrix(Mp)
+    Mp = sp.csc_matrix(Mp)
     npres = B.shape[0]
     if npres == 0:
         raise ValueError("empty pressure space")
-    alu = _splu(A)
+    alu = _splu(sp.csc_matrix(A))
+    solve_m = _splu(Mp).solve
+    if mean is not None:
+        mean = np.asarray(mean, dtype=float)
+        mMm = float(mean @ solve_m(mean))
 
     def s_mv(q):
-        return B @ alu.solve(B.T @ q)
+        out = B @ alu.solve(B.T @ q)
+        if mean is not None:
+            out += mean * ((mean @ q) / mMm)
+        return out
 
     if npres <= 40:
         S = np.column_stack([s_mv(e) for e in np.eye(npres)])
-        lams = scipy.linalg.eigh(S, np.asarray(Mp.todense()), eigvals_only=True)
+        lams = scipy.linalg.eigh(S, Mp.toarray(), eigvals_only=True)
         lam = float(lams[0])
         return float(np.sqrt(max(lam, 0.0)))
 
-    K = sp.bmat([[A, B.T], [B, None]], format="csc")
+    shape = (npres, npres)
+    v0 = np.random.default_rng(0).standard_normal(npres)
     try:
-        klu = spla.splu(K)
-    except RuntimeError as exc:
-        raise SolverError(f"inf-sup saddle factorization failed: {exc}") from exc
-    nu = A.shape[0]
-
-    def s_inv(y):
-        rhs = np.concatenate([np.zeros(nu), -np.asarray(y, dtype=float)])
-        return klu.solve(rhs)[nu:]
-
-    Sop = spla.LinearOperator((npres, npres), matvec=s_mv)
-    OPinv = spla.LinearOperator((npres, npres), matvec=s_inv)
-    v0 = np.full(npres, 1.0 / np.sqrt(npres))
-    try:
-        lams = spla.eigsh(Sop, k=1, M=Mp, sigma=0.0, which="LM",
-                          OPinv=OPinv, v0=v0, tol=max(tol, 1e-12))
+        lams = spla.eigsh(spla.LinearOperator(shape, matvec=s_mv), k=1, M=Mp,
+                          Minv=spla.LinearOperator(shape, matvec=solve_m),
+                          which="SA", v0=v0, tol=max(tol, 1e-12))
     except spla.ArpackError as exc:
         raise SolverError(f"inf-sup eigensolve failed: {exc}") from exc
     lam = float(lams[0][0])

@@ -24,9 +24,10 @@ row of LAYOUT_KINDS, a catalog element with its component count, G2 bubble
 and boundary elimination.  Its layout (see layout()) is read from the
 element's DOF functionals, and DOFs are numbered vertex | edge | cell, each
 entity's slots together, component-major (S2_0 is thus a prefix of G2_0).
-The pressure spaces are built by hand:
-  P*_0      per-cell mean-zero modes | Haar tree over cell constants
-  DG*       per-cell lattice basis
+The pressure spaces DG* are discontinuous, numbered cell by cell: the cell
+constant, then the cell's mean-zero modes.  The schemes' mean-zero pressure
+spaces are DG1/DG2 with the constant projected out by the solver, so no DOF
+is pinned and no basis spans the mean-zero subspace.
 """
 
 from __future__ import annotations
@@ -297,10 +298,9 @@ def build_space(mesh: Mesh, kind: str) -> Space:
     key = kind.lower()
     if key in _LAYOUT_BY_KEY:
         return _build_layout(mesh, *_LAYOUT_BY_KEY[key])
-    if key in _MODAL_KINDS:
-        builder, k = _MODAL_KINDS[key]
-        return builder(mesh, k)
-    known = sorted([*_LAYOUT_BY_KEY, *_MODAL_KINDS])
+    if key in _DG_KINDS:
+        return _build_dg(mesh, _DG_KINDS[key])
+    known = sorted([*_LAYOUT_BY_KEY, *_DG_KINDS])
     raise KeyError(f"unknown space kind '{kind}'; known: {known}")
 
 
@@ -363,48 +363,6 @@ def _build_layout(mesh: Mesh, kind: str, element: str, ncomp: int,
 _LAYOUT_BY_KEY = {row[0].lower(): row for row in LAYOUT_KINDS}
 
 
-def _haar_tree(areas: np.ndarray):
-    """L2-orthonormal mean-zero basis over cell constants.
-
-    Returns (cells, haar index, value on that cell) arrays; the tree is
-    numbered in preorder.
-    """
-    cells, index, value = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], \
-        [np.zeros(0)]
-    nhaar = 0
-    stack = [(0, len(areas))]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo < 2:
-            continue
-        mid = (lo + hi) // 2
-        aL = float(areas[lo:mid].sum())
-        aR = float(areas[mid:hi].sum())
-        norm = np.sqrt(aL * aR * (aL + aR))
-        cells.append(np.arange(lo, hi))
-        index.append(np.full(hi - lo, nhaar))
-        value.append(np.repeat([aR / norm, -aL / norm], [mid - lo, hi - mid]))
-        nhaar += 1
-        stack += [(mid, hi), (lo, mid)]
-    return (np.concatenate(cells), np.concatenate(index),
-            np.concatenate(value)), nhaar
-
-
-def _build_pressure(mesh: Mesh, k: int) -> Space:
-    nmodes = len(_pressure_modes(k))
-    nT = mesh.n_cells
-    (hcells, hindex, hvalue), nhaar = _haar_tree(mesh.geometry_arrays()[1])
-    ndof = nT * nmodes + nhaar
-    nloc = 1 + nmodes
-    modes = np.arange(nT * nmodes).reshape(nT, nmodes)
-    terms = [(1 + j, modes[:, j], 1.0) for j in range(nmodes)]
-    P = _operator(mesh, nloc, ndof, terms) + sp.csr_matrix(
-        (hvalue, (hcells * nloc, nT * nmodes + hindex)), shape=(nT * nloc, ndof))
-    meta = {"order": k, "n_modes": nmodes, "n_haar": nhaar}
-    return Space(mesh, f"P{k}_0", False, ndof, f"pres{k}", np.eye(nloc),
-                 P, k, meta)
-
-
 def _build_dg(mesh: Mesh, k: int) -> Space:
     per_cell = 1 + len(_pressure_modes(k))
     ndof = mesh.n_cells * per_cell
@@ -413,8 +371,7 @@ def _build_dg(mesh: Mesh, k: int) -> Space:
                  sp.identity(ndof, format="csr"), k, meta)
 
 
-_MODAL_KINDS = {**{f"p{k}_0": (_build_pressure, k) for k in range(3)},
-                **{f"dg{k}": (_build_dg, k) for k in range(3)}}
+_DG_KINDS = {f"dg{k}": k for k in range(3)}
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +380,11 @@ _MODAL_KINDS = {**{f"p{k}_0": (_build_pressure, k) for k in range(3)},
 
 FORMS = ("mass", "grad_grad", "hess_hess", "rot_pressure", "vecfield_grad")
 
-#: Assembled entries with |a| <= ROUNDOFF_RTOL * max|a| are dropped.  Haar-tree
-#: and edge-moment cancellation leaves entries of at most about 1e-14 of the
-#: largest, and genuine entries are at least about 1e-8 of it on criss,
-#: jittered, relabeled and refined meshes; stored, the round-off entries
-#: fill the rows of the saddle-point system and its factorizations.
+#: Assembled entries with |a| <= ROUNDOFF_RTOL * max|a| are dropped.
+#: Edge-moment and mean-zero-mode cancellation leaves entries of at most about
+#: 1e-14 of the largest, and genuine entries are at least about 1e-8 of it on
+#: criss, jittered, relabeled and refined meshes; stored, the round-off
+#: entries fill the rows of the saddle-point system and its factorizations.
 ROUNDOFF_RTOL = 1e-12
 
 

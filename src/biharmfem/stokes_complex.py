@@ -619,7 +619,7 @@ def exactness_report(mesh: Mesh, order: str = "cubic",
         dg = build_space(mesh, "DG1")
         expected_rank = 3 * nt - 1
         kernel_formula = 3 * xi + ei
-        # dim(B3+) + dim(P1_0) == dim(G2+): (xi + 3 ei) + (3 nt - 1)
+        # dim(B3+) + dim(DG1) - 1 == dim(G2+): (xi + 3 ei) + (3 nt - 1)
         aux_ok = (xi + 3 * ei) + (3 * nt - 1) == 2 * (nt + 2 * ei)
     elif order == "quartic":
         vel = build_space(mesh, "G3_0")

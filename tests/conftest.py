@@ -1,3 +1,11 @@
+import os
+
+# One BLAS/OpenMP thread, set before numpy loads: the first multithreaded
+# LAPACK call stalls for about a second, and the library's costly steps
+# (SuperLU, the batched kernels) run on one thread anyway.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 from hypothesis import settings

@@ -134,19 +134,17 @@ def test_stage2_failure_reports_infsup_constant(monkeypatch, mesh2, poly8):
     assert "inf-sup constant of the pair" in str(err.value)
 
 
-def test_quartic_pressure_mean_zero(mesh2, poly8):
-    res = solve_quartic(mesh2, poly8.f)
-    # mean-zero by construction of the pressure basis: check via DG pairing
+@pytest.mark.parametrize("mesh_name", ["mesh2", "jittered4", "relabeled4"])
+@pytest.mark.parametrize("solve", [solve_cubic, solve_quartic],
+                         ids=["cubic", "quartic"])
+def test_quartic_pressure_mean_zero(request, solve, mesh_name, poly8):
+    mesh = request.getfixturevalue(mesh_name)
+    res = solve(mesh, poly8.f)
+    # mean-zero by projection of the DG pressure: check via DG0 pairing
     pres = res.p_h.space
-    ones = assemble_bilinear(pres, build_space(mesh2, "DG0"), "mass")
+    ones = assemble_bilinear(pres, build_space(mesh, "DG0"), "mass")
     total = np.asarray(ones @ res.p_h.coeffs).sum()
     assert abs(total) < 1e-12 * max(1.0, np.abs(res.p_h.coeffs).max())
-
-
-def test_cg_and_direct_agree(mesh2, poly8):
-    a = solve_cubic(mesh2, poly8.f, solver="direct")
-    b = solve_cubic(mesh2, poly8.f, solver="cg", tol=1e-12)
-    assert np.allclose(a.u_h.coeffs, b.u_h.coeffs, atol=1e-8)
 
 
 def test_solver_determinism(mesh2, poly8):
@@ -265,6 +263,11 @@ def test_infsup_study_small():
     assert all(c > 0.01 for _, c in vals)
     vals0 = infsup_study("g2p0", [2])
     assert vals0[0][1] > 0.05
+    # criss n=16; Lanczos from a symmetric start vector misses the smallest
+    # g2p1 mode there and reads 0.46978
+    for pair, want in (("g2p0", 0.49724359936925), ("g2p1", 0.46864870618641),
+                       ("g3p2", 0.22366683244355)):
+        assert infsup_study(pair, [16])[0][1] == pytest.approx(want, rel=1e-9)
 
 
 def test_csv_header_exact(poly8):

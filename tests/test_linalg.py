@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from biharmfem.biharmonic import _constant
 from biharmfem.linalg import (SaddleSystem, SolverError, _pin_mmap_threshold,
                               _splu, cg_solve, infsup_constant, is_symmetric,
                               kernel_dimension, matrix_rank, saddle_solve)
@@ -82,8 +83,8 @@ def test_saddle_rank_deficient_rejected():
                                   M=sp.identity(1)))
 
 
-@pytest.mark.parametrize("pair,jittered", [(("G2_0", "P1_0"), False),
-                                           (("G3_0", "P2_0"), True)],
+@pytest.mark.parametrize("pair,jittered", [(("G2_0", "DG1"), False),
+                                           (("G3_0", "DG2"), True)],
                          ids=["cubic-criss", "quartic-jittered"])
 def test_saddle_schur_pcg_matches_monolithic_lu(request, pair, jittered):
     mesh = (request.getfixturevalue("jittered4") if jittered
@@ -92,12 +93,19 @@ def test_saddle_schur_pcg_matches_monolithic_lu(request, pair, jittered):
     A = assemble_bilinear(vel, vel, "grad_grad")
     B = assemble_bilinear(vel, pres, "rot_pressure")
     M = assemble_bilinear(pres, pres, "mass")
+    # B^T vanishes on the DG constant 1_h, so B u = g needs g orthogonal to it
+    one, m = _constant(pres, M)
     rng = np.random.default_rng(11)
     f, g = rng.standard_normal(vel.ndof), rng.standard_normal(pres.ndof)
+    g -= (one @ g) / (one @ one) * one
     u, p, _ = saddle_solve(SaddleSystem(A, B, f, g, M))
-    K = sp.bmat([[A, B.T], [B, None]], format="csc")
-    ref = spla.spsolve(K, np.concatenate([f, g]))
-    u_ref, p_ref = ref[:vel.ndof], ref[vel.ndof:]
+    # reference: the monolithic system bordered by the mean constraint m p = 0
+    # through one Lagrange multiplier
+    K = sp.bmat([[A, B.T, None], [B, None, m[:, None]],
+                 [None, m[None, :], None]], format="csc")
+    ref = spla.spsolve(K, np.concatenate([f, g, [0.0]]))
+    u_ref, p_ref = ref[:vel.ndof], ref[vel.ndof:-1]
+    p -= (m @ p) / (m @ one) * one
     assert np.linalg.norm(u - u_ref) <= 1e-8 * np.linalg.norm(u_ref)
     assert np.linalg.norm(p - p_ref) <= 1e-8 * np.linalg.norm(p_ref)
 

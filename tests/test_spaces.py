@@ -31,9 +31,10 @@ def test_dimension_closed_forms(mesh):
     assert build_space(mesh, "A4_0").ndof == xi + 3 * ei + 3 * nt
     assert build_space(mesh, "G2_0").ndof == 2 * (xi + ei) + 2 * nt
     assert build_space(mesh, "G3_0").ndof == 2 * (3 * ei + nt)
-    assert build_space(mesh, "P1_0").ndof == 3 * nt - 1
-    assert build_space(mesh, "P2_0").ndof == 6 * nt - 1
-    assert build_space(mesh, "P0_0").ndof == nt - 1
+    # mean-zero DG pressures: one constraint on the discontinuous space
+    assert build_space(mesh, "DG1").ndof - 1 == 3 * nt - 1
+    assert build_space(mesh, "DG2").ndof - 1 == 6 * nt - 1
+    assert build_space(mesh, "DG0").ndof - 1 == nt - 1
     assert build_space(mesh, "Morley_0").ndof == xi + ei
     assert build_space(mesh, "S2_0").ndof == 2 * (xi + ei)
     nv, ne = mesh.n_vertices, mesh.n_edges
@@ -46,7 +47,7 @@ def test_dimension_closed_forms(mesh):
 
 def test_dimension_examples_n2():
     mesh = generate_structured(2)
-    assert build_space(mesh, "P1_0").ndof == 23
+    assert build_space(mesh, "DG1").ndof - 1 == 23
     assert build_space(mesh, "G2_0").ndof == 34
     assert build_space(mesh, "A3_0").ndof == 41
     assert build_space(mesh, "Morley_0").ndof == 9
@@ -94,7 +95,7 @@ def test_symmetric_forms_are_symmetric():
     mesh = generate_structured(2)
     for kind, form in (("A3_0", "grad_grad"), ("A4_0", "grad_grad"),
                        ("Morley_0", "hess_hess"), ("G2_0", "grad_grad"),
-                       ("G3_0", "grad_grad"), ("P1_0", "mass")):
+                       ("G3_0", "grad_grad"), ("DG1", "mass")):
         s = build_space(mesh, kind)
         A = assemble_bilinear(s, s, form)
         assert is_symmetric(A, rel=1e-12), (kind, form)
@@ -106,11 +107,11 @@ def test_assembly_stores_no_roundoff(request, jittered):
             else generate_structured(4))
     for trial, test, form in (("A3_0", "A3_0", "grad_grad"),
                               ("G2_0", "G2_0", "grad_grad"),
-                              ("G2_0", "P1_0", "rot_pressure"),
+                              ("G2_0", "DG1", "rot_pressure"),
                               ("G2_0", "A3_0", "vecfield_grad"),
-                              ("P1_0", "P1_0", "mass"),
-                              ("G3_0", "P2_0", "rot_pressure"),
-                              ("P2_0", "P2_0", "mass"),
+                              ("DG1", "DG1", "mass"),
+                              ("G3_0", "DG2", "rot_pressure"),
+                              ("DG2", "DG2", "mass"),
                               ("Morley_0", "Morley_0", "hess_hess")):
         M = assemble_bilinear(build_space(mesh, trial), build_space(mesh, test),
                               form)
@@ -346,11 +347,10 @@ def test_error_norms_zero_field():
 LIBRARY_FORMS = (
     ("A3_0", "A3_0", "grad_grad"), ("A4_0", "A4_0", "grad_grad"),
     ("G2_0", "G2_0", "grad_grad"), ("G3_0", "G3_0", "grad_grad"),
-    ("G2_0", "P1_0", "rot_pressure"), ("G3_0", "P2_0", "rot_pressure"),
-    ("G2_0", "P0_0", "rot_pressure"), ("G2_0", "DG1", "rot_pressure"),
+    ("G2_0", "DG0", "rot_pressure"), ("G2_0", "DG1", "rot_pressure"),
     ("G3_0", "DG2", "rot_pressure"), ("G2_0", "A3_0", "vecfield_grad"),
-    ("G3_0", "A4_0", "vecfield_grad"), ("P1_0", "P1_0", "mass"),
-    ("P2_0", "P2_0", "mass"), ("P0_0", "P0_0", "mass"),
+    ("G3_0", "A4_0", "vecfield_grad"), ("DG0", "DG0", "mass"),
+    ("DG1", "DG1", "mass"), ("DG2", "DG2", "mass"),
     ("Morley_0", "Morley_0", "hess_hess"),
 )
 
@@ -422,7 +422,7 @@ def test_load_and_error_norms_match_cellwise_oracle(request, mesh_name):
     mesh = _oracle_mesh(request, mesh_name)
     prob = manufactured("sin2")
     rng = np.random.default_rng(6)
-    for kind in ("A3_0", "A4_0", "Morley_0", "P1_0"):
+    for kind in ("A3_0", "A4_0", "Morley_0", "DG1"):
         space = build_space(mesh, kind)
         v = rng.standard_normal(space.ndof)
         for degree in (12, 17):
