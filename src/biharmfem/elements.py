@@ -13,7 +13,7 @@ coefficient of ||grad(lam_i)||, which is rational on rational triangles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,6 +22,7 @@ import numpy as np
 from .mesh import cell_geometry
 from .polynomials import (BaryPoly, poly1d_average01, poly1d_mul,
                           poly_directional)
+from .quadrature import tri_rule
 
 L = [BaryPoly.lam(0), BaryPoly.lam(1), BaryPoly.lam(2)]
 LAM = L[0] * L[1] * L[2]
@@ -167,149 +168,134 @@ def eval_dof(dof: DofFunctional, shape: ShapeFunction, geom, exact: bool = False
     raise ValueError(f"unknown dof kind {dof.kind}")
 
 
-def _resolve_interior_dofs(elem: ElementDef, geom) -> list[DofFunctional]:
-    """FE_vec interior dofs: vector weights annihilated by the 20 moment dofs.
+@lru_cache(maxsize=None)
+def _reference_tensors(name: str):
+    """The geometry-free parts (M0, T, sel) of an element's DOF rows.
 
-    The three weights span the kernel of the moment-dof matrix inside the
-    enriched shape space and are L2-orthogonalized; the construction is
-    deterministic (SVD of a fixed matrix).
+    On a cell with gradients gl and Gram matrix g, DOF row i (cell_vec rows
+    aside) is M0[i] + sum_j F[j, sel[i]] T[i, j] / s[sel[i]], F = [g | gl],
+    s = [sqrt(diag g) | 1, 1]: an edge_normal row on edge k has sel = k (see
+    eval_dof), a component-c row reading gradient shapes sel = 3 + c.
     """
-    base = [d for d in elem.dofs if d.kind != "cell_vec"]
-    A = np.array([[eval_dof(d, s, geom) for s in elem.shapes] for d in base])
-    _, sv, vt = np.linalg.svd(A)
-    rank = int(np.sum(sv > 1e-10 * sv[0]))
-    kernel = vt[rank:]
-    # realize kernel vectors as vector polynomials and orthogonalize in L2(T)
-    fields = []
-    for coefs in kernel:
-        px, py = BaryPoly(), BaryPoly()
-        for c, s in zip(coefs, elem.shapes):
-            if c == 0.0:
+    elem = element_catalog(name)
+    rows = [d for d in elem.dofs if d.kind != "cell_vec"]
+    M0 = np.zeros((len(rows), elem.dim))
+    T = np.zeros((len(rows), 3, elem.dim))
+    sel = np.zeros(len(rows), dtype=np.int64)
+    for i, d in enumerate(rows):
+        normal = d.kind == "edge_normal"
+        sel[i] = d.entity if normal else 3 + d.component
+        plain = replace(d, kind="edge" if normal else d.kind, component=0)
+        for s, shape in enumerate(elem.shapes):
+            if not normal and shape.kind != "gradient":
+                M0[i, s] = float(eval_dof(d, shape, REFERENCE_EXACT, exact=True))
                 continue
-            px = px + float(c) * s.component(0, geom)
-            py = py + float(c) * s.component(1, geom)
-        fields.append((px, py))
-    ortho: list[tuple] = []
-    for px, py in fields:
-        for qx, qy in ortho:
-            inner = float((px * qx).cell_average() + (py * qy).cell_average())
-            norm = float((qx * qx).cell_average() + (qy * qy).cell_average())
-            px = px + (-inner / norm) * qx
-            py = py + (-inner / norm) * qy
-        ortho.append((px, py))
-    out = []
-    for px, py in ortho:
-        nrm = float(np.sqrt(float((px * px).cell_average()
-                                  + (py * py).cell_average())))
-        out.append(DofFunctional(kind="cell_vec",
-                                 vec_weight=((1.0 / nrm) * px, (1.0 / nrm) * py)))
-    return out
+            if normal and shape.kind != "scalar":
+                raise ValueError(f"{name}: normal DOFs need scalar shapes")
+            for j in range(3):
+                val = eval_dof(plain, _scalar(shape.p.dlam(j)),
+                               REFERENCE_EXACT, exact=True)
+                T[i, j, s] = -float(val) if normal else float(val)
+    for arr in (M0, T, sel):
+        arr.setflags(write=False)
+    return M0, T, sel
+
+
+def _affine_rows(elem: ElementDef, gl: np.ndarray) -> np.ndarray:
+    """All DOF rows but cell_vec on a (ncells, 3, 2) grad_lambda stack."""
+    M0, T, sel = _reference_tensors(elem.name)
+    g = np.einsum("cid,cjd->cij", gl, gl)
+    F = np.concatenate([g, gl], axis=2)
+    scale = np.concatenate([np.sqrt(np.diagonal(g, axis1=1, axis2=2)),
+                            np.ones((len(gl), 2))], axis=1)
+    return M0 + np.einsum("cji,ijs->cis", F[:, :, sel], T) \
+        / scale[:, sel, None]
+
+
+def _interior_weights(elem: ElementDef, gl: np.ndarray, moments: np.ndarray):
+    """FE_vec interior dofs: vector weights annihilated by the moment dofs.
+
+    The weights span the kernel of each cell's moment rows inside the shape
+    space (SVD) and are made L2-orthonormal by a Cholesky factor of their
+    Gram matrix.  Returns their coefficients K (ncells, nint, nshape) in the
+    shape basis and the shape mass matrix G, so the dof rows are K @ G.
+    """
+    rule = tri_rule(2 * elem.degree)     # exact for products of two shapes
+    F = np.zeros((len(gl), 2, elem.dim, len(rule.weights)))
+    for s, shape in enumerate(elem.shapes):
+        if shape.kind == "gradient":
+            F[:, :, s] = np.einsum("cjk,jq->ckq", gl, [
+                shape.p.dlam(j).eval(rule.points) for j in range(3)])
+        else:
+            F[:, :, s] = [shape.component(k, None).eval(rule.points)
+                          for k in range(2)]
+    G = np.einsum("cksq,q,cktq->cst", F, rule.weights, F)
+    K = np.linalg.svd(moments)[2][:, moments.shape[1]:]
+    return np.linalg.solve(np.linalg.cholesky(
+        K @ G @ K.transpose(0, 2, 1)), K), G
+
+
+def dof_matrices(elem: ElementDef, grad_lambda) -> np.ndarray:
+    """M[c, i, s] = D_i(shape_s) on every cell of a (ncells, 3, 2) grad_lambda
+    stack, from the element's reference tensors."""
+    gl = np.asarray(grad_lambda, dtype=float)
+    M = _affine_rows(elem, gl)
+    if elem.needs_interior_construction:
+        K, G = _interior_weights(elem, gl, M)
+        M = np.concatenate([M, K @ G], axis=1)
+    return M
+
+
+def _combination(elem: ElementDef, coefs, geom):
+    """sum_s coefs[s] shape_s: a BaryPoly, or a (px, py) pair if vector."""
+    comps = [BaryPoly() for _ in range(2 if elem.vector else 1)]
+    for c, s in zip(coefs, elem.shapes):
+        if c != 0.0:
+            comps = [q + float(c) * s.component(k, geom)
+                     for k, q in enumerate(comps)]
+    return tuple(comps) if elem.vector else comps[0]
 
 
 def resolved_dofs(elem: ElementDef, geom) -> list[DofFunctional]:
-    if not elem.needs_interior_construction:
-        return list(elem.dofs)
     out = [d for d in elem.dofs if d.kind != "cell_vec"]
-    return out + _resolve_interior_dofs(elem, geom)
+    if not elem.needs_interior_construction:
+        return out
+    gl = np.asarray([geom.grad_lambda], dtype=float)
+    K = _interior_weights(elem, gl, _affine_rows(elem, gl))[0][0]
+    return out + [DofFunctional(kind="cell_vec",
+                                vec_weight=_combination(elem, k, geom))
+                  for k in K]
 
 
 def dof_matrix(elem: ElementDef, geom, exact: bool = False):
     """M[i, j] = D_i(shape_j).  exact=True uses Fractions (see eval_dof)."""
-    dofs = resolved_dofs(elem, geom)
     if exact:
         if elem.needs_interior_construction:
             raise ValueError(f"{elem.name} has no exact dof matrix")
         return [[eval_dof(d, s, geom, exact=True) for s in elem.shapes]
-                for d in dofs]
-    return np.array([[eval_dof(d, s, geom) for s in elem.shapes]
-                     for d in dofs])
+                for d in elem.dofs]
+    return dof_matrices(elem, [geom.grad_lambda])[0]
 
 
 #: a DOF matrix with sigma_min <= NODAL_SIGMA_TOL * sigma_max is not unisolvent
 NODAL_SIGMA_TOL = 1e-13
 
 
-def nodal_coefficients(elem: ElementDef, geom,
-                       sigma_tol: float = NODAL_SIGMA_TOL):
-    """Columns express the nodal (dual) basis in the shape basis: N = S @ Minv."""
-    M = dof_matrix(elem, geom)
+def nodal_coefficients(elem: ElementDef, grad_lambda) -> np.ndarray:
+    """Inverse DOF matrices on a (ncells, 3, 2) grad_lambda stack: column j
+    of cell c's matrix expresses nodal basis function j in the shape basis."""
+    M = dof_matrices(elem, grad_lambda)
     sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= sigma_tol * sv[0]:
-        raise ValueError(f"unisolvence failure for {elem.name}: "
-                         f"sigma_min/sigma_max = {sv[-1] / sv[0]:.3e}")
-    return np.linalg.inv(M)
-
-
-@lru_cache(maxsize=None)
-def _edge_normal_split(name: str):
-    """The DOF matrix of a scalar element split into geometry-free parts.
-
-    Returns (M0, rows, edges, E): M0 is the float DOF matrix with its
-    edge_normal rows zero, rows and edges index those DOFs and their edges,
-    and E[r, j, s] is minus the weighted edge average of d(shape_s)/d(lam_j)
-    for DOF rows[r].  On a cell with Gram matrix g the row reads
-    sum_j g[j, k] E[r, j] / sqrt(g[k, k]) with k = edges[r] (see eval_dof).
-    """
-    elem = element_catalog(name)
-    if any(s.kind != "scalar" for s in elem.shapes):
-        raise ValueError(f"{name} has geometry-dependent shape functions")
-    rows = [i for i, d in enumerate(elem.dofs) if d.kind == "edge_normal"]
-    M0 = np.array([[0.0 if i in rows
-                     else float(eval_dof(d, s, REFERENCE_EXACT, exact=True))
-                     for s in elem.shapes] for i, d in enumerate(elem.dofs)])
-    E = np.array([[[-float(_edge_average(s.p.dlam(j), elem.dofs[i].entity,
-                                         elem.dofs[i].weight))
-                    for s in elem.shapes] for j in range(3)] for i in rows]
-                 ).reshape(len(rows), 3, len(elem.shapes))
-    edges = np.array([elem.dofs[i].entity for i in rows], dtype=np.int64)
-    rows = np.array(rows, dtype=np.int64)
-    for arr in (M0, rows, edges, E):
-        arr.setflags(write=False)
-    return M0, rows, edges, E
-
-
-def nodal_coefficients_stack(elem: ElementDef, gram: np.ndarray) -> np.ndarray:
-    """nodal_coefficients on every cell of a (ncells, 3, 3) Gram stack.
-
-    For scalar elements whose DOFs are point values, moments and edge normal
-    moments: only the normal rows depend on the cell, linearly in its Gram
-    matrix, so all DOF matrices are built and inverted in one batch.
-    """
-    M0, rows, edges, E = _edge_normal_split(elem.name)
-    M = np.repeat(M0[None], gram.shape[0], axis=0)
-    scale = np.sqrt(gram[:, edges, edges])
-    M[:, rows] = np.einsum("cjr,rjs->crs", gram[:, :, edges], E) \
-        / scale[:, :, None]
-    sv = np.linalg.svd(M, compute_uv=False)
-    ratio = sv[:, -1] / sv[:, 0]
     if np.any(sv[:, -1] <= NODAL_SIGMA_TOL * sv[:, 0]):
-        raise ValueError(f"unisolvence failure for {elem.name}: "
-                         f"sigma_min/sigma_max = {ratio.min():.3e}")
+        raise ValueError(f"unisolvence failure for {elem.name}: sigma_min/"
+                         f"sigma_max = {np.min(sv[:, -1] / sv[:, 0]):.3e}")
     return np.linalg.inv(M)
 
 
 def nodal_basis(elem: ElementDef, geom):
     """Nodal basis polynomials (scalar: BaryPoly, vector: (px, py))."""
-    Minv = nodal_coefficients(elem, geom)
-    out = []
-    for j in range(elem.dim):
-        if elem.vector:
-            px, py = BaryPoly(), BaryPoly()
-            for k, s in enumerate(elem.shapes):
-                c = float(Minv[k, j])
-                if c == 0.0:
-                    continue
-                px = px + c * s.component(0, geom)
-                py = py + c * s.component(1, geom)
-            out.append((px, py))
-        else:
-            p = BaryPoly()
-            for k, s in enumerate(elem.shapes):
-                c = float(Minv[k, j])
-                if c != 0.0:
-                    p = p + c * s.p.as_float()
-            out.append(p)
-    return out
+    Minv = nodal_coefficients(elem, [geom.grad_lambda])[0]
+    return [_combination(elem, Minv[:, j], geom) for j in range(elem.dim)]
 
 
 def exact_det(M) -> Fraction:
@@ -595,8 +581,15 @@ class UnisolvenceReport:
         return self.failures == 0
 
 
-def random_shape_regular_triangle(rng, min_angle_deg: float = 20.0):
-    """Random CCW triangle with all angles >= min_angle_deg."""
+#: trial triangles have all angles >= MIN_ANGLE_DEG
+MIN_ANGLE_DEG = 20.0
+
+#: a trial with sigma_min/sigma_max < UNISOLVENCE_SIGMA_TOL is a failure
+UNISOLVENCE_SIGMA_TOL = 1e-12
+
+
+def random_shape_regular_triangle(rng):
+    """Random CCW triangle with all angles >= MIN_ANGLE_DEG."""
     while True:
         verts = rng.uniform(-1.0, 1.0, size=(3, 2))
         u, v, w = verts[1] - verts[0], verts[2] - verts[1], verts[0] - verts[2]
@@ -607,36 +600,34 @@ def random_shape_regular_triangle(rng, min_angle_deg: float = 20.0):
         for a, b in ((u, -w), (v, -u), (w, -v)):
             ca = (a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
             angles.append(np.degrees(np.arccos(np.clip(ca, -1, 1))))
-        if min(angles) >= min_angle_deg:
+        if min(angles) >= MIN_ANGLE_DEG:
             return verts
 
 
-def unisolvence_check(elem: ElementDef, trials: int = 100, seed: int = 1234,
-                      min_angle_deg: float = 20.0,
-                      sigma_tol: float = 1e-12) -> UnisolvenceReport:
+def random_grad_lambdas(trials: int, seed: int) -> np.ndarray:
+    """(trials, 3, 2) grad_lambda stack of seeded shape-regular triangles."""
     rng = np.random.default_rng(seed)
-    min_det = np.inf
-    min_ratio = np.inf
-    max_cond = 0.0
-    failures = 0
+    return np.reshape([cell_geometry(random_shape_regular_triangle(rng))
+                       .grad_lambda for _ in range(trials)], (trials, 3, 2))
+
+
+def unisolvence_check(elem: ElementDef, trials: int = 100,
+                      seed: int = 1234) -> UnisolvenceReport:
+    gl = random_grad_lambdas(trials, seed)
+    M = dof_matrices(elem, gl)
+    det = np.linalg.det(M)
+    sv = np.linalg.svd(M, compute_uv=False)
+    ratio = sv[:, -1] / sv[:, 0]
+    cond = np.full(trials, np.inf)
+    np.divide(sv[:, 0], sv[:, -1], out=cond, where=sv[:, -1] > 0)
     det_err = None
-    for _ in range(trials):
-        verts = random_shape_regular_triangle(rng, min_angle_deg)
-        geom = cell_geometry(verts)
-        M = dof_matrix(elem, geom)
-        det = np.linalg.det(M)
-        sv = np.linalg.svd(M, compute_uv=False)
-        ratio = sv[-1] / sv[0]
-        min_det = min(min_det, abs(det))
-        min_ratio = min(min_ratio, ratio)
-        max_cond = max(max_cond, sv[0] / sv[-1] if sv[-1] > 0 else np.inf)
-        if ratio < sigma_tol:
-            failures += 1
-        if elem.name == "veq":
-            want = float(VEQ_DET_CONSTANT) * \
-                float(grad_curl_pairing(geom.grad_lambda))
-            rel = abs(det - want) / abs(want)
-            det_err = rel if det_err is None else max(det_err, rel)
-    return UnisolvenceReport(elem.name, trials, float(min_det),
-                             float(min_ratio), float(max_cond), failures,
+    if elem.name == "veq" and trials:
+        want = float(VEQ_DET_CONSTANT) * \
+            grad_curl_pairing(gl.transpose(1, 2, 0))
+        det_err = float(np.max(np.abs(det - want) / np.abs(want)))
+    return UnisolvenceReport(elem.name, trials,
+                             float(np.min(np.abs(det), initial=np.inf)),
+                             float(np.min(ratio, initial=np.inf)),
+                             float(np.max(cond, initial=0.0)),
+                             int(np.sum(ratio < UNISOLVENCE_SIGMA_TOL)),
                              det_err)

@@ -39,8 +39,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import (REFERENCE_EXACT, element_catalog, nodal_coefficients,
-                       nodal_coefficients_stack)
+from .elements import REFERENCE_EXACT, element_catalog, nodal_coefficients
 from .mesh import Mesh
 from .polynomials import (EDGE_LEGENDRE, BaryPoly, poly1d_eval, poly_gradient,
                           poly_hessian)
@@ -187,11 +186,6 @@ def _operator(mesh: Mesh, nloc: int, ndof: int, terms) -> sp.csr_matrix:
                          shape=(nc * nloc, ndof))
 
 
-def _gram(mesh: Mesh) -> np.ndarray:
-    gl = mesh.geometry_arrays()[0]
-    return np.einsum("cid,cjd->cij", gl, gl)
-
-
 # ---------------------------------------------------------------------------
 # DOF layouts: one table, one builder
 # ---------------------------------------------------------------------------
@@ -308,7 +302,8 @@ def build_space(mesh: Mesh, kind: str) -> Space:
 def _shared_transform(name: str) -> np.ndarray:
     """The nodal transform of an element whose DOFs are point values and
     moments only: the same on every cell, so computed once per process."""
-    A = nodal_coefficients(element_catalog(name), REFERENCE_EXACT).T
+    A = nodal_coefficients(element_catalog(name),
+                           [REFERENCE_EXACT.grad_lambda])[0].T
     A.setflags(write=False)
     return A
 
@@ -347,7 +342,8 @@ def _build_layout(mesh: Mesh, kind: str, element: str, ncomp: int,
                               tables[etype][ent, first + slot],
                               np.where(orient, fw, rw)))
     if ("normal",) in lay.slots["edge"]:
-        A = nodal_coefficients_stack(elem, _gram(mesh)).transpose(0, 2, 1)
+        A = nodal_coefficients(elem, mesh.geometry_arrays()[0]
+                               ).transpose(0, 2, 1)
     else:
         A = _shared_transform(element)
     if bubble:
@@ -414,7 +410,7 @@ def _form_tensor(form: str, trial: Space, test: Space, degree: int):
         return R.reshape(na, 2 * nb, 6), area[:, None] * gl.reshape(nc, 6)
     if trial.vector != test.vector:
         raise ValueError(f"{form} needs trial and test of the same kind")
-    gram = _gram(trial.mesh)
+    gram = np.einsum("cid,cjd->cij", gl, gl)
     if form == "mass":
         R = np.einsum("aq,q,bq->ab", vt, w, vr)[..., None]
         G = area[:, None]

@@ -29,8 +29,9 @@ import pytest
 from biharmfem.elements import (REFERENCE_EXACT, VEQ_DET_CONSTANT,
                                 VEQ_DET_CONSTANT_CLAIMED, VERIFIED_ELEMENTS,
                                 DofFunctional, ShapeFunction,
-                                dof_matrix, edge_weight_poly, element_catalog,
-                                eval_dof, exact_det, grad_curl_pairing,
+                                dof_matrices, dof_matrix, edge_weight_poly,
+                                element_catalog, eval_dof, exact_det,
+                                grad_curl_pairing, random_grad_lambdas,
                                 unisolvence_check, _phi4, _s_poly, L, LAM)
 from biharmfem.mesh import generate_structured
 from biharmfem.polynomials import poly_gradient
@@ -209,16 +210,12 @@ def test_criterion2b_veq_determinant_closed_form():
     rep = unisolvence_check(element_catalog("veq"), trials=100, seed=1234)
     ok = rep.det_formula_max_rel_err < 1e-10
     # the quoted constant's error, recorded in the printed detail only
-    rng = np.random.default_rng(1234)
-    from biharmfem.elements import random_shape_regular_triangle
-    from biharmfem.mesh import cell_geometry
-    claimed_err = 0.0
-    for _ in range(100):
-        geom = cell_geometry(random_shape_regular_triangle(rng))
-        det = np.linalg.det(dof_matrix(element_catalog("veq"), geom))
-        want = float(VEQ_DET_CONSTANT_CLAIMED) * \
-            float(grad_curl_pairing(geom.grad_lambda))
-        claimed_err = max(claimed_err, abs(det - want) / abs(want))
+    # the same 100 triangles, one batched determinant call
+    gl = random_grad_lambdas(100, 1234)
+    det = np.linalg.det(dof_matrices(element_catalog("veq"), gl))
+    want = float(VEQ_DET_CONSTANT_CLAIMED) * \
+        grad_curl_pairing(gl.transpose(1, 2, 0))
+    claimed_err = float(np.max(np.abs(det - want) / np.abs(want)))
     report("2b (veq determinant matches the closed form)", ok,
            "27/501530650214400 max rel err "
            f"{rep.det_formula_max_rel_err:.3e} "

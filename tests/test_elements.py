@@ -12,9 +12,10 @@ import pytest
 
 from biharmfem.elements import (ELEMENT_DIMS, VEQ_DET_CONSTANT,
                                 VEQ_DET_CONSTANT_CLAIMED, REFERENCE_EXACT,
-                                DofFunctional, ExactGeometry, dof_matrix,
-                                edge_weight_poly, element_catalog, eval_dof,
-                                exact_det, grad_curl_pairing, nodal_basis,
+                                DofFunctional, ExactGeometry, dof_matrices,
+                                dof_matrix, edge_weight_poly, element_catalog,
+                                eval_dof, exact_det, grad_curl_pairing,
+                                nodal_basis, random_shape_regular_triangle,
                                 resolved_dofs, unisolvence_check,
                                 VERIFIED_ELEMENTS, ShapeFunction, _s_poly,
                                 _phi4, L, LAM)
@@ -370,16 +371,43 @@ def test_veq_contains_full_gradient_bubble_span():
 # -- FE_vec: numerically verified only ----------------------------------------
 
 def test_vec_interior_dofs_annihilated():
-    geom = cell_geometry(np.array([[0.0, 0.0], [1.4, 0.1], [0.2, 1.0]]))
+    rng = np.random.default_rng(5)
     elem = element_catalog("vec")
-    dofs = resolved_dofs(elem, geom)
-    assert len(dofs) == 23
-    interior = [d for d in dofs if d.kind == "cell_vec"]
-    assert len(interior) == 3
-    # the interior weights lie in the shape space and vanish under the 20
-    # moment dofs by construction; check the delta structure numerically
-    M = dof_matrix(elem, geom)
-    assert np.linalg.cond(M) < 1e8
+    for _ in range(3):
+        geom = cell_geometry(random_shape_regular_triangle(rng))
+        dofs = resolved_dofs(elem, geom)
+        assert len(dofs) == 23
+        moments, interior = dofs[:20], dofs[20:]
+        assert all(d.kind == "cell_vec" for d in interior)
+        weights = [d.vec_weight for d in interior]
+        # each interior weight lies in the kernel of the 20 moment dofs ...
+        for wx, wy in weights:
+            field = ShapeFunction(kind="vector", px=wx, py=wy)
+            for d in moments:
+                assert abs(eval_dof(d, field, geom)) <= 1e-12
+        # ... and the three weights are L2-orthonormal on the cell
+        for i, (ax, ay) in enumerate(weights):
+            for j, (bx, by) in enumerate(weights):
+                inner = (ax * bx).cell_average() + (ay * by).cell_average()
+                assert float(inner) == pytest.approx(float(i == j), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_DIMS))
+def test_batched_dof_matrices_match_eval_dof(name):
+    # the reference-tensor matrices against per-entry float eval_dof; vec's
+    # three interior rows are checked by the test above
+    elem = element_catalog(name)
+    rng = np.random.default_rng(17)
+    geoms = [cell_geometry(random_shape_regular_triangle(rng))
+             for _ in range(3)]
+    batched = dof_matrices(elem, [g.grad_lambda for g in geoms])
+    assert batched.shape == (3, elem.dim, elem.dim)
+    rows = [d for d in elem.dofs if d.kind != "cell_vec"]
+    for c, geom in enumerate(geoms):
+        want = np.array([[eval_dof(d, s, geom) for s in elem.shapes]
+                         for d in rows])
+        err = np.abs(batched[c, :len(rows)] - want).max()
+        assert err <= 1e-12 * np.abs(want).max(), (name, c, err)
 
 
 # -- Morley on the reference triangle -----------------------------------------
@@ -408,7 +436,6 @@ def test_unisolvence_100_random_triangles(name):
 @pytest.mark.parametrize("name", sorted(ELEMENT_DIMS))
 def test_nodal_duality_random_triangle(name):
     rng = np.random.default_rng(99)
-    from biharmfem.elements import random_shape_regular_triangle
     geom = cell_geometry(random_shape_regular_triangle(rng))
     elem = element_catalog(name)
     dofs = resolved_dofs(elem, geom)
