@@ -24,6 +24,10 @@ from .spaces import (FieldFunction, _derivative, _quadrature_points,
                      error_norms, reference_tables)
 from .stokes_complex import CUBIC_SHAPES, B3Basis
 
+#: quadrature degrees of the load vectors, of galerkin_residual and of the
+#: error norms in convergence_study
+LOAD_DEGREE, RESIDUAL_QUAD_DEGREE, STUDY_QUAD_DEGREE = 12, 12, 17
+
 
 # ---------------------------------------------------------------------------
 # manufactured problems
@@ -125,8 +129,7 @@ def _constant(pres, Mp):
     return one, Mp @ one
 
 
-def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float,
-                      load_degree: int) -> SolveResult:
+def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float) -> SolveResult:
     pot_kind, vel_kind, pres_kind = {
         "cubic": ("A3_0", "G2_0", "DG1"),
         "quartic": ("A4_0", "G3_0", "DG2"),
@@ -135,7 +138,7 @@ def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float,
     vel = build_space(mesh, vel_kind)
     pres = build_space(mesh, pres_kind)
     A1 = assemble_bilinear(pot, pot, "grad_grad")
-    b1 = assemble_load(pot, f, quad_degree=load_degree)
+    b1 = assemble_load(pot, f, quad_degree=LOAD_DEGREE)
     solve_a1 = spd_solver(A1, tol)
     r = solve_a1(b1)
     A2 = assemble_bilinear(vel, vel, "grad_grad")
@@ -175,21 +178,18 @@ def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float,
                        FieldFunction(pres, p), FieldFunction(pot, u), diag)
 
 
-def solve_cubic(mesh: Mesh, f, tol: float = 1e-10,
-                load_degree: int = 12) -> SolveResult:
-    return _decomposed_solve(mesh, f, "cubic", tol, load_degree)
+def solve_cubic(mesh: Mesh, f, tol: float = 1e-10) -> SolveResult:
+    return _decomposed_solve(mesh, f, "cubic", tol)
 
 
-def solve_quartic(mesh: Mesh, f, tol: float = 1e-10,
-                  load_degree: int = 12) -> SolveResult:
-    return _decomposed_solve(mesh, f, "quartic", tol, load_degree)
+def solve_quartic(mesh: Mesh, f, tol: float = 1e-10) -> SolveResult:
+    return _decomposed_solve(mesh, f, "quartic", tol)
 
 
-def solve_morley(mesh: Mesh, f, tol: float = 1e-10,
-                 load_degree: int = 12) -> FieldFunction:
+def solve_morley(mesh: Mesh, f, tol: float = 1e-10) -> FieldFunction:
     space = build_space(mesh, "Morley_0")
     A = assemble_bilinear(space, space, "hess_hess")
-    b = assemble_load(space, f, quad_degree=load_degree)
+    b = assemble_load(space, f, quad_degree=LOAD_DEGREE)
     u = spd_solver(A, tol)(b)
     return FieldFunction(space, u)
 
@@ -198,8 +198,7 @@ def solve_morley(mesh: Mesh, f, tol: float = 1e-10,
 # Galerkin residual against the locally supported basis
 # ---------------------------------------------------------------------------
 
-def galerkin_residual(result: SolveResult, f, basis: B3Basis,
-                      quad_degree: int = 12) -> float:
+def galerkin_residual(result: SolveResult, f, basis: B3Basis) -> float:
     """max_w |(hess u_h, hess w) - (f, w)| / (||hess w|| max(1, ||f||)).
 
     Both forms are linear in the cubic coefficients of w, so each is one
@@ -208,16 +207,16 @@ def galerkin_residual(result: SolveResult, f, basis: B3Basis,
     mesh = result.u_h.space.mesh
     if basis.mesh is not mesh:
         raise ValueError("basis built on a different mesh")
-    w = tri_rule(quad_degree).weights
+    w = tri_rule(RESIDUAL_QUAD_DEGREE).weights
     gl, area, _ = mesh.geometry_arrays()
-    x, y = _quadrature_points(mesh, quad_degree)
+    x, y = _quadrature_points(mesh, RESIDUAL_QUAD_DEGREE)
     fv = np.broadcast_to(np.asarray(f(x, y), dtype=float),
                          x.shape).reshape(len(area), -1)
     fnorm = math.sqrt(float(area @ (fv**2 @ w)))
     u_h = result.u_h
     S = u_h.space.shape_coefficients(u_h.coeffs)
-    d2u = reference_tables(u_h.space.shapes, quad_degree)[2]
-    val, _, d2 = reference_tables(CUBIC_SHAPES, quad_degree)
+    d2u = reference_tables(u_h.space.shapes, RESIDUAL_QUAD_DEGREE)[2]
+    val, _, d2 = reference_tables(CUBIC_SHAPES, RESIDUAL_QUAD_DEGREE)
     # Hessian entries xx, xy, yy; the Frobenius product counts xy twice
     dirs = ((0, 0), (0, 1), (1, 1))
     hu = np.stack([_derivative(S, gl, d2u, d) for d in dirs])
@@ -290,8 +289,7 @@ def solve_scheme(mesh: Mesh, scheme: str, f,
 
 
 def convergence_study(problem: ManufacturedProblem, scheme: str,
-                      n_list, tol: float = 1e-10,
-                      quad_degree: int = 17) -> RateTable:
+                      n_list, tol: float = 1e-10) -> RateTable:
     n_list = list(n_list)
     for a, b in zip(n_list, n_list[1:]):
         if b != 2 * a:
@@ -302,7 +300,7 @@ def convergence_study(problem: ManufacturedProblem, scheme: str,
         mesh = generate_structured(n)
         u_h = solve_scheme(mesh, scheme, problem.f, tol=tol)
         e0, e1, e2 = error_norms(u_h, problem.u, problem.grad_u,
-                                 problem.hess_u, quad_degree=quad_degree)
+                                 problem.hess_u, quad_degree=STUDY_QUAD_DEGREE)
         rates = (None, None, None)
         if prev is not None:
             rates = tuple(

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 
 class MeshError(Exception):
@@ -23,65 +25,65 @@ class MeshError(Exception):
 
 
 class Mesh:
-    """Immutable triangulation with derived edge incidence data."""
+    """Immutable triangulation with derived edge incidence and cell geometry.
+
+    Rejects vertex indices out of range, vertices in no cell, degenerate or
+    clockwise cells, and edges shared by more than two cells.
+    """
 
     def __init__(self, vertices, cells):
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.cells = np.ascontiguousarray(cells, dtype=np.int64)
+        # copies, so that freezing them leaves the caller's arrays writable
+        self.vertices = np.array(vertices, dtype=float, order="C")
+        self.cells = np.array(cells, dtype=np.int64, order="C")
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be (nv, 2)")
         if self.cells.ndim != 2 or self.cells.shape[1] != 3:
             raise MeshError("cells must be (nc, 3)")
-        self._check_orientation()
+        nv = self.n_vertices
+        out = ((self.cells < 0) | (self.cells >= nv)).any(axis=1)
+        if out.any():
+            bad = int(np.argmax(out))
+            raise MeshError(f"cell {bad} {self.cells[bad].tolist()} has a "
+                            f"vertex index outside [0, {nv})")
+        unused = np.flatnonzero(np.bincount(self.cells.ravel(),
+                                            minlength=nv) == 0)
+        if unused.size:
+            raise MeshError(f"vertex {unused[0]} belongs to no cell")
+        verts = self.vertices[self.cells]
+        self._geom_arrays = _geometry(verts) + (verts,)
         self._build_edges()
-        self._geom_cache: dict[int, CellGeometry] = {}
-        self._geom_arrays = None
         for arr in (self.vertices, self.cells, self.edges, self.cell_edges,
-                    self.cell_edge_signs, self.edge_cells):
+                    self.cell_edge_signs, self.edge_cells,
+                    self.edge_is_boundary, self.vertex_is_boundary,
+                    *self._geom_arrays):
             arr.setflags(write=False)
 
-    def _check_orientation(self):
-        v = self.vertices
-        a, b, c = (v[self.cells[:, k]] for k in range(3))
-        cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - \
-                (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-        scale = max(1.0, float(np.abs(v).max()) ** 2)
-        if np.any(cross <= 1e-14 * scale):
-            bad = int(np.argmin(cross))
-            raise MeshError(f"cell {bad} is degenerate or clockwise "
-                            f"(signed area {cross[bad] / 2:.3e})")
-
     def _build_edges(self):
-        nc = self.n_cells
-        pairs = {}
-        for c in range(nc):
-            for i in range(3):
-                a = int(self.cells[c, (i + 1) % 3])
-                b = int(self.cells[c, (i + 2) % 3])
-                key = (a, b) if a < b else (b, a)
-                pairs.setdefault(key, []).append((c, i))
-        edges = sorted(pairs)
-        eindex = {e: k for k, e in enumerate(edges)}
-        self.edges = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
-        self.cell_edges = np.zeros((nc, 3), dtype=np.int64)
-        self.cell_edge_signs = np.zeros((nc, 3), dtype=np.int64)
-        self.edge_cells = np.full((len(edges), 2), -1, dtype=np.int64)
-        for key, incid in pairs.items():
-            if len(incid) > 2:
-                raise MeshError(f"edge {key} shared by {len(incid)} cells")
-            k = eindex[key]
-            for c, i in sorted(incid):
-                self.cell_edges[c, i] = k
-                a = int(self.cells[c, (i + 1) % 3])
-                self.cell_edge_signs[c, i] = 1 if a == key[0] else -1
-                if self.edge_cells[k, 0] == -1:
-                    self.edge_cells[k, 0] = c
-                else:
-                    self.edge_cells[k, 1] = c
-        self.edge_is_boundary = self.edge_cells[:, 1] == -1
-        self.vertex_is_boundary = np.zeros(self.n_vertices, dtype=bool)
-        for k in np.flatnonzero(self.edge_is_boundary):
-            self.vertex_is_boundary[self.edges[k]] = True
+        # local edge i runs from vertex i+1 to vertex i+2; key lo * nv + hi
+        # sorts the global edges lexicographically
+        nv = self.n_vertices
+        a, b = self.cells[:, [1, 2, 0]], self.cells[:, [2, 0, 1]]
+        lo = np.minimum(a, b)
+        keys, inverse, counts = np.unique(
+            (lo * nv + np.maximum(a, b)).ravel(), return_inverse=True,
+            return_counts=True)
+        if counts.max(initial=0) > 2:
+            k = inverse[np.argmax(counts[inverse] > 2)]
+            raise MeshError(f"edge {divmod(int(keys[k]), nv)} shared by "
+                            f"{counts[k]} cells")
+        self.edges = np.stack(np.divmod(keys, nv), axis=1)
+        self.cell_edges = inverse.reshape(self.cells.shape)
+        self.cell_edge_signs = np.where(a == lo, 1, -1)
+        # occurrences c * 3 + i grouped by edge, lower cell first
+        cell_of = np.argsort(inverse, kind="stable") // 3
+        first = np.cumsum(counts) - counts
+        self.edge_cells = np.full((keys.size, 2), -1, dtype=np.int64)
+        self.edge_cells[:, 0] = cell_of[first]
+        shared = counts == 2
+        self.edge_cells[shared, 1] = cell_of[first[shared] + 1]
+        self.edge_is_boundary = counts == 1
+        self.vertex_is_boundary = np.zeros(nv, dtype=bool)
+        self.vertex_is_boundary[self.edges[self.edge_is_boundary]] = True
 
     @property
     def n_vertices(self) -> int:
@@ -113,43 +115,12 @@ class Mesh:
         return self.n_cells - self.n_edges + self.n_vertices
 
     def geometry(self, c: int) -> "CellGeometry":
-        geom = self._geom_cache.get(c)
-        if geom is None:
-            geom = cell_geometry(self, c)
-            self._geom_cache[c] = geom
-        return geom
+        return cell_geometry(self.vertices[self.cells[c]])
 
     def geometry_arrays(self):
-        """(grad_lambda (nc, 3, 2), area (nc,), verts (nc, 3, 2)) of all cells.
-
-        Computed once, with the floating-point operations of cell_geometry.
-        """
-        if self._geom_arrays is None:
-            verts = self.vertices[self.cells]
-            e1 = verts[:, 1] - verts[:, 0]
-            e2 = verts[:, 2] - verts[:, 0]
-            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-            opp = verts[:, [2, 0, 1]] - verts[:, [1, 2, 0]]
-            gl = np.stack([-opp[..., 1], opp[..., 0]], axis=-1) \
-                / det[:, None, None]
-            self._geom_arrays = (gl, det / 2.0, verts)
-            for arr in self._geom_arrays:
-                arr.setflags(write=False)
+        """(grad_lambda (nc, 3, 2), area (nc,), verts (nc, 3, 2)) of all cells,
+        read-only; the same floating-point values as cell_geometry."""
         return self._geom_arrays
-
-    def vertex_cells(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for c in range(self.n_cells):
-            for a in self.cells[c]:
-                out[int(a)].append(c)
-        return out
-
-    def vertex_edges(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for k in range(self.n_edges):
-            out[int(self.edges[k, 0])].append(k)
-            out[int(self.edges[k, 1])].append(k)
-        return out
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -162,22 +133,22 @@ class Mesh:
 
 
 def format_mesh(mesh: Mesh) -> str:
-    lines = [f"{mesh.n_vertices} {mesh.n_cells}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{float(x)!r} {float(y)!r}")
-    for a, b, c in mesh.cells:
-        lines.append(f"{int(a)} {int(b)} {int(c)}")
-    return "\n".join(lines) + "\n"
+    # a list's repr spells each float as repr(float): exact and shortest
+    rows = repr(mesh.vertices.tolist() + mesh.cells.tolist())
+    body = rows[2:-2].replace("], [", "\n").replace(", ", " ")
+    return f"{mesh.n_vertices} {mesh.n_cells}\n{body}\n"
 
 
 def parse_mesh(text: str) -> Mesh:
-    rows = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
-    nv, nc = int(rows[0][0]), int(rows[0][1])
-    if len(rows) != 1 + nv + nc:
+    lines = np.array(text.splitlines())
+    lines = lines[np.char.strip(lines) != ""]
+    nv, nc = (int(t) for t in lines[0].split()[:2])
+    if len(lines) != 1 + nv + nc:
         raise MeshError("mesh file has wrong number of lines")
-    verts = [[float(r[0]), float(r[1])] for r in rows[1:1 + nv]]
-    cells = [[int(r[0]), int(r[1]), int(r[2])] for r in rows[1 + nv:]]
-    return Mesh(np.array(verts), np.array(cells))
+    verts = np.loadtxt(lines[1:1 + nv], usecols=(0, 1), ndmin=2)
+    cells = np.loadtxt(lines[1 + nv:], usecols=(0, 1, 2), dtype=np.int64,
+                       ndmin=2)
+    return Mesh(verts, cells)
 
 
 @dataclass(frozen=True)
@@ -199,29 +170,34 @@ class CellGeometry:
             round(float(g), 13) for g in self.grad_lambda.ravel())
 
 
-def cell_geometry(mesh_or_verts, cell: int | None = None) -> CellGeometry:
-    """Geometry of one cell, or of an explicit vertex triple."""
-    if cell is None:
-        verts = np.asarray(mesh_or_verts, dtype=float)
-    else:
-        verts = mesh_or_verts.vertices[mesh_or_verts.cells[cell]]
-    e1 = verts[1] - verts[0]
-    e2 = verts[2] - verts[0]
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    scale = max(1.0, float(np.abs(verts).max()) ** 2)
-    if det <= 1e-14 * scale:
-        raise MeshError(f"degenerate cell with signed area {det / 2:.3e}")
-    gl = np.empty((3, 2))
-    tangents = np.empty((3, 2))
-    lengths = np.empty(3)
-    for i in range(3):
-        opp = verts[(i + 2) % 3] - verts[(i + 1) % 3]
-        gl[i] = np.array([-opp[1], opp[0]]) / det
-        lengths[i] = np.hypot(opp[0], opp[1])
-        tangents[i] = opp / lengths[i]
+def _geometry(verts: np.ndarray):
+    """(grad_lambda (nc, 3, 2), area (nc,)) of the triangles verts (nc, 3, 2).
+
+    Raises MeshError if a cell is degenerate or clockwise, before dividing.
+    """
+    e1 = verts[:, 1] - verts[:, 0]
+    e2 = verts[:, 2] - verts[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    scale = max(1.0, float(np.abs(verts).max(initial=0.0)) ** 2)
+    if np.any(det <= 1e-14 * scale):
+        bad = int(np.argmin(det))
+        raise MeshError(f"cell {bad} is degenerate or clockwise "
+                        f"(signed area {det[bad] / 2:.3e})")
+    opp = verts[:, [2, 0, 1]] - verts[:, [1, 2, 0]]
+    gl = np.stack([-opp[..., 1], opp[..., 0]], axis=-1) / det[:, None, None]
+    return gl, det / 2.0
+
+
+def cell_geometry(verts) -> CellGeometry:
+    """Geometry of the triangle with vertex array verts (3, 2)."""
+    verts = np.asarray(verts, dtype=float)
+    (gl,), (area,) = _geometry(verts[None])
+    opp = verts[[2, 0, 1]] - verts[[1, 2, 0]]
+    lengths = np.hypot(opp[:, 0], opp[:, 1])
+    tangents = opp / lengths[:, None]
     normals = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
     return CellGeometry(
-        verts=verts, area=det / 2.0, grad_lambda=gl, gram=gl @ gl.T,
+        verts=verts, area=area, grad_lambda=gl, gram=gl @ gl.T,
         grad_norms=np.linalg.norm(gl, axis=1), edge_lengths=lengths,
         tangents=tangents, normals=normals)
 
@@ -239,31 +215,24 @@ class EntityClassification:
 
 
 def classify(mesh: Mesh) -> EntityClassification:
-    """Peel interior vertices level by level from the boundary."""
-    neighbors: list[list[int]] = [[] for _ in range(mesh.n_vertices)]
-    for k in mesh.interior_edges():
-        a, b = (int(x) for x in mesh.edges[k])
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    level: dict[int, int] = {}
-    current = {int(a) for a in np.flatnonzero(mesh.vertex_is_boundary)}
-    remaining = {int(a) for a in mesh.interior_vertices()}
-    k = 0
-    while remaining:
-        k += 1
-        nxt = {a for a in remaining if any(b in current for b in neighbors[a])}
-        if not nxt:
-            raise MeshError("interior vertices not connected to the boundary")
-        for a in nxt:
-            level[a] = k
-        remaining -= nxt
-        current = nxt
+    """Level of each interior vertex: its distance, in interior edges, from
+    the boundary vertices."""
+    inner = mesh.interior_vertices()
+    a, b = mesh.edges[mesh.interior_edges()].T
+    graph = sp.csr_matrix((np.ones(a.size), (a, b)),
+                          shape=(mesh.n_vertices,) * 2)
+    dist = dijkstra(graph, directed=False, unweighted=True, min_only=True,
+                    indices=np.flatnonzero(mesh.vertex_is_boundary))[inner]
+    if not np.isfinite(dist).all():
+        raise MeshError("interior vertices not connected to the boundary")
+    levels = dist.astype(np.int64)
     return EntityClassification(
-        interior_vertices=mesh.interior_vertices(),
+        interior_vertices=inner,
         boundary_vertices=np.flatnonzero(mesh.vertex_is_boundary),
         interior_edges=mesh.interior_edges(),
         boundary_edges=np.flatnonzero(mesh.edge_is_boundary),
-        vertex_level=level, n_levels=k)
+        vertex_level=dict(zip(inner.tolist(), levels.tolist())),
+        n_levels=int(levels.max(initial=0)))
 
 
 def generate_structured(n: int) -> Mesh:
@@ -271,30 +240,24 @@ def generate_structured(n: int) -> Mesh:
     if n < 1:
         raise ValueError("n must be >= 1")
     xs = np.linspace(0.0, 1.0, n + 1)
-    verts = np.array([[x, y] for y in xs for x in xs])
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            v00 = j * (n + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            cells.append([v00, v10, v11])
-            cells.append([v00, v11, v01])
-    return Mesh(verts, np.array(cells))
+    x, y = np.meshgrid(xs, xs)
+    # square (i, j) in row-major order: cells (v00, v10, v11), (v00, v11, v01)
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01 = v00 + 1, v00 + n + 1
+    v11 = v01 + 1
+    cells = np.stack([v00, v10, v11, v00, v11, v01], axis=1)
+    return Mesh(np.column_stack([x.ravel(), y.ravel()]), cells.reshape(-1, 3))
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
-    """Red refinement: each triangle split into 4 congruent children."""
-    nv = mesh.n_vertices
-    mid = (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]]) / 2.0
-    verts = np.vstack([mesh.vertices, mid])
-    cells = []
-    for c in range(mesh.n_cells):
-        a = [int(v) for v in mesh.cells[c]]
-        m = [nv + int(mesh.cell_edges[c, i]) for i in range(3)]
-        cells.append([a[0], m[2], m[1]])
-        cells.append([a[1], m[0], m[2]])
-        cells.append([a[2], m[1], m[0]])
-        cells.append([m[0], m[1], m[2]])
-    return Mesh(verts, np.array(cells))
+    """Red refinement: each triangle split into 4 congruent children.
+
+    Child k < 3 is (a_k, m_{k+2}, m_{k+1}) with m_i the midpoint of edge i;
+    child 3 is (m_0, m_1, m_2).
+    """
+    v = mesh.vertices
+    verts = np.vstack([v, (v[mesh.edges[:, 0]] + v[mesh.edges[:, 1]]) / 2.0])
+    m = mesh.n_vertices + mesh.cell_edges
+    corners = np.stack([mesh.cells, m[:, [2, 0, 1]], m[:, [1, 2, 0]]], axis=2)
+    cells = np.concatenate([corners, m[:, None]], axis=1)
+    return Mesh(verts, cells.reshape(-1, 3))

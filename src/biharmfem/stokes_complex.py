@@ -51,6 +51,12 @@ class ComplexError(RuntimeError):
 GRADIENT_SHAPES, CUBIC_SHAPES = "ref2", "ref3"
 #: columns per cell of a gradient (two P2 components) and of a cubic
 NGRAD, NCUBIC = 12, 10
+#: relative tolerances of the exactness checks: a nonzero mean of a cell's
+#: rot, a pointwise rot, a constant mismatch across an edge or boundary
+#: vertex, and the size below which a per-cell cubic is dropped
+MEAN_TOL, ROT_TOL, CONSISTENCY_TOL, SNAP_TOL = 1e-10, 1e-10, 1e-9, 1e-12
+#: quadrature degree of the edge moments in b3_membership_violation
+MEMBERSHIP_QUAD_DEGREE = 10
 
 
 def _ref_coeffs(p: BaryPoly, shapes: str) -> np.ndarray:
@@ -235,7 +241,7 @@ def embed_s2_in_g2(s2: Space, g2: Space, coeffs):
     return np.concatenate([coeffs, np.zeros((pad, *coeffs.shape[1:]))])
 
 
-def bubble_correct(g2: Space, coeffs, mean_tol: float = 1e-10):
+def bubble_correct(g2: Space, coeffs):
     """Add cell bubbles so the broken rot vanishes pointwise on each cell.
 
     coeffs holds G2 coefficient columns, dense or sparse; a vector is one
@@ -253,7 +259,7 @@ def bubble_correct(g2: Space, coeffs, mean_tol: float = 1e-10):
     f, cells, grad = _cell_blocks(C.T @ _gradient_operator(g2).T, NGRAD)
     rot = _rot_at_vertices(gl, cells, grad)
     mean = rot.mean(axis=1)
-    bad = np.flatnonzero(np.abs(mean) > mean_tol * scale[f])
+    bad = np.flatnonzero(np.abs(mean) > MEAN_TOL * scale[f])
     if bad.size:
         k = bad[0]
         raise ComplexError(f"cell {cells[k]}: rot has nonzero mean "
@@ -327,9 +333,7 @@ class CellwiseField:
                             (len(self), self.mesh.n_cells * NGRAD))
 
 
-def grad_inverse(mesh: Mesh, grad, rot_tol: float = 1e-10,
-                 consistency_tol: float = 1e-9,
-                 snap_tol: float = 1e-12) -> CellwiseField:
+def grad_inverse(mesh: Mesh, grad) -> CellwiseField:
     """Cell-wise antiderivatives of pointwise rot-free piecewise P2 fields.
 
     grad holds one field per row, (nfields, ncells * 12), dense or sparse,
@@ -350,7 +354,7 @@ def grad_inverse(mesh: Mesh, grad, rot_tol: float = 1e-10,
     scale = np.maximum(1.0, abs(G).max(axis=1).toarray().ravel())
     f, cells, g = _cell_blocks(G, NGRAD)
     rot = np.abs(_rot_at_vertices(gl, cells, g)).max(axis=1)
-    bad = np.flatnonzero(rot > rot_tol * scale[f])
+    bad = np.flatnonzero(rot > ROT_TOL * scale[f])
     if bad.size:
         raise ComplexError(f"cell {cells[bad[0]]}: field is not pointwise "
                            "rot-free")
@@ -388,7 +392,7 @@ def grad_inverse(mesh: Mesh, grad, rot_tol: float = 1e-10,
         a = ends[:, side]
         mismatch = np.maximum(mismatch, np.abs(values[corner_of(c0, a)]
                                                - values[corner_of(c1, a)]))
-    bad = np.argwhere(mismatch > consistency_tol * scale)
+    bad = np.argwhere(mismatch > CONSISTENCY_TOL * scale)
     if bad.size:
         k, j = bad[0]
         raise ComplexError(
@@ -397,22 +401,22 @@ def grad_inverse(mesh: Mesh, grad, rot_tol: float = 1e-10,
     on_boundary = np.flatnonzero(mesh.vertex_is_boundary[mesh.cells].ravel())
     shift = values[on_boundary[0]]
     worst = np.abs(values[on_boundary] - shift).max(axis=0)
-    bad = np.flatnonzero(worst > consistency_tol * scale)
+    bad = np.flatnonzero(worst > CONSISTENCY_TOL * scale)
     if bad.size:
         raise ComplexError(f"boundary vertex values spread "
                            f"{worst[bad[0]]:.2e}; input is not in the "
                            "discrete gradient space")
     # cubic = antiderivative + constant (shape 0); cells whose cubic is
-    # below snap_tol (the zero-gradient cells, up to round-off) are dropped
+    # below SNAP_TOL (the zero-gradient cells, up to round-off) are dropped
     offset = const - shift
     keys_in = f * nc + cells
-    extra = np.flatnonzero((np.abs(offset) > snap_tol * scale).T.ravel())
+    extra = np.flatnonzero((np.abs(offset) > SNAP_TOL * scale).T.ravel())
     keys = np.union1d(keys_in, extra)
     rows, cols = keys // nc, keys % nc
     vals = np.zeros((keys.size, NCUBIC))
     vals[np.searchsorted(keys, keys_in)] = W
     vals[:, 0] += offset[cols, rows]
-    keep = np.abs(vals).max(axis=1) > snap_tol * scale[rows]
+    keep = np.abs(vals).max(axis=1) > SNAP_TOL * scale[rows]
     coeffs = _from_blocks(rows[keep], cols[keep], vals[keep],
                           (nf, nc * NCUBIC))
     return CellwiseField(mesh, coeffs, frozenset(cols[keep].tolist()))
@@ -533,8 +537,7 @@ def _vertex_violation(mesh: Mesh, w: CellwiseField) -> float:
     return float(spread.max(initial=0.0))
 
 
-def b3_membership_violation(mesh: Mesh, w: CellwiseField,
-                            quad_degree: int = 10) -> float:
+def b3_membership_violation(mesh: Mesh, w: CellwiseField) -> float:
     """Worst violation of the piecewise-cubic space's continuity clauses,
     over all fields of w.
 
@@ -542,7 +545,7 @@ def b3_membership_violation(mesh: Mesh, w: CellwiseField,
     continuity across edges, and first-order normal-derivative moment
     continuity, including the homogeneous boundary clauses.
     """
-    return max(_edge_jump_violation(mesh, w, quad_degree),
+    return max(_edge_jump_violation(mesh, w, MEMBERSHIP_QUAD_DEGREE),
                _vertex_violation(mesh, w))
 
 

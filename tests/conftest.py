@@ -30,12 +30,10 @@ def jittered4():
     return Mesh(v, mesh.cells)
 
 
-@pytest.fixture(scope="session")
-def relabeled4():
-    """Criss n=4 mesh under a random vertex numbering, cell order and cyclic
+def _relabel(mesh, seed):
+    """mesh under a seeded random vertex numbering, cell order and cyclic
     rotation of each cell's vertices (which keeps every cell counter-clockwise)."""
-    mesh = generate_structured(4)
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(seed)
     new_of_old = rng.permutation(mesh.n_vertices)
     verts = np.empty_like(mesh.vertices)
     verts[new_of_old] = mesh.vertices
@@ -43,6 +41,18 @@ def relabeled4():
     shift = rng.integers(0, 3, size=mesh.n_cells)
     cols = (np.arange(3)[None, :] + shift[:, None]) % 3
     return Mesh(verts, np.take_along_axis(cells, cols, axis=1))
+
+
+@pytest.fixture(scope="session")
+def relabel():
+    """The seeded relabeling helper (see _relabel)."""
+    return _relabel
+
+
+@pytest.fixture(scope="session")
+def relabeled4():
+    """Criss n=4 mesh, relabeled with seed 11."""
+    return _relabel(generate_structured(4), 11)
 
 
 def _grad_array(mesh, cellvec):

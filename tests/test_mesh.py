@@ -139,3 +139,84 @@ def test_mesh_format_roundtrip():
     m2 = parse_mesh(text)
     assert format_mesh(m2) == text
     assert m2.n_cells == 8
+
+
+def test_mesh_rejects_vertex_index_out_of_range():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(MeshError, match=r"cell 1 \[1, -1, 2\] has a vertex "
+                                        r"index outside \[0, 3\)"):
+        Mesh(verts, [[0, 1, 2], [1, -1, 2]])
+    with pytest.raises(MeshError, match=r"cell 1 \[1, 3, 2\]"):
+        Mesh(verts, [[0, 1, 2], [1, 3, 2]])
+
+
+def test_mesh_rejects_vertex_in_no_cell():
+    # an unused vertex would count as interior and make every space singular
+    m = generate_structured(4)
+    with pytest.raises(MeshError, match="vertex 25 belongs to no cell"):
+        Mesh(np.vstack([m.vertices, [[0.5, 0.5]]]), m.cells)
+
+
+def test_mesh_rejects_edge_shared_by_three_cells():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                      [-1.0, -0.5]])
+    with pytest.raises(MeshError, match=r"edge \(1, 2\) shared by 3 cells"):
+        Mesh(verts, [[0, 1, 2], [1, 3, 2], [2, 4, 1]])
+
+
+def test_parse_mesh_rejects_wrong_line_count():
+    text = format_mesh(generate_structured(2))
+    with pytest.raises(MeshError, match="wrong number of lines"):
+        parse_mesh(text.rsplit("\n", 2)[0])
+
+
+def test_every_mesh_array_is_read_only():
+    base = generate_structured(3)
+    verts, cells = base.vertices.copy(), base.cells.copy()
+    m = Mesh(verts, cells)
+    arrays = [a for a in vars(m).values() if isinstance(a, np.ndarray)]
+    arrays += list(m.geometry_arrays())
+    assert len(arrays) == 11
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        m.vertex_is_boundary[0] = False
+    # the caller's own arrays stay writable and apart from the mesh
+    verts[5] += 0.01
+    cells[0] = 0
+    assert np.array_equal(m.vertices, base.vertices)
+    assert np.array_equal(m.cells, base.cells)
+
+
+@given(st.sampled_from(["criss", "relabeled", "refined", "refined relabeled"]),
+       st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=2**16))
+def test_incidence_properties(relabel, kind, n, seed):
+    m = generate_structured(n)
+    if kind.startswith("refined"):
+        m = refine_uniform(m)
+    if kind.endswith("relabeled"):
+        m = relabel(m, seed)
+    # each edge's cells contain both of its vertices
+    owners = m.edge_cells
+    present = owners >= 0
+    corners = m.cells[np.where(present, owners, 0)]          # (ne, 2, 3)
+    has = (corners[:, :, :, None] == m.edges[:, None, None, :]).any(axis=2)
+    assert has.all(axis=2)[present].all()
+    assert np.array_equal(present[:, 1], ~m.edge_is_boundary)
+    assert present[:, 0].all()
+    interior = m.interior_edges()
+    assert (owners[interior, 0] < owners[interior, 1]).all()
+    # every cell is an owner of its three edges
+    assert (owners[m.cell_edges] == np.arange(m.n_cells)[:, None, None]) \
+        .any(axis=2).all()
+    # signs: +1 where the local direction a_{i+1} -> a_{i+2} is lower -> higher
+    assert (m.edges[:, 0] < m.edges[:, 1]).all()
+    start, end = m.cells[:, [1, 2, 0]], m.cells[:, [2, 0, 1]]
+    forward = m.cell_edge_signs == 1
+    assert np.isin(m.cell_edge_signs, (-1, 1)).all()
+    ends = m.edges[m.cell_edges]
+    assert np.array_equal(np.where(forward, start, end), ends[..., 0])
+    assert np.array_equal(np.where(forward, end, start), ends[..., 1])
+    assert np.array_equal(forward, start < end)
+    # Euler's formula for the (simply connected) square
+    assert m.n_vertices - m.n_edges + m.n_cells == 1
