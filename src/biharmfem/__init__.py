@@ -4,9 +4,8 @@ from .mesh import (Mesh, MeshError, CellGeometry, EntityClassification,
                    generate_structured, refine_uniform, classify, cell_geometry)
 from .quadrature import TriQuadRule, EdgeQuadRule, tri_rule, edge_rule
 from .polynomials import BaryPoly, barycentric_moment
-from .linalg import (SolverError, SaddleSystem, cg_solve, saddle_solve,
-                     infsup_constant, kernel_dimension, matrix_rank,
-                     dump_matrix_market)
+from .linalg import (SolverError, saddle_solve, infsup_constant,
+                     kernel_dimension, matrix_rank)
 from .elements import (ElementDef, DofFunctional, ShapeFunction,
                        element_catalog, eval_dof, dof_matrix, nodal_basis,
                        unisolvence_check)
@@ -27,8 +26,8 @@ __all__ = [
     "generate_structured", "refine_uniform", "classify", "cell_geometry",
     "TriQuadRule", "EdgeQuadRule", "tri_rule", "edge_rule",
     "BaryPoly", "barycentric_moment",
-    "SolverError", "SaddleSystem", "cg_solve", "saddle_solve",
-    "infsup_constant", "kernel_dimension", "matrix_rank", "dump_matrix_market",
+    "SolverError", "saddle_solve", "infsup_constant", "kernel_dimension",
+    "matrix_rank",
     "ElementDef", "DofFunctional", "ShapeFunction", "element_catalog",
     "eval_dof", "dof_matrix", "nodal_basis", "unisolvence_check",
     "Space", "FieldFunction", "build_space", "assemble_bilinear",

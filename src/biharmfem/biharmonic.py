@@ -15,8 +15,7 @@ import numpy as np
 # unused here; bench/layers.py traces splu through this module attribute
 import scipy.sparse.linalg as spla  # noqa: F401
 
-from .linalg import (SaddleSystem, SolverError, infsup_constant, saddle_solve,
-                     spd_solver)
+from .linalg import SolverError, infsup_constant, saddle_solve, spd_solver
 from .mesh import Mesh, generate_structured
 from .quadrature import tri_rule
 from .spaces import (FieldFunction, _derivative, _quadrature_points,
@@ -41,9 +40,6 @@ class ManufacturedProblem:
     grad_u: callable    # returns (ux, uy)
     hess_u: callable    # returns (uxx, uxy, uyy)
     f: callable         # biharmonic of u
-
-    def has_exact_solution(self) -> bool:
-        return True
 
 
 def _poly8():
@@ -121,12 +117,12 @@ class SolveResult:
 
 
 def _constant(pres, Mp):
-    """(1_h, m): the DG vector of the constant 1, which is 1 in each cell's
-    first (constant) slot, and the mean functional m = Mp 1_h, with
-    m @ q the integral of the pressure q."""
+    """The mean functional m = Mp 1_h, with m @ q the integral of the
+    pressure q; 1_h, the DG vector of the constant 1, is 1 in each cell's
+    first (constant) slot."""
     one = np.zeros(pres.ndof)
     one[::pres.meta["per_cell"]] = 1.0
-    return one, Mp @ one
+    return Mp @ one
 
 
 def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float) -> SolveResult:
@@ -146,22 +142,12 @@ def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float) -> SolveResult:
     D = assemble_bilinear(vel, pot, "vecfield_grad")
     Mp = assemble_bilinear(pres, pres, "mass")
     rhs2 = D.T @ r
-    one, m = _constant(pres, Mp)
     try:
-        phi, p, iterations = saddle_solve(
-            SaddleSystem(A2, B, rhs2, np.zeros(pres.ndof), Mp), tol=tol)
+        phi, p, iterations = saddle_solve(A2, B, rhs2, Mp,
+                                          mean=_constant(pres, Mp), tol=tol)
     except SolverError as exc:
-        try:
-            c_h = infsup_constant(B, A2, Mp, tol=tol, mean=m)
-            diagnosis = f"inf-sup constant of the pair: {c_h:.6g}"
-        except SolverError:
-            diagnosis = "inf-sup constant could not be computed"
         raise SolverError(
-            f"{scheme} stage-2 Stokes solve failed ({exc}); {diagnosis}"
-        ) from exc
-    # B^T vanishes on the constant, so the PCG from p = 0 leaves only
-    # round-off in its direction; the mean-zero pressure projects it out
-    p -= (m @ p) / (m @ one) * one
+            f"{scheme} stage-2 Stokes solve failed ({exc})") from exc
     rhs3 = D @ phi
     u = solve_a1(rhs3)
     diag = {
@@ -334,6 +320,6 @@ def infsup_study(pair: str, n_list, tol: float = 1e-10):
         A = assemble_bilinear(vel, vel, "grad_grad")
         B = assemble_bilinear(vel, pres, "rot_pressure")
         Mp = assemble_bilinear(pres, pres, "mass")
-        m = _constant(pres, Mp)[1]
-        out.append((n, infsup_constant(B, A, Mp, tol=tol, mean=m)))
+        out.append((n, infsup_constant(B, A, Mp, tol=tol,
+                                       mean=_constant(pres, Mp))))
     return out

@@ -1,18 +1,20 @@
-"""Sparse linear algebra: CG, SPD and Schur-complement saddle-point solves,
-inf-sup and rank queries.
+"""Sparse linear algebra: factor-once SPD solves, the Schur-complement
+Stokes solve, inf-sup and rank queries.
 
-Matrices are scipy CSR/CSC; everything here is deterministic for fixed
-inputs (fixed start vectors, no randomized pivoting options).  On glibc,
-importing this module fixes the process's malloc mmap threshold, so that the
-large buffers of a solve go back to the system when freed (see
-_pin_mmap_threshold).
+saddle_solve and infsup_constant share one set-up (_schur) that factors the
+velocity Gram and the pressure Gram once each; saddle_solve projects the
+pressure mean out and, when it fails, names the inf-sup constant of the pair
+computed from those same factors.  Matrices are scipy CSR/CSC; everything
+here is deterministic for fixed inputs (a fixed eigensolver start vector, no
+randomized pivoting options).  On glibc, importing this module fixes the
+process's malloc mmap threshold, so that the large buffers of a solve go back
+to the system when freed (see _pin_mmap_threshold).
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -64,27 +66,6 @@ def is_symmetric(A, rel: float = 1e-12) -> bool:
     return d.max() <= rel * max(amax, 1e-300)
 
 
-def cg_solve(A, b, tol: float = 1e-10, maxit: int | None = None) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients (scipy's cg) from x = 0.
-
-    Raises SolverError unless the true residual ||A x - b|| <= tol ||b||.
-    """
-    A = sp.csr_matrix(A)
-    b = np.asarray(b, dtype=float)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(b.shape[0])
-    if maxit is None:
-        maxit = max(1000, 20 * b.shape[0])
-    jacobi = sp.diags(1.0 / A.diagonal())
-    x, info = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=maxit, M=jacobi)
-    res = np.linalg.norm(A @ x - b) / bnorm
-    if not res <= tol:
-        raise SolverError(f"cg_solve: relative residual {res:.3e} > tol "
-                          f"(scipy cg info {info})", residual=res)
-    return x
-
-
 def _splu(A):
     """LU of an SPD matrix in SuperLU's symmetric mode: a minimum-degree
     ordering of A + A^T and diagonal pivots (off-diagonal only where a pivot
@@ -97,15 +78,11 @@ def _splu(A):
         raise SolverError(f"sparse factorization failed: {exc}") from exc
 
 
-def spd_solver(A, tol: float = 1e-10):
-    """Return ``solve(b)`` for the SPD matrix A, factored once by splu; the
-    residual of every solve is checked against tol."""
-    A = sp.csc_matrix(A)
-    lu = _splu(A)
-
+def _checked(A, lu_solve, tol):
+    """lu_solve with the residual of every solve checked against tol."""
     def solve(b):
         b = np.asarray(b, dtype=float)
-        x = lu.solve(b)
+        x = lu_solve(b)
         bnorm = np.linalg.norm(b)
         res = np.linalg.norm(A @ x - b)
         if bnorm > 0 and res > tol * bnorm:
@@ -116,25 +93,11 @@ def spd_solver(A, tol: float = 1e-10):
     return solve
 
 
-@dataclass
-class SaddleSystem:
-    """Blocks of [[A, B^T], [B, 0]] [u; p] = [f; g], with M the pressure Gram."""
-
-    A: sp.spmatrix
-    B: sp.spmatrix
-    f: np.ndarray
-    g: np.ndarray
-    M: sp.spmatrix
-
-    def __post_init__(self):
-        nu = self.A.shape[0]
-        npres = self.B.shape[0]
-        if self.A.shape != (nu, nu) or self.B.shape[1] != nu:
-            raise ValueError("inconsistent saddle system blocks")
-        if self.M.shape != (npres, npres):
-            raise ValueError("pressure Gram does not match the pressure block")
-        if self.f.shape != (nu,) or self.g.shape != (npres,):
-            raise ValueError("inconsistent saddle system right-hand sides")
+def spd_solver(A, tol: float = 1e-10):
+    """Return ``solve(b)`` for the SPD matrix A, factored once by splu; the
+    residual of every solve is checked against tol."""
+    A = sp.csc_matrix(A)
+    return _checked(A, _splu(A).solve, tol)
 
 
 #: Iteration cap of the Schur-complement PCG.  For an inf-sup stable pair the
@@ -148,25 +111,80 @@ SCHUR_MAXIT = 500
 SCHUR_MARGIN = 1e-3
 
 
-def saddle_solve(system: SaddleSystem, tol: float = 1e-10):
-    """Solve the block system by PCG on the pressure Schur complement.
+def _schur(A, B, M, mean, tol):
+    """Factor A and M (_splu) once each for the pressure Schur complement
+    S = B A^-1 B^T.  Returns (solve_a, solve_m, s_mv): solve_a checks its
+    residual as spd_solver's does, and s_mv applies S and, when the mean
+    functional m is given (m @ q the integral of the pressure q, in a space
+    holding the constants), the rank-one shift m m^T / (m^T M^-1 m).  S
+    vanishes on the constant; the shift moves it to eigenvalue 1 of
+    S q = lam M q and leaves the eigenpairs M-orthogonal to it, the mean-zero
+    ones, as they are.  s_mv solves with A unchecked: an eigensolve calls it
+    about 90 times (g3p2, n=8), and residual checks there added about 5 ms
+    to the 50 ms of infsup_study("g3p2", [2, 4, 8]) on a 2-vCPU VM."""
+    A = sp.csc_matrix(A)
+    lu_solve = _splu(A).solve
+    solve_a = _checked(A, lu_solve, tol)
+    solve_m = _splu(sp.csc_matrix(M)).solve
+    if mean is not None:
+        mean = np.asarray(mean, dtype=float)
+        mMm = float(mean @ solve_m(mean))
+
+    def s_mv(q):
+        out = B @ lu_solve(B.T @ q)
+        if mean is not None:
+            out += mean * ((mean @ q) / mMm)
+        return out
+
+    return solve_a, solve_m, s_mv
+
+
+def _smallest_eig(s_mv, solve_m, M, tol) -> float:
+    """sqrt of the smallest eigenvalue of s_mv(q) = lam M q, 0 if it is not
+    positive.  Up to 40 pressure DoFs from the dense matrices; above, from
+    Lanczos (ARPACK) from a fixed random start vector: a symmetric one can
+    miss the smallest mode on the symmetric criss mesh."""
+    npres = M.shape[0]
+    if npres <= 40:
+        S = np.column_stack([s_mv(e) for e in np.eye(npres)])
+        lam = scipy.linalg.eigh(S, M.toarray(), eigvals_only=True)[0]
+    else:
+        shape = (npres, npres)
+        v0 = np.random.default_rng(0).standard_normal(npres)
+        try:
+            lams, _ = spla.eigsh(
+                spla.LinearOperator(shape, matvec=s_mv), k=1, M=M,
+                Minv=spla.LinearOperator(shape, matvec=solve_m), which="SA",
+                v0=v0, tol=max(tol, 1e-12))
+        except spla.ArpackError as exc:
+            raise SolverError(f"inf-sup eigensolve failed: {exc}") from exc
+        lam = lams[0]
+    return float(np.sqrt(max(float(lam), 0.0)))
+
+
+def saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
+    """Solve [[A, B^T], [B, 0]] [u; p] = [f; 0] by PCG on the pressure Schur
+    complement.
 
     S = B A^-1 B^T is applied through one factorization of the SPD block A
     and preconditioned by the pressure Gram M, which is spectrally equivalent
     to S for an inf-sup stable pair (Benzi, Golub and Liesen, Acta Numerica
-    2005).  PCG runs from p = 0 on S p = B A^-1 f - g, then u = A^-1 (f - B^T p);
-    both block residuals are checked at the end.  Returns (u, p, the number
-    of PCG iterations).
+    2005).  PCG runs from p = 0 on S p = B A^-1 f, then u = A^-1 (f - B^T p);
+    both block residuals are checked at the end.  The PCG applies S without
+    the shift of _schur: B^T vanishes on the constant, so its residuals are
+    orthogonal to the constant up to round-off.  With the mean functional m
+    the returned p is M-orthogonal to the constant: p -= (m @ p) / (m @ z) z
+    with z = M^-1 m.  If the check fails, the SolverError names the inf-sup
+    constant of the pair (shift included), computed from the same two
+    factorizations.  Returns (u, p, the number of PCG iterations).
     """
-    A, B, f, g = system.A, system.B, system.f, system.g
-    solve_a = spd_solver(A, tol)
     npres = B.shape[0]
     if npres == 0:
-        return solve_a(f), np.zeros(0), 0
-    solve_m = _splu(sp.csc_matrix(system.M)).solve
-    scale = max(1.0, np.linalg.norm(f), np.linalg.norm(g))
+        return spd_solver(A, tol)(f), np.zeros(0), 0
+    solve_a, solve_m, s_mv = _schur(A, B, M, mean, tol)
+    scale = max(1.0, np.linalg.norm(f))
     p = np.zeros(npres)
-    r = B @ solve_a(f) - g
+    r = B @ solve_a(f)
     z = solve_m(r)
     d = z.copy()
     rz = float(r @ z)
@@ -188,12 +206,20 @@ def saddle_solve(system: SaddleSystem, tol: float = 1e-10):
         rz = rz_new
     u = solve_a(f - B.T @ p)
     r1 = np.linalg.norm(A @ u + B.T @ p - f)
-    r2 = np.linalg.norm(B @ u - g)
+    r2 = np.linalg.norm(B @ u)
     if not (np.isfinite(u).all() and np.isfinite(p).all()) \
             or r1 > tol * scale or r2 > tol * scale:
+        try:
+            c_h = _smallest_eig(s_mv, solve_m, M, tol)
+            diagnosis = f"inf-sup constant of the pair: {c_h:.6g}"
+        except SolverError:
+            diagnosis = "inf-sup constant could not be computed"
         raise SolverError("saddle point solve did not reach tolerance "
-                          f"(residuals {r1:.3e}, {r2:.3e})",
+                          f"(residuals {r1:.3e}, {r2:.3e}); {diagnosis}",
                           residual=max(r1, r2) / scale)
+    if mean is not None:
+        z = solve_m(mean)
+        p -= (mean @ p) / (mean @ z) * z
     return u, p, iterations
 
 
@@ -203,48 +229,16 @@ def infsup_constant(B, A, Mp, tol: float = 1e-10, mean=None) -> float:
     A is the velocity Gram (SPD), Mp the pressure Gram (SPD); B pairs the
     pressure basis with the velocity basis.  When the pressures are the
     mean-zero subspace of a space holding the constants, mean is the mean
-    functional m (m @ q is the integral of q) and the constant mode, on which
-    S = B A^-1 B^T vanishes, is deflated by the rank-one shift
-    S + m m^T / (m^T Mp^-1 m): this moves it to eigenvalue 1 and leaves the
-    eigenpairs Mp-orthogonal to it, the mean-zero ones, as they are.
+    functional m and the constant mode is deflated (see _schur).
     Nonpositive smallest eigenvalues (beyond roundoff) report 0: the pair is
-    unstable.  Above 40 pressure DoFs the eigenvalue comes from Lanczos
-    (ARPACK) on the shifted S, from a fixed random start vector: a symmetric
-    one can miss the smallest mode on the symmetric criss mesh.
+    unstable.
     """
     B = sp.csr_matrix(B)
     Mp = sp.csc_matrix(Mp)
-    npres = B.shape[0]
-    if npres == 0:
+    if B.shape[0] == 0:
         raise ValueError("empty pressure space")
-    alu = _splu(sp.csc_matrix(A))
-    solve_m = _splu(Mp).solve
-    if mean is not None:
-        mean = np.asarray(mean, dtype=float)
-        mMm = float(mean @ solve_m(mean))
-
-    def s_mv(q):
-        out = B @ alu.solve(B.T @ q)
-        if mean is not None:
-            out += mean * ((mean @ q) / mMm)
-        return out
-
-    if npres <= 40:
-        S = np.column_stack([s_mv(e) for e in np.eye(npres)])
-        lams = scipy.linalg.eigh(S, Mp.toarray(), eigvals_only=True)
-        lam = float(lams[0])
-        return float(np.sqrt(max(lam, 0.0)))
-
-    shape = (npres, npres)
-    v0 = np.random.default_rng(0).standard_normal(npres)
-    try:
-        lams = spla.eigsh(spla.LinearOperator(shape, matvec=s_mv), k=1, M=Mp,
-                          Minv=spla.LinearOperator(shape, matvec=solve_m),
-                          which="SA", v0=v0, tol=max(tol, 1e-12))
-    except spla.ArpackError as exc:
-        raise SolverError(f"inf-sup eigensolve failed: {exc}") from exc
-    lam = float(lams[0][0])
-    return float(np.sqrt(max(lam, 0.0)))
+    _, solve_m, s_mv = _schur(A, B, Mp, mean, tol)
+    return _smallest_eig(s_mv, solve_m, Mp, tol)
 
 
 def kernel_dimension(A, tol: float = 1e-8) -> int:
@@ -271,8 +265,3 @@ def matrix_rank(A, tol: float = 1e-8) -> int:
     """Number of columns less the kernel dimension (see kernel_dimension)."""
     return np.shape(A)[1] - kernel_dimension(A, tol)
 
-
-def dump_matrix_market(A, path):
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), sp.coo_matrix(A))

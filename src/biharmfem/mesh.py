@@ -139,16 +139,31 @@ def format_mesh(mesh: Mesh) -> str:
     return f"{mesh.n_vertices} {mesh.n_cells}\n{body}\n"
 
 
+def _fields(rows, width: int, kind) -> list:
+    """The first width tokens of each (line number, tokens) row as kind; a
+    short row or a token kind cannot read raises MeshError naming its line."""
+    out = []
+    for lineno, tokens in rows:
+        try:
+            if len(tokens) < width:
+                raise ValueError(f"{len(tokens)} of {width} values")
+            out.append([kind(t) for t in tokens[:width]])
+        except ValueError as exc:
+            raise MeshError(f"mesh file line {lineno}: {exc}") from None
+    return out
+
+
 def parse_mesh(text: str) -> Mesh:
-    lines = np.array(text.splitlines())
-    lines = lines[np.char.strip(lines) != ""]
-    nv, nc = (int(t) for t in lines[0].split()[:2])
-    if len(lines) != 1 + nv + nc:
+    """The mesh in format_mesh's text; a malformed line raises MeshError
+    naming its number, blank lines counted."""
+    rows = [(k, line.split()) for k, line in enumerate(text.splitlines(), 1)
+            if line.strip()]
+    (nv, nc), = _fields(rows[:1] or [(1, [])], 2, int)
+    if len(rows) != 1 + nv + nc:
         raise MeshError("mesh file has wrong number of lines")
-    verts = np.loadtxt(lines[1:1 + nv], usecols=(0, 1), ndmin=2)
-    cells = np.loadtxt(lines[1 + nv:], usecols=(0, 1, 2), dtype=np.int64,
-                       ndmin=2)
-    return Mesh(verts, cells)
+    verts = np.array(_fields(rows[1:1 + nv], 2, float), dtype=float)
+    cells = np.array(_fields(rows[1 + nv:], 3, int), dtype=np.int64)
+    return Mesh(verts.reshape(-1, 2), cells.reshape(-1, 3))
 
 
 @dataclass(frozen=True)

@@ -380,7 +380,7 @@ FORMS = ("mass", "grad_grad", "hess_hess", "rot_pressure", "vecfield_grad")
 #: Edge-moment and mean-zero-mode cancellation leaves entries of at most about
 #: 1e-14 of the largest, and genuine entries are at least about 1e-8 of it on
 #: criss, jittered, relabeled and refined meshes; stored, the round-off
-#: entries fill the rows of the saddle-point system and its factorizations.
+#: entries fill the rows of the assembled matrices and their LU factors.
 ROUNDOFF_RTOL = 1e-12
 
 

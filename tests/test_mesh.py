@@ -170,6 +170,19 @@ def test_parse_mesh_rejects_wrong_line_count():
         parse_mesh(text.rsplit("\n", 2)[0])
 
 
+def test_parse_mesh_names_a_malformed_line():
+    lines = format_mesh(generate_structured(2)).splitlines()
+    with pytest.raises(MeshError, match="line 1: 1 of 2 values"):
+        parse_mesh("\n".join(["9"] + lines[1:]))
+    short = lines[:12] + ["1 2"] + lines[13:]
+    with pytest.raises(MeshError, match="line 13: 2 of 3 values"):
+        parse_mesh("\n".join(short))
+    # blank lines are skipped but still counted
+    bad = lines[:3] + ["", "0.5 x"] + lines[4:]
+    with pytest.raises(MeshError, match="line 5: could not convert .*'x'"):
+        parse_mesh("\n".join(bad))
+
+
 def test_every_mesh_array_is_read_only():
     base = generate_structured(3)
     verts, cells = base.vertices.copy(), base.cells.copy()
