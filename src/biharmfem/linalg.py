@@ -2,13 +2,18 @@
 Stokes solve, inf-sup and rank queries.
 
 saddle_solve and infsup_constant share one set-up (_schur) that factors the
-velocity Gram and the pressure Gram once each; saddle_solve projects the
-pressure mean out and, when it fails, names the inf-sup constant of the pair
-computed from those same factors.  Matrices are scipy CSR/CSC; everything
-here is deterministic for fixed inputs (a fixed eigensolver start vector, no
-randomized pivoting options).  On glibc, importing this module fixes the
-process's malloc mmap threshold, so that the large buffers of a solve go back
-to the system when freed (see _pin_mmap_threshold).
+velocity Gram once; the pressure Gram must be diagonal (the DG pressure
+modes are L2-orthogonal), so its inverse is a division.  saddle_solve
+projects the pressure mean out and, when it fails, names the inf-sup
+constant of the pair computed from that same factor, by standard-form
+Lanczos on M^-1/2 S M^-1/2.  kernel_dimension counts small Gram eigenvalues
+by inertia: one Lanczos estimate of the largest and one Bunch-Kaufman LDL^T
+of the shifted Gram, instead of the whole spectrum.  Matrices are scipy
+CSR/CSC; everything here is deterministic for fixed inputs (a fixed
+eigensolver start vector, no randomized pivoting options).  On glibc,
+importing this module fixes the process's malloc mmap threshold, so that
+the large buffers of a solve go back to the system when freed (see
+_pin_mmap_threshold).
 """
 
 from __future__ import annotations
@@ -57,15 +62,6 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-def is_symmetric(A, rel: float = 1e-12) -> bool:
-    A = sp.csr_matrix(A)
-    d = abs(A - A.T)
-    if d.nnz == 0:
-        return True
-    amax = abs(A).max() if A.nnz else 0.0
-    return d.max() <= rel * max(amax, 1e-300)
-
-
 def _splu(A):
     """LU of an SPD matrix in SuperLU's symmetric mode: a minimum-degree
     ordering of A + A^T and diagonal pivots (off-diagonal only where a pivot
@@ -109,56 +105,78 @@ SCHUR_MAXIT = 500
 #: pressure, whose error the weaker quartic pair amplifies, keeps a relative
 #: error near 1e-10 or below.
 SCHUR_MARGIN = 1e-3
+#: Up to this many rows an eigenvalue query takes the dense spectrum; above,
+#: Lanczos (ARPACK) from a fixed start vector.
+DENSE_MAX = 40
+#: Relative accuracy of the Lanczos estimate of the largest Gram eigenvalue
+#: in kernel_dimension: it moves the threshold tol * lambda_max by this share
+#: at most, and rot's nonzero Gram eigenvalues sit at 1e-4 of lambda_max or
+#: above, its kernel ones near 1e-16.
+LANCZOS_TOL = 1e-6
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """The fixed Lanczos start vector: a symmetric one can miss the extreme
+    mode on the symmetric criss mesh."""
+    return np.random.default_rng(0).standard_normal(n)
 
 
 def _schur(A, B, M, mean, tol):
-    """Factor A and M (_splu) once each for the pressure Schur complement
-    S = B A^-1 B^T.  Returns (solve_a, solve_m, s_mv): solve_a checks its
-    residual as spd_solver's does, and s_mv applies S and, when the mean
-    functional m is given (m @ q the integral of the pressure q, in a space
-    holding the constants), the rank-one shift m m^T / (m^T M^-1 m).  S
-    vanishes on the constant; the shift moves it to eigenvalue 1 of
-    S q = lam M q and leaves the eigenpairs M-orthogonal to it, the mean-zero
-    ones, as they are.  s_mv solves with A unchecked: an eigensolve calls it
-    about 90 times (g3p2, n=8), and residual checks there added about 5 ms
-    to the 50 ms of infsup_study("g3p2", [2, 4, 8]) on a 2-vCPU VM."""
+    """Factor A (_splu) once for the pressure Schur complement
+    S = B A^-1 B^T; the pressure Gram M must be diagonal.  Returns (solve_a,
+    solve_m, BT, s_mv): solve_a checks its residual as spd_solver's does,
+    solve_m divides by the diagonal of M, BT is B^T as CSR, and s_mv applies
+    S and, when the mean functional m is given (m @ q the integral of the
+    pressure q, in a space holding the constants), the rank-one shift
+    m m^T / (m^T M^-1 m).  S vanishes on the constant; the shift moves it to
+    eigenvalue 1 of S q = lam M q and leaves the eigenpairs M-orthogonal to
+    it, the mean-zero ones, as they are.  s_mv solves with A unchecked: an
+    eigensolve calls it about 90 times (g3p2, n=8), and residual checks
+    there added about 5 ms to the 50 ms of infsup_study("g3p2", [2, 4, 8])
+    on a 2-vCPU VM."""
+    M = sp.csr_matrix(M)
+    d = M.diagonal()
+    if (M - sp.diags(d)).count_nonzero() or not (d > 0).all():
+        raise ValueError("the pressure Gram must be diagonal with a positive "
+                         "diagonal (L2-orthogonal pressure modes)")
     A = sp.csc_matrix(A)
     lu_solve = _splu(A).solve
     solve_a = _checked(A, lu_solve, tol)
-    solve_m = _splu(sp.csc_matrix(M)).solve
+    BT = B.T.tocsr()
+
+    def solve_m(q):
+        return q / d
+
     if mean is not None:
         mean = np.asarray(mean, dtype=float)
         mMm = float(mean @ solve_m(mean))
 
     def s_mv(q):
-        out = B @ lu_solve(B.T @ q)
+        out = B @ lu_solve(BT @ q)
         if mean is not None:
             out += mean * ((mean @ q) / mMm)
         return out
 
-    return solve_a, solve_m, s_mv
+    return solve_a, solve_m, BT, s_mv
 
 
-def _smallest_eig(s_mv, solve_m, M, tol) -> float:
-    """sqrt of the smallest eigenvalue of s_mv(q) = lam M q, 0 if it is not
-    positive.  Up to 40 pressure DoFs from the dense matrices; above, from
-    Lanczos (ARPACK) from a fixed random start vector: a symmetric one can
-    miss the smallest mode on the symmetric criss mesh."""
-    npres = M.shape[0]
-    if npres <= 40:
-        S = np.column_stack([s_mv(e) for e in np.eye(npres)])
-        lam = scipy.linalg.eigh(S, M.toarray(), eigvals_only=True)[0]
+def _smallest_eig(s_mv, solve_m, npres, tol) -> float:
+    """sqrt of the smallest eigenvalue of s_mv(q) = lam M q for the diagonal
+    M that solve_m inverts, 0 if it is not positive, from the standard form
+    M^-1/2 S M^-1/2.  Up to DENSE_MAX pressure DoFs from its dense matrix;
+    above, from Lanczos (ARPACK)."""
+    scale = np.sqrt(solve_m(np.ones(npres)))
+    if npres <= DENSE_MAX:
+        S = np.column_stack([s_mv(e) for e in np.diag(scale)])
+        lam = scipy.linalg.eigvalsh(scale[:, None] * S)[0]
     else:
-        shape = (npres, npres)
-        v0 = np.random.default_rng(0).standard_normal(npres)
+        op = spla.LinearOperator((npres, npres),
+                                 matvec=lambda x: scale * s_mv(scale * x))
         try:
-            lams, _ = spla.eigsh(
-                spla.LinearOperator(shape, matvec=s_mv), k=1, M=M,
-                Minv=spla.LinearOperator(shape, matvec=solve_m), which="SA",
-                v0=v0, tol=max(tol, 1e-12))
+            lam = spla.eigsh(op, k=1, which="SA", v0=_start_vector(npres),
+                             tol=max(tol, 1e-12), return_eigenvectors=False)[0]
         except spla.ArpackError as exc:
             raise SolverError(f"inf-sup eigensolve failed: {exc}") from exc
-        lam = lams[0]
     return float(np.sqrt(max(float(lam), 0.0)))
 
 
@@ -169,19 +187,21 @@ def saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
     S = B A^-1 B^T is applied through one factorization of the SPD block A
     and preconditioned by the pressure Gram M, which is spectrally equivalent
     to S for an inf-sup stable pair (Benzi, Golub and Liesen, Acta Numerica
-    2005).  PCG runs from p = 0 on S p = B A^-1 f, then u = A^-1 (f - B^T p);
-    both block residuals are checked at the end.  The PCG applies S without
-    the shift of _schur: B^T vanishes on the constant, so its residuals are
-    orthogonal to the constant up to round-off.  With the mean functional m
-    the returned p is M-orthogonal to the constant: p -= (m @ p) / (m @ z) z
-    with z = M^-1 m.  If the check fails, the SolverError names the inf-sup
-    constant of the pair (shift included), computed from the same two
-    factorizations.  Returns (u, p, the number of PCG iterations).
+    2005).  M must be diagonal, so its inverse is a division by its
+    diagonal.  PCG runs from p = 0 on S p = B A^-1 f, then
+    u = A^-1 (f - B^T p); both block residuals are checked at the end.  The
+    PCG applies S without the shift of _schur: B^T vanishes on the constant,
+    so its residuals are orthogonal to the constant up to round-off.  With
+    the mean functional m the returned p is M-orthogonal to the constant:
+    p -= (m @ p) / (m @ z) z with z = M^-1 m.  If the check fails, the
+    SolverError names the inf-sup constant of the pair (shift included),
+    computed from the same factorization.  Returns (u, p, the number of PCG
+    iterations).
     """
     npres = B.shape[0]
     if npres == 0:
         return spd_solver(A, tol)(f), np.zeros(0), 0
-    solve_a, solve_m, s_mv = _schur(A, B, M, mean, tol)
+    solve_a, solve_m, BT, s_mv = _schur(A, B, M, mean, tol)
     scale = max(1.0, np.linalg.norm(f))
     p = np.zeros(npres)
     r = B @ solve_a(f)
@@ -192,7 +212,7 @@ def saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
     for _ in range(SCHUR_MAXIT):
         if np.linalg.norm(r) <= SCHUR_MARGIN * tol * scale:
             break
-        Sd = B @ solve_a(B.T @ d)
+        Sd = B @ solve_a(BT @ d)
         dSd = float(d @ Sd)
         if dSd <= 0.0:
             break
@@ -204,13 +224,13 @@ def saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
         rz_new = float(r @ z)
         d = z + (rz_new / rz) * d
         rz = rz_new
-    u = solve_a(f - B.T @ p)
-    r1 = np.linalg.norm(A @ u + B.T @ p - f)
+    u = solve_a(f - BT @ p)
+    r1 = np.linalg.norm(A @ u + BT @ p - f)
     r2 = np.linalg.norm(B @ u)
     if not (np.isfinite(u).all() and np.isfinite(p).all()) \
             or r1 > tol * scale or r2 > tol * scale:
         try:
-            c_h = _smallest_eig(s_mv, solve_m, M, tol)
+            c_h = _smallest_eig(s_mv, solve_m, npres, tol)
             diagnosis = f"inf-sup constant of the pair: {c_h:.6g}"
         except SolverError:
             diagnosis = "inf-sup constant could not be computed"
@@ -226,28 +246,49 @@ def saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
 def infsup_constant(B, A, Mp, tol: float = 1e-10, mean=None) -> float:
     """sqrt of the smallest eigenvalue of B A^-1 B^T q = lam Mp q.
 
-    A is the velocity Gram (SPD), Mp the pressure Gram (SPD); B pairs the
-    pressure basis with the velocity basis.  When the pressures are the
-    mean-zero subspace of a space holding the constants, mean is the mean
-    functional m and the constant mode is deflated (see _schur).
+    A is the velocity Gram (SPD), Mp the pressure Gram (diagonal, positive);
+    B pairs the pressure basis with the velocity basis.  When the pressures
+    are the mean-zero subspace of a space holding the constants, mean is the
+    mean functional m and the constant mode is deflated (see _schur).
     Nonpositive smallest eigenvalues (beyond roundoff) report 0: the pair is
     unstable.
     """
     B = sp.csr_matrix(B)
-    Mp = sp.csc_matrix(Mp)
     if B.shape[0] == 0:
         raise ValueError("empty pressure space")
-    _, solve_m, s_mv = _schur(A, B, Mp, mean, tol)
-    return _smallest_eig(s_mv, solve_m, Mp, tol)
+    _, solve_m, _, s_mv = _schur(A, B, Mp, mean, tol)
+    return _smallest_eig(s_mv, solve_m, B.shape[0], tol)
+
+
+def _negative_pivots(H: np.ndarray) -> int:
+    """The number of negative eigenvalues of the symmetric matrix H, by
+    Sylvester's law of inertia: those of the block diagonal D of its
+    Bunch-Kaufman factorization P U D U^T P^T (LAPACK dsytrf, upper storage,
+    default workspace: on rot's Grams the unblocked code was about twice as
+    fast as the blocked one).  A 1x1 pivot counts when negative.  A 2x2
+    block [[a, b], [b, c]] (ipiv < 0 on both of its rows; its rows pair up
+    in order) has a negative eigenvalue when its determinant or its trace
+    is negative, and a second one when its determinant is positive and its
+    trace negative.  H is overwritten."""
+    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(H.T, overwrite_a=True)
+    diag = np.diagonal(ldu)
+    i = np.flatnonzero(ipiv < 0)[::2]
+    a, b, c = diag[i], ldu[i, i + 1], diag[i + 1]
+    det, trace = a * c - b * b, a + c
+    return int(np.count_nonzero(diag[ipiv > 0] < 0.0)
+               + np.count_nonzero((det < 0.0) | (trace < 0.0))
+               + np.count_nonzero((det > 0.0) & (trace < 0.0)))
 
 
 def kernel_dimension(A, tol: float = 1e-8) -> int:
     """Dimension of the kernel of A (columns = domain).
 
-    Counts the eigenvalues of the smaller Gram matrix, A A^T or A^T A, below
-    tol * lambda_max, and the columns beyond the rows.  A tolerance tol on
-    the Gram eigenvalues is one of sqrt(tol) * sigma_max on the singular
-    values of A.
+    Counts the eigenvalues of the smaller Gram matrix G, A A^T or A^T A,
+    below tol * lambda_max, and the columns beyond the rows.  A tolerance
+    tol on the Gram eigenvalues is one of sqrt(tol) * sigma_max on the
+    singular values of A.  Up to DENSE_MAX rows of G from its spectrum;
+    above, lambda_max from Lanczos and the count from the inertia of
+    G - tol * lambda_max I (_negative_pivots).
     """
     A = sp.csr_matrix(A, dtype=float) if sp.issparse(A) \
         else np.asarray(A, dtype=float)
@@ -255,13 +296,22 @@ def kernel_dimension(A, tol: float = 1e-8) -> int:
     if min(A.shape) == 0:
         return ncols
     G = A @ A.T if A.shape[0] <= ncols else A.T @ A
-    lam = scipy.linalg.eigvalsh(G.toarray() if sp.issparse(G) else G)
-    if lam[-1] <= 0.0:
+    H = G.toarray() if sp.issparse(G) else G
+    n = len(H)
+    if not H.any():
         return ncols
-    return ncols - int(np.count_nonzero(lam >= tol * lam[-1]))
+    if n <= DENSE_MAX:
+        lam = scipy.linalg.eigvalsh(H)
+        return ncols - int(np.count_nonzero(lam >= tol * lam[-1]))
+    try:
+        lam_max = spla.eigsh(G, k=1, which="LA", v0=_start_vector(n),
+                             tol=LANCZOS_TOL, return_eigenvectors=False)[0]
+    except spla.ArpackError as exc:
+        raise SolverError(f"Gram eigensolve failed: {exc}") from exc
+    H[np.diag_indices(n)] -= tol * lam_max
+    return ncols - n + _negative_pivots(H)
 
 
 def matrix_rank(A, tol: float = 1e-8) -> int:
     """Number of columns less the kernel dimension (see kernel_dimension)."""
     return np.shape(A)[1] - kernel_dimension(A, tol)
-

@@ -25,9 +25,11 @@ and boundary elimination.  Its layout (see layout()) is read from the
 element's DOF functionals, and DOFs are numbered vertex | edge | cell, each
 entity's slots together, component-major (S2_0 is thus a prefix of G2_0).
 The pressure spaces DG* are discontinuous, numbered cell by cell: the cell
-constant, then the cell's mean-zero modes.  The schemes' mean-zero pressure
-spaces are DG1/DG2 with the constant projected out by the solver, so no DOF
-is pinned and no basis spans the mean-zero subspace.
+constant, then the cell's mean-zero modes, L2-orthogonal to each other and
+to the constant on every affine cell, so the DG mass matrix is diagonal.
+The schemes' mean-zero pressure spaces are DG1/DG2 with the constant
+projected out by the solver, so no DOF is pinned and no basis spans the
+mean-zero subspace.
 """
 
 from __future__ import annotations
@@ -48,18 +50,23 @@ from .quadrature import edge_rule, tri_rule
 L0 = BaryPoly.lam(0)
 L1 = BaryPoly.lam(1)
 L2 = BaryPoly.lam(2)
-THIRD = Fraction(1, 3)
 _BUBBLE = (L0 * L0 + L1 * L1 + L2 * L2) - Fraction(2, 3)
 
 
-def _pressure_modes(k: int) -> list[BaryPoly]:
-    if k == 0:
-        return []
-    modes = [L0 - THIRD, L1 - THIRD]
-    if k == 2:
-        modes += [L0 * L0 - Fraction(1, 6), L1 * L1 - Fraction(1, 6),
-                  L0 * L1 - Fraction(1, 12)]
-    return modes
+@lru_cache(maxsize=None)
+def _pressure_modes(k: int) -> tuple[BaryPoly, ...]:
+    """The mean-zero cell modes of DG<k>: lam_1, lam_2 and, for k = 2,
+    lam_1^2, lam_2^2, lam_1 lam_2, each made L2-orthogonal to the constant
+    and to the modes before it by exact Gram-Schmidt on the reference cell.
+    Cell averages of products do not depend on the triangle, so the DG
+    mass matrix is diagonal on every mesh of affine cells."""
+    raw = [L0, L1, L0 * L0, L1 * L1, L0 * L1][:k * (k + 3) // 2]
+    basis = [BaryPoly.const(Fraction(1))]
+    for p in raw:
+        for q in basis:
+            p = p - q * ((p * q).cell_average() / (q * q).cell_average())
+        basis.append(p)
+    return tuple(basis[1:])
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +81,7 @@ def shape_set(name: str) -> tuple[BaryPoly, ...]:
                      for d in range(int(name[3:]) + 1)
                      for a in range(d, -1, -1))
     if name.startswith("pres"):
-        polys = [BaryPoly.const(1.0)] + _pressure_modes(int(name[4:]))
+        polys = [BaryPoly.const(1.0), *_pressure_modes(int(name[4:]))]
     else:
         polys = [s.p for s in element_catalog(name).shapes]
     return tuple(p.as_float() for p in polys)
@@ -380,7 +387,9 @@ FORMS = ("mass", "grad_grad", "hess_hess", "rot_pressure", "vecfield_grad")
 #: Edge-moment and mean-zero-mode cancellation leaves entries of at most about
 #: 1e-14 of the largest, and genuine entries are at least about 1e-8 of it on
 #: criss, jittered, relabeled and refined meshes; stored, the round-off
-#: entries fill the rows of the assembled matrices and their LU factors.
+#: entries fill the rows of the assembled matrices and their LU factors.  The
+#: off-diagonal entries of a DG mass matrix are such round-off (at most about
+#: 1e-16 of the largest), so the pressure Gram comes out exactly diagonal.
 ROUNDOFF_RTOL = 1e-12
 
 

@@ -5,15 +5,19 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import assume, given, strategies as st
 
+import biharmfem.linalg as la
 from biharmfem.biharmonic import _constant
-from biharmfem.linalg import (SolverError, _pin_mmap_threshold, _splu,
-                              infsup_constant, is_symmetric, kernel_dimension,
-                              matrix_rank, saddle_solve)
+from biharmfem.linalg import (DENSE_MAX, SolverError, _negative_pivots,
+                              _pin_mmap_threshold, _splu, infsup_constant,
+                              kernel_dimension, matrix_rank, saddle_solve)
 from biharmfem.mesh import generate_structured
 from biharmfem.spaces import assemble_bilinear, build_space
+from oracles import is_symmetric
 
 
 def test_saddle_empty_pressure_reduces_to_spd_solve():
@@ -36,28 +40,88 @@ def test_saddle_hand_system():
     assert np.allclose(u, [-1.0 / 6.0, 1.0 / 6.0], atol=1e-12)
 
 
+def _stokes(mesh, pair):
+    """(A, B, M, m) of a velocity/pressure pair: the velocity Gram, rot, the
+    pressure Gram and the mean functional."""
+    vel, pres = (build_space(mesh, kind) for kind in pair)
+    M = assemble_bilinear(pres, pres, "mass")
+    return (assemble_bilinear(vel, vel, "grad_grad"),
+            assemble_bilinear(vel, pres, "rot_pressure"), M, _constant(pres, M))
+
+
 @pytest.mark.parametrize("pair,jittered", [(("G2_0", "DG1"), False),
                                            (("G3_0", "DG2"), True)],
                          ids=["cubic-criss", "quartic-jittered"])
 def test_saddle_schur_pcg_matches_monolithic_lu(request, pair, jittered):
     mesh = (request.getfixturevalue("jittered4") if jittered
             else generate_structured(4))
-    vel, pres = (build_space(mesh, kind) for kind in pair)
-    A = assemble_bilinear(vel, vel, "grad_grad")
-    B = assemble_bilinear(vel, pres, "rot_pressure")
-    M = assemble_bilinear(pres, pres, "mass")
-    m = _constant(pres, M)
-    f = np.random.default_rng(11).standard_normal(vel.ndof)
+    A, B, M, m = _stokes(mesh, pair)
+    nvel, npres = B.shape[1], B.shape[0]
+    f = np.random.default_rng(11).standard_normal(nvel)
     u, p, _ = saddle_solve(A, B, f, M, mean=m)
     # reference: the monolithic system bordered by the mean constraint m p = 0
     # through one Lagrange multiplier
     K = sp.bmat([[A, B.T, None], [B, None, m[:, None]],
                  [None, m[None, :], None]], format="csc")
-    ref = spla.spsolve(K, np.concatenate([f, np.zeros(pres.ndof + 1)]))
-    u_ref, p_ref = ref[:vel.ndof], ref[vel.ndof:-1]
+    ref = spla.spsolve(K, np.concatenate([f, np.zeros(npres + 1)]))
+    u_ref, p_ref = ref[:nvel], ref[nvel:-1]
     assert abs(m @ p) <= 1e-14 * np.linalg.norm(m) * np.linalg.norm(p)
     assert np.linalg.norm(u - u_ref) <= 1e-8 * np.linalg.norm(u_ref)
     assert np.linalg.norm(p - p_ref) <= 1e-8 * np.linalg.norm(p_ref)
+
+
+def test_saddle_projects_the_mean(monkeypatch):
+    # PCG from p = 0 keeps m @ p at round-off by itself.  A preconditioner
+    # that also adds a multiple of 1_h, which S annihilates, converges in the
+    # same iterations but moves the mean; only the projection brings m @ p
+    # back to round-off.
+    A, B, M, m = _stokes(generate_structured(4), ("G2_0", "DG1"))
+    one = m / M.diagonal()
+    f = np.random.default_rng(11).standard_normal(B.shape[1])
+    u_ref, p_ref, iterations = saddle_solve(A, B, f, M, mean=m)
+    schur = la._schur
+
+    def drifting(*args):
+        solve_a, solve_m, BT, s_mv = schur(*args)
+        return (solve_a, lambda q: solve_m(q) + np.linalg.norm(q) * one, BT,
+                s_mv)
+
+    monkeypatch.setattr(la, "_schur", drifting)
+    u, p, drifted = saddle_solve(A, B, f, M, mean=m)
+    assert drifted == iterations
+    assert abs(m @ p) <= 1e-14 * np.linalg.norm(m) * np.linalg.norm(p)
+    assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+
+
+def test_eigensolver_failure_is_a_solver_error(monkeypatch):
+    A, B, M, m = _stokes(generate_structured(4), ("G2_0", "DG1"))
+    assert B.shape[0] > DENSE_MAX
+
+    def failing(*args, **kwargs):
+        raise spla.ArpackError(-9999)
+
+    monkeypatch.setattr(la.spla, "eigsh", failing)
+    with pytest.raises(SolverError, match="inf-sup eigensolve failed"):
+        infsup_constant(B, A, M, mean=m)
+    with pytest.raises(SolverError, match="Gram eigensolve failed"):
+        kernel_dimension(B)
+    # a failed Stokes solve reports that the diagnosis failed too
+    monkeypatch.setattr(la, "SCHUR_MAXIT", 1)
+    f = np.random.default_rng(11).standard_normal(B.shape[1])
+    with pytest.raises(SolverError, match="inf-sup constant could not be "
+                                          "computed"):
+        saddle_solve(A, B, f, M, mean=m)
+
+
+def test_nondiagonal_pressure_gram_rejected():
+    A = sp.diags([2.0, 4.0, 3.0], format="csc")
+    B = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
+    Mp = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    with pytest.raises(ValueError, match="must be diagonal"):
+        infsup_constant(B, A, Mp)
+    with pytest.raises(ValueError, match="must be diagonal"):
+        saddle_solve(A, B, np.ones(3), Mp)
 
 
 def test_saddle_singular_velocity_block_rejected():
@@ -111,6 +175,7 @@ def test_freed_large_buffers_leave_no_resident_heap():
 
 def test_kernel_dimension_zero_and_identity():
     assert kernel_dimension(sp.csr_matrix((4, 4))) == 4
+    assert kernel_dimension(sp.csr_matrix((2 * DENSE_MAX, 50))) == 50
     assert kernel_dimension(sp.identity(4, format="csr")) == 0
     A = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
     assert kernel_dimension(A) == 2
@@ -135,6 +200,75 @@ def test_kernel_dimension_dense_input():
     assert kernel_dimension(A.tolist()) == 11
     assert matrix_rank(A) == 7
     assert kernel_dimension(np.zeros((0, 5))) == 5
+
+
+@given(st.sampled_from(["tall", "wide"]), st.booleans(), st.booleans(),
+       st.integers(min_value=1, max_value=30),
+       st.integers(min_value=0, max_value=40),
+       st.integers(min_value=0, max_value=2**16))
+def test_kernel_dimension_matches_svd_count(orientation, above_cutoff, sparse,
+                                            extra, rank, seed):
+    # the Gram eigenvalue test lambda >= tol lambda_max is the singular value
+    # test sigma >= sqrt(tol) sigma_max, on either side of the dense cutoff
+    rng = np.random.default_rng(seed)
+    short = int(rng.integers(DENSE_MAX + 1, 2 * DENSE_MAX)) if above_cutoff \
+        else int(rng.integers(1, DENSE_MAX + 1))
+    shape = (short + extra, short) if orientation == "tall" \
+        else (short, short + extra)
+    rank = min(rank, short)
+    U = rng.standard_normal((shape[0], rank))
+    V = rng.standard_normal((rank, shape[1]))
+    if sparse:
+        U[rng.random(U.shape) < 0.5] = 0.0
+        V[rng.random(V.shape) < 0.5] = 0.0
+    A = U @ V
+    sigma = np.linalg.svd(A, compute_uv=False)
+    cut = np.sqrt(1e-8) * sigma[0]
+    assume(not np.any((sigma > 1e-3 * cut) & (sigma < 1e3 * cut)))
+    want = shape[1] - (int(np.count_nonzero(sigma >= cut)) if sigma[0] > 0
+                       else 0)
+    assert kernel_dimension(sp.csr_matrix(A) if sparse else A, tol=1e-8) \
+        == want
+
+
+@given(st.sampled_from(["random", "zero block", "zero diagonal",
+                        "2x2 blocks"]),
+       st.integers(min_value=1, max_value=60),
+       st.integers(min_value=0, max_value=2**16))
+def test_negative_pivots_match_eigenvalue_count(kind, n, seed):
+    # zero diagonals force Bunch-Kaufman's 2x2 pivots, often several in a row
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, n))
+    H = X + X.T
+    if kind == "zero block":
+        H[:n // 2, :n // 2] = 0.0
+    elif kind == "zero diagonal":
+        H[np.diag_indices(n)] = 0.0
+    elif kind == "2x2 blocks":
+        # [[0, b], [b, c]] blocks, one negative eigenvalue each, in a random
+        # order of rows
+        H = np.diag(rng.standard_normal(n))
+        for k in range(0, n - 1, 2):
+            H[k, k] = 0.0
+            H[k, k + 1] = H[k + 1, k] = rng.uniform(0.5, 2.0)
+        perm = rng.permutation(n)
+        H = H[np.ix_(perm, perm)]
+    lam = sla.eigvalsh(H)
+    assume(np.abs(lam).min() > 1e-8 * np.abs(lam).max())
+    assert _negative_pivots(H.copy()) == np.count_nonzero(lam < 0.0)
+
+
+def test_negative_pivots_reads_runs_of_2x2_blocks():
+    # a zero-diagonal matrix whose factorization has consecutive 2x2 pivots,
+    # two of them with the same interchange index
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((20, 20))
+    H = X + X.T
+    H[np.diag_indices(20)] = 0.0
+    ipiv = sla.lapack.dsytrf(H)[1]
+    neg = ipiv[ipiv < 0]
+    assert len(neg) >= 8 and len(set(neg)) < len(neg) // 2
+    assert _negative_pivots(H.copy()) == np.count_nonzero(sla.eigvalsh(H) < 0)
 
 
 def test_kernel_dimension_quartic_n16():
@@ -174,7 +308,6 @@ def test_infsup_small_dense_path():
     Mp = sp.csr_matrix(np.eye(3))
     c = infsup_constant(B, A, Mp)
     # brute-force reference via dense eigenvalues
-    import scipy.linalg as sla
     S = B.toarray() @ np.linalg.solve(A.toarray(), B.toarray().T)
     lam = sla.eigh(S, np.eye(3), eigvals_only=True)[0]
     assert c == pytest.approx(np.sqrt(max(lam, 0.0)), rel=1e-10)
@@ -193,8 +326,8 @@ def test_infsup_invariant_under_pressure_permutation():
     M = rng.standard_normal((nu, nu))
     A = sp.csc_matrix(M @ M.T + nu * np.eye(nu))
     B = sp.csr_matrix(rng.standard_normal((npres, nu)))
-    Mp_half = rng.standard_normal((npres, npres))
-    Mp = sp.csr_matrix(Mp_half @ Mp_half.T + npres * np.eye(npres))
+    # a diagonal pressure Gram stays diagonal under a permutation
+    Mp = sp.diags(rng.uniform(0.5, 2.0, npres), format="csr")
     base = infsup_constant(B, A, Mp)
     perm = rng.permutation(npres)
     P = sp.csr_matrix((np.ones(npres), (np.arange(npres), perm)),

@@ -1,17 +1,21 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from biharmfem.biharmonic import manufactured
 from biharmfem.elements import element_catalog, eval_dof
-from biharmfem.linalg import is_symmetric
 from biharmfem.mesh import Mesh, generate_structured, refine_uniform
-from biharmfem.polynomials import (EDGE_LEGENDRE, poly1d_eval, poly_gradient,
-                                  poly_hessian)
+from biharmfem.polynomials import (EDGE_LEGENDRE, BaryPoly, poly1d_eval,
+                                  poly_gradient, poly_hessian)
 from biharmfem.quadrature import edge_rule, tri_rule
 from biharmfem.spaces import (ROUNDOFF_RTOL, FieldFunction, assemble_bilinear,
                               assemble_load, build_space, edge_jump_moments,
                               error_norms, eval_field, interpolate,
-                              interpolate_vector, locate_cells)
+                              _pressure_modes, interpolate_vector,
+                              locate_cells)
+from oracles import is_symmetric
 
 
 def counts(mesh):
@@ -490,3 +494,26 @@ def test_locate_cells_independent_of_point_order():
     assert np.array_equal(lam_s, lam[perm])
     with pytest.raises(ValueError, match="outside the mesh"):
         locate_cells(mesh, np.vstack([pts[perm], [[1.5, 0.5]]]))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_dg_modes_are_orthogonal_and_mean_zero(k):
+    # exact rational cell averages: a property of the modes, not of round-off
+    modes = (BaryPoly.const(Fraction(1)), *_pressure_modes(k))
+    assert len(modes) == (k + 1) * (k + 2) // 2
+    for i, p in enumerate(modes):
+        assert (p * p).cell_average() > 0
+        for q in modes[:i]:
+            assert (p * q).cell_average() == 0
+
+
+@pytest.mark.parametrize("name", ORACLE_MESHES)
+def test_dg_mass_is_diagonal(request, name):
+    # affine cells keep the reference orthogonality, so the pressure Gram the
+    # Stokes solver inverts by division is diagonal on any mesh
+    mesh = _oracle_mesh(request, name)
+    for kind in ("DG0", "DG1", "DG2"):
+        dg = build_space(mesh, kind)
+        M = assemble_bilinear(dg, dg, "mass")
+        assert (M - sp.diags(M.diagonal())).count_nonzero() == 0, kind
+        assert (M.diagonal() > 0).all(), kind
