@@ -246,27 +246,6 @@ def dof_matrices(elem: ElementDef, grad_lambda) -> np.ndarray:
     return M
 
 
-def _combination(elem: ElementDef, coefs, geom):
-    """sum_s coefs[s] shape_s: a BaryPoly, or a (px, py) pair if vector."""
-    comps = [BaryPoly() for _ in range(2 if elem.vector else 1)]
-    for c, s in zip(coefs, elem.shapes):
-        if c != 0.0:
-            comps = [q + float(c) * s.component(k, geom)
-                     for k, q in enumerate(comps)]
-    return tuple(comps) if elem.vector else comps[0]
-
-
-def resolved_dofs(elem: ElementDef, geom) -> list[DofFunctional]:
-    out = [d for d in elem.dofs if d.kind != "cell_vec"]
-    if not elem.needs_interior_construction:
-        return out
-    gl = np.asarray([geom.grad_lambda], dtype=float)
-    K = _interior_weights(elem, gl, _affine_rows(elem, gl))[0][0]
-    return out + [DofFunctional(kind="cell_vec",
-                                vec_weight=_combination(elem, k, geom))
-                  for k in K]
-
-
 def dof_matrix(elem: ElementDef, geom, exact: bool = False):
     """M[i, j] = D_i(shape_j).  exact=True uses Fractions (see eval_dof)."""
     if exact:
@@ -290,12 +269,6 @@ def nodal_coefficients(elem: ElementDef, grad_lambda) -> np.ndarray:
         raise ValueError(f"unisolvence failure for {elem.name}: sigma_min/"
                          f"sigma_max = {np.min(sv[:, -1] / sv[:, 0]):.3e}")
     return np.linalg.inv(M)
-
-
-def nodal_basis(elem: ElementDef, geom):
-    """Nodal basis polynomials (scalar: BaryPoly, vector: (px, py))."""
-    Minv = nodal_coefficients(elem, [geom.grad_lambda])[0]
-    return [_combination(elem, Minv[:, j], geom) for j in range(elem.dim)]
 
 
 def exact_det(M) -> Fraction:
@@ -501,22 +474,12 @@ def _make_lagrange(k: int) -> ElementDef:
     return ElementDef(f"p{k}", False, tuple(shapes), tuple(_lattice_points(k)), k)
 
 
-def _make_dg(k: int) -> ElementDef:
-    base = _make_lagrange(max(k, 1))
-    if k == 0:
-        return ElementDef("dg0", False, (_scalar(ONE),),
-                          (DofFunctional(kind="cell"),), 0)
-    return ElementDef(f"dg{k}", False, base.shapes, base.dofs, k)
-
-
 _CATALOG_BUILDERS = {
     "nsc": _make_nsc, "nsq": _make_nsq, "ec": _make_ec, "eq": _make_eq,
     "veq": _make_veq, "vec": _make_vec, "morley": _make_morley,
     "cr": _make_cr, "fs": _make_fs, "cf": _make_cf,
     "p1": lambda: _make_lagrange(1), "p2": lambda: _make_lagrange(2),
     "p3": lambda: _make_lagrange(3), "p4": lambda: _make_lagrange(4),
-    "dg0": lambda: _make_dg(0), "dg1": lambda: _make_dg(1),
-    "dg2": lambda: _make_dg(2),
 }
 
 _CATALOG_CACHE: dict[str, ElementDef] = {}
@@ -528,8 +491,7 @@ VERIFIED_ELEMENTS = ("nsc", "nsq", "ec", "eq", "veq", "vec",
 #: expected dimensions
 ELEMENT_DIMS = {"nsc": 10, "nsq": 15, "ec": 12, "eq": 18, "veq": 14, "vec": 23,
                 "morley": 6, "cr": 3, "fs": 6, "cf": 10,
-                "p1": 3, "p2": 6, "p3": 10, "p4": 15,
-                "dg0": 1, "dg1": 3, "dg2": 6}
+                "p1": 3, "p2": 6, "p3": 10, "p4": 15}
 
 
 def element_catalog(name: str) -> ElementDef:

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
 
 
 class MeshError(Exception):
@@ -215,39 +213,6 @@ def cell_geometry(verts) -> CellGeometry:
         verts=verts, area=area, grad_lambda=gl, gram=gl @ gl.T,
         grad_norms=np.linalg.norm(gl, axis=1), edge_lengths=lengths,
         tangents=tangents, normals=normals)
-
-
-@dataclass
-class EntityClassification:
-    """Interior/boundary entity sets and interior-vertex peeling levels."""
-
-    interior_vertices: np.ndarray
-    boundary_vertices: np.ndarray
-    interior_edges: np.ndarray
-    boundary_edges: np.ndarray
-    vertex_level: dict[int, int]   # interior vertex -> level k (>= 1)
-    n_levels: int
-
-
-def classify(mesh: Mesh) -> EntityClassification:
-    """Level of each interior vertex: its distance, in interior edges, from
-    the boundary vertices."""
-    inner = mesh.interior_vertices()
-    a, b = mesh.edges[mesh.interior_edges()].T
-    graph = sp.csr_matrix((np.ones(a.size), (a, b)),
-                          shape=(mesh.n_vertices,) * 2)
-    dist = dijkstra(graph, directed=False, unweighted=True, min_only=True,
-                    indices=np.flatnonzero(mesh.vertex_is_boundary))[inner]
-    if not np.isfinite(dist).all():
-        raise MeshError("interior vertices not connected to the boundary")
-    levels = dist.astype(np.int64)
-    return EntityClassification(
-        interior_vertices=inner,
-        boundary_vertices=np.flatnonzero(mesh.vertex_is_boundary),
-        interior_edges=mesh.interior_edges(),
-        boundary_edges=np.flatnonzero(mesh.edge_is_boundary),
-        vertex_level=dict(zip(inner.tolist(), levels.tolist())),
-        n_levels=int(levels.max(initial=0)))
 
 
 def generate_structured(n: int) -> Mesh:

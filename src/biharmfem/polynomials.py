@@ -1,11 +1,13 @@
 """Polynomial algebra in barycentric coordinates.
 
 Polynomials are stored as sparse maps from exponent triples (a, b, c) of
-(lam1, lam2, lam3) to coefficients.  Coefficients may be ``fractions.Fraction``
-(exact paths used by the golden element tables) or floats; the two never need
-to mix inside one polynomial.  Representations are not canonicalized modulo
-lam1 + lam2 + lam3 = 1; all operations (evaluation, moments, chain-rule
-derivatives) are representative-independent on the simplex.
+(lam1, lam2, lam3) to coefficients.  Coefficients are ``fractions.Fraction``
+in the exact algebra (element definitions, DOF functionals, golden tables)
+and floats in the shape sets that spaces.tabulate evaluates at points; the
+two never mix inside one polynomial.  Representations are not canonicalized
+modulo lam1 + lam2 + lam3 = 1; evaluation, moments and lambda-derivatives are
+representative-independent on the simplex.  Cartesian derivatives are formed
+from the tabulated lambda-derivatives by the chain rule, not here.
 """
 
 from __future__ import annotations
@@ -217,19 +219,6 @@ EDGE_LEGENDRE = (
 )
 
 
-def poly_gradient(p: BaryPoly, grad_lambda) -> tuple[BaryPoly, BaryPoly]:
-    """Cartesian gradient of p via the chain rule; grad_lambda is 3x2."""
-    gx = BaryPoly()
-    gy = BaryPoly()
-    for i in range(3):
-        d = p.dlam(i)
-        if d.is_zero():
-            continue
-        gx = gx + d * grad_lambda[i][0]
-        gy = gy + d * grad_lambda[i][1]
-    return gx, gy
-
-
 def poly_directional(p: BaryPoly, weights) -> BaryPoly:
     """Sum_i (d p / d lam_i) * weights[i]; used for grad(p) . v contractions."""
     out = BaryPoly()
@@ -237,94 +226,4 @@ def poly_directional(p: BaryPoly, weights) -> BaryPoly:
         d = p.dlam(i)
         if not d.is_zero() and weights[i] != 0:
             out = out + d * weights[i]
-    return out
-
-
-def poly_hessian(p: BaryPoly, grad_lambda) -> tuple[BaryPoly, BaryPoly, BaryPoly]:
-    """Cartesian Hessian entries (xx, xy, yy)."""
-    hxx = BaryPoly()
-    hxy = BaryPoly()
-    hyy = BaryPoly()
-    for i in range(3):
-        di = p.dlam(i)
-        if di.is_zero():
-            continue
-        for j in range(3):
-            dij = di.dlam(j)
-            if dij.is_zero():
-                continue
-            gi, gj = grad_lambda[i], grad_lambda[j]
-            hxx = hxx + dij * (gi[0] * gj[0])
-            hxy = hxy + dij * (gi[0] * gj[1])
-            hyy = hyy + dij * (gi[1] * gj[1])
-    return hxx, hxy, hyy
-
-
-# -- cartesian <-> barycentric conversion (float paths, kept for the test
-#    oracles) -----------------------------------------------------------------
-
-def xy_to_bary(coeffs2d: dict, verts) -> BaryPoly:
-    """Convert a polynomial in (x, y) to a barycentric representative."""
-    X = BaryPoly({(1, 0, 0): float(verts[0][0]), (0, 1, 0): float(verts[1][0]),
-                  (0, 0, 1): float(verts[2][0])})
-    Y = BaryPoly({(1, 0, 0): float(verts[0][1]), (0, 1, 0): float(verts[1][1]),
-                  (0, 0, 1): float(verts[2][1])})
-    one = BaryPoly({(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 1): 1.0})
-    out = BaryPoly()
-    xpow: dict[int, BaryPoly] = {}
-    ypow: dict[int, BaryPoly] = {}
-    for (i, j), c in coeffs2d.items():
-        if c == 0:
-            continue
-        if i not in xpow:
-            xpow[i] = _power(X, i, one)
-        if j not in ypow:
-            ypow[j] = _power(Y, j, one)
-        out = out + (xpow[i] * ypow[j]) * c
-    return out
-
-
-def _power(p: BaryPoly, n: int, one: BaryPoly) -> BaryPoly:
-    out = one
-    for _ in range(n):
-        out = out * p
-    return out
-
-
-def bary_to_xy(p: BaryPoly, verts) -> dict:
-    """Convert a BaryPoly to cartesian coefficients {(i, j): c}."""
-    import numpy as _np
-
-    v = _np.asarray(verts, dtype=float)
-    e1 = v[1] - v[0]
-    e2 = v[2] - v[0]
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    # lam affine forms: lam_i = a_i + b_i x + c_i y
-    gl = _np.array([
-        [-(e2[1] - e1[1]) / det, (e2[0] - e1[0]) / det],
-        [e2[1] / det, -e2[0] / det],
-        [-e1[1] / det, e1[0] / det],
-    ])
-    lam2d = []
-    for i in range(3):
-        # constant term from lam_i(v_i) = 1
-        const = 1.0 - (gl[i, 0] * v[i, 0] + gl[i, 1] * v[i, 1])
-        lam2d.append({(0, 0): const, (1, 0): gl[i, 0], (0, 1): gl[i, 1]})
-    out: dict = {}
-    for (a, b, c), coef in p.coeffs.items():
-        term = {(0, 0): float(coef)}
-        for i, n in enumerate((a, b, c)):
-            for _ in range(n):
-                term = poly2d_mul(term, lam2d[i])
-        for k, cv in term.items():
-            out[k] = out.get(k, 0.0) + cv
-    return {k: cv for k, cv in out.items() if cv != 0.0}
-
-
-def poly2d_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, 0.0) + c1 * c2
     return out

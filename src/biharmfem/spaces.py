@@ -10,14 +10,17 @@ arrays built once per mesh:
   P  the sparse cell-to-global operator of shape (ncells * nloc, ndof): row
      c * nloc + l expresses local DOF l of cell c in the global DOFs.
 
-Vector spaces repeat the scalar shape set once per cartesian component.  The
-reference tables hold values and lambda-derivatives up to order 2 at each
-tri_rule degree, cached process-wide; physical derivatives follow by the
-chain rule through grad_lambda.  Assembly contracts geometry-free reference
-tensors with per-cell grad_lambda/Gram arrays and forms
-P_test^T blockdiag(M_c) P_trial.  Inter-cell identification of edge moments
-goes through canonical-edge Legendre moments; orientation flips and normal
-signs live entirely in P.
+Vector spaces repeat the scalar shape set once per cartesian component.
+Shape polynomials are evaluated at float points in one place, tabulate(),
+which gives values and lambda-derivatives up to order 2 at any barycentric
+points.  The reference tables are tabulate at the tri_rule points, cached
+process-wide; field evaluation (eval_field, sample_field_csv) tabulates at
+the located points.  Physical derivatives follow by one chain rule through
+grad_lambda, shared by evaluation, error norms and the Galerkin residual.
+Assembly contracts geometry-free reference tensors with per-cell
+grad_lambda/Gram arrays and forms P_test^T blockdiag(M_c) P_trial.
+Inter-cell identification of edge moments goes through canonical-edge
+Legendre moments; orientation flips and normal signs live entirely in P.
 
 Global DOF layouts (deterministic): every space but the pressure spaces is a
 row of LAYOUT_KINDS, a catalog element with its component count, G2 bubble
@@ -43,8 +46,7 @@ import scipy.sparse as sp
 
 from .elements import REFERENCE_EXACT, element_catalog, nodal_coefficients
 from .mesh import Mesh
-from .polynomials import (EDGE_LEGENDRE, BaryPoly, poly1d_eval, poly_gradient,
-                          poly_hessian)
+from .polynomials import EDGE_LEGENDRE, BaryPoly, poly1d_eval
 from .quadrature import edge_rule, tri_rule
 
 L0 = BaryPoly.lam(0)
@@ -87,19 +89,26 @@ def shape_set(name: str) -> tuple[BaryPoly, ...]:
     return tuple(p.as_float() for p in polys)
 
 
+def tabulate(shapes: str, lam):
+    """A shape set at barycentric points lam (..., 3): values (nsh, ...) and
+    first (nsh, 3, ...) and second (nsh, 3, 3, ...) lambda-derivatives.
+    The one place where shape polynomials are evaluated at float points."""
+    polys = shape_set(shapes)
+    val = np.array([p.eval(lam) for p in polys])
+    d1 = np.array([[p.dlam(i).eval(lam) for i in range(3)] for p in polys])
+    d2 = np.array([[[p.dlam(i).dlam(j).eval(lam) for j in range(3)]
+                    for i in range(3)] for p in polys])
+    return val, d1, d2
+
+
 @lru_cache(maxsize=None)
 def reference_tables(shapes: str, degree: int):
-    """A shape set at the points of tri_rule(degree): values (nsh, nq) and
-    first (nsh, 3, nq) and second (nsh, 3, 3, nq) lambda-derivatives."""
-    pts = tri_rule(degree).points
-    polys = shape_set(shapes)
-    val = np.array([p.eval(pts) for p in polys])
-    d1 = np.array([[p.dlam(i).eval(pts) for i in range(3)] for p in polys])
-    d2 = np.array([[[p.dlam(i).dlam(j).eval(pts) for j in range(3)]
-                    for i in range(3)] for p in polys])
-    for arr in (val, d1, d2):
+    """tabulate at the points of tri_rule(degree), cached process-wide and
+    read-only: values (nsh, nq), (nsh, 3, nq) and (nsh, 3, 3, nq)."""
+    tables = tabulate(shapes, tri_rule(degree).points)
+    for arr in tables:
         arr.setflags(write=False)
-    return val, d1, d2
+    return tables
 
 
 class Space:
@@ -128,19 +137,6 @@ class Space:
         local = (self.P @ coeffs).reshape(self.mesh.n_cells, 1, self.nloc)
         return (local @ self.A)[:, 0]
 
-    def cell_poly(self, c: int, coeffs: np.ndarray):
-        """Cell-local polynomial(s): BaryPoly, or (BaryPoly, BaryPoly)."""
-        local = self.P[c * self.nloc:(c + 1) * self.nloc] @ coeffs
-        svec = local @ (self.A if self.A.ndim == 2 else self.A[c])
-        polys = []
-        for part in svec.reshape(2 if self.vector else 1, -1):
-            p = BaryPoly()
-            for w, s in zip(part, shape_set(self.shapes)):
-                if w != 0.0:
-                    p = p + float(w) * s
-            polys.append(p)
-        return tuple(polys) if self.vector else polys[0]
-
 
 @dataclass
 class FieldFunction:
@@ -151,9 +147,6 @@ class FieldFunction:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.coeffs.shape != (self.space.ndof,):
             raise ValueError("coefficient vector length != space dimension")
-
-    def cell_poly(self, c: int):
-        return self.space.cell_poly(c, self.coeffs)
 
     def eval(self, x, y, order: int = 0):
         return eval_field(self, (x, y), order)
@@ -544,35 +537,47 @@ def locate_cell(mesh: Mesh, point) -> int:
     return int(locate_cells(mesh, [point])[0][0])
 
 
-def eval_field(field: FieldFunction, point, order: int = 0):
-    (c,), (lam,) = locate_cells(field.space.mesh, [point])
-    geom = field.space.mesh.geometry(c)
-    polys = field.cell_poly(c)
-    if not field.space.vector:
-        polys = (polys,)
-    out = []
-    for p in polys:
-        if order == 0:
-            out.append(float(p.eval(lam)))
-        elif order == 1:
-            gx, gy = poly_gradient(p, geom.grad_lambda)
-            out.append(np.array([gx.eval(lam), gy.eval(lam)]))
-        elif order == 2:
-            hxx, hxy, hyy = poly_hessian(p, geom.grad_lambda)
-            out.append(np.array([[hxx.eval(lam), hxy.eval(lam)],
-                                 [hxy.eval(lam), hyy.eval(lam)]]))
-        else:
-            raise ValueError("order must be 0, 1 or 2")
-    return out[0] if not field.space.vector else out
-
-
-def _derivative(S: np.ndarray, gl: np.ndarray, table: np.ndarray, dirs):
-    """Cartesian derivative along dirs (one axis per order) of the fields
-    with shape coefficients S (ncells, nshape), at every (cell, point)."""
+def _chain_rule(S: np.ndarray, gl: np.ndarray, dirs) -> np.ndarray:
+    """The cartesian derivative along dirs (one axis per order) of the fields
+    with shape coefficients S (ncells, nshape), as (ncells, nshape * 3^k)
+    weights of the shapes' lambda-derivatives of order k = len(dirs)."""
     T = S
     for d in dirs:
         T = T[..., None] * gl[:, :, d].reshape(len(S), *(1,) * (T.ndim - 1), 3)
-    return T.reshape(len(S), -1) @ table.reshape(-1, table.shape[-1])
+    return T.reshape(len(S), -1)
+
+
+def _derivative(S: np.ndarray, gl: np.ndarray, table: np.ndarray, dirs):
+    """Cartesian derivative along dirs of the fields with shape coefficients
+    S (ncells, nshape), at every (cell, point) of a reference table."""
+    return _chain_rule(S, gl, dirs) @ table.reshape(-1, table.shape[-1])
+
+
+def _field_at(field: FieldFunction, points, order: int) -> np.ndarray:
+    """The derivatives of the given order of a field at points (npts, 2):
+    (npts, ncomp, 2, ..., 2), with one axis of length 2 per order."""
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
+    space = field.space
+    cells, lam = locate_cells(space.mesh, points)
+    gl = space.mesh.geometry_arrays()[0][cells]
+    table = tabulate(space.shapes, lam)[order].reshape(-1, len(cells))
+    S = space.shape_coefficients(field.coeffs)[cells]
+    # the Hessian's off-diagonal entries are one value, so it is symmetric
+    dirs = [((),), ((0,), (1,)), ((0, 0), (0, 1), (0, 1), (1, 1))][order]
+    out = [[np.einsum("pk,kp->p", _chain_rule(Sk, gl, d), table)
+            for d in dirs]
+           for Sk in np.split(S, 2 if space.vector else 1, axis=1)]
+    return np.moveaxis(out, -1, 0).reshape(len(cells), -1, *(2,) * order)
+
+
+def eval_field(field: FieldFunction, point, order: int = 0):
+    """The value (order 0), gradient (2,) or Hessian (2, 2) of a field at a
+    point; a list of both components' for a vector field."""
+    (out,) = _field_at(field, [point], order)
+    if order == 0:
+        out = [float(v) for v in out]
+    return list(out) if field.space.vector else out[0]
 
 
 def error_norms(field: FieldFunction, u, grad_u=None, hess_u=None,
@@ -609,10 +614,7 @@ def sample_field_csv(field: FieldFunction, n: int = 50) -> str:
     """CSV text of (x, y, value) on a uniform n x n sample grid."""
     x, y = (a.ravel() for a in np.meshgrid(np.linspace(0.0, 1.0, n),
                                            np.linspace(0.0, 1.0, n)))
-    cells, lam = locate_cells(field.space.mesh, np.column_stack([x, y]))
-    S = field.space.shape_coefficients(field.coeffs)[cells]
-    shapes = np.array([p.eval(lam) for p in shape_set(field.space.shapes)])
-    vals = np.einsum("ps,sp->p", S, shapes)
+    vals = _field_at(field, np.column_stack([x, y]), 0)[:, 0]
     lines = ["x,y,value"] + [f"{a:.12g},{b:.12g},{v:.12g}"
                              for a, b, v in zip(x, y, vals)]
     return "\n".join(lines) + "\n"
@@ -697,46 +699,3 @@ def interpolate_vector(space: Space, u1, u2) -> FieldFunction:
     if not space.vector:
         raise ValueError("interpolate_vector needs a vector space")
     return _interpolate(space, (u1, u2), (None, None))
-
-
-# ---------------------------------------------------------------------------
-# edge traces and jumps (testing and membership checks)
-# ---------------------------------------------------------------------------
-
-def edge_trace(mesh: Mesh, c: int, e: int, poly: BaryPoly, tpts: np.ndarray,
-               deriv: str = "value") -> np.ndarray:
-    """Trace of a cell polynomial on edge e at canonical parameters tpts.
-
-    deriv='value' evaluates the trace; 'normal' the derivative along the
-    canonical edge normal (same normal for both incident cells).
-    """
-    geom = mesh.geometry(c)
-    va, vb = int(mesh.edges[e, 0]), int(mesh.edges[e, 1])
-    loc = {int(mesh.cells[c, i]): i for i in range(3)}
-    la, lb = loc[va], loc[vb]
-    lam = np.zeros((len(tpts), 3))
-    lam[:, la] = 1.0 - tpts
-    lam[:, lb] = tpts
-    if deriv == "value":
-        return poly.eval(lam)
-    pa, pb = mesh.vertices[va], mesh.vertices[vb]
-    t = (pb - pa) / np.linalg.norm(pb - pa)
-    n = np.array([t[1], -t[0]])
-    gx, gy = poly_gradient(poly, geom.grad_lambda)
-    return gx.eval(lam) * n[0] + gy.eval(lam) * n[1]
-
-
-def edge_jump_moments(mesh: Mesh, cellpolys, e: int, weights_deg: int,
-                      deriv: str = "value", quad_degree: int = 12) -> float:
-    """Max over canonical Legendre weights (deg <= weights_deg) of the jump
-    moment |fint_e w * [trace]|; boundary edges use the single trace."""
-    rule = edge_rule(quad_degree)
-    c0, c1 = (int(x) for x in mesh.edge_cells[e])
-    tr = edge_trace(mesh, c0, e, cellpolys(c0), rule.points, deriv)
-    if c1 >= 0:
-        tr = tr - edge_trace(mesh, c1, e, cellpolys(c1), rule.points, deriv)
-    worst = 0.0
-    for m in range(weights_deg + 1):
-        wv = poly1d_eval([float(x) for x in EDGE_LEGENDRE[m]], rule.points)
-        worst = max(worst, abs(float(np.sum(rule.weights * wv * tr))))
-    return worst

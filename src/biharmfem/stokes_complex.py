@@ -34,7 +34,7 @@ from .mesh import Mesh
 from .polynomials import EDGE_LEGENDRE, BaryPoly, poly1d_eval
 from .quadrature import edge_rule
 from .spaces import (Space, assemble_bilinear, block_diagonal, build_space,
-                     shape_set)
+                     shape_set, tabulate)
 
 
 class ComplexError(RuntimeError):
@@ -74,12 +74,6 @@ def _ref_coeffs(p: BaryPoly, shapes: str) -> np.ndarray:
     return out
 
 
-def _dlam_at_vertices(polys) -> np.ndarray:
-    """[p, i, j] = (d p / d lam_i) at vertex j."""
-    eye = np.eye(3)
-    return np.array([[p.dlam(i).eval(eye) for i in range(3)] for p in polys])
-
-
 @dataclass(frozen=True)
 class _Reference:
     dlam: np.ndarray       # (3, 6, 10): d/dlam_i, cubic -> gradient shapes
@@ -97,9 +91,9 @@ def _reference() -> _Reference:
     # lam_0 does not occur, so d/dxi = d/dlam_1 and d/deta = d/dlam_2
     return _Reference(
         dlam=dlam, antider=np.linalg.pinv(np.concatenate(dlam[1:])),
-        vertex=np.array([s.eval(np.eye(3)) for s in cubic]),
-        rot=_dlam_at_vertices(shape_set(GRADIENT_SHAPES)),
-        bubble=_dlam_at_vertices(shape_set("g2")[-1:])[0])
+        vertex=tabulate(CUBIC_SHAPES, np.eye(3))[0],
+        rot=tabulate(GRADIENT_SHAPES, np.eye(3))[1],
+        bubble=tabulate("g2", np.eye(3))[1][-1])
 
 
 def _cell_blocks(M, width: int):
@@ -313,15 +307,6 @@ class CellwiseField:
         """(field, cell, (nblocks, 10) coefficients) of the nonzero cells."""
         return _cell_blocks(self.coeffs, NCUBIC)
 
-    def poly(self, c: int) -> BaryPoly:
-        """The cubic of the first field on cell c (see row for the others)."""
-        vals = self.coeffs[0, c * NCUBIC:(c + 1) * NCUBIC].toarray().ravel()
-        p = BaryPoly()
-        for w, s in zip(vals, shape_set(CUBIC_SHAPES)):
-            if w != 0.0:
-                p = p + float(w) * s
-        return p
-
     def gradient(self) -> sp.csr_matrix:
         """The broken gradients, in the layout grad_inverse reads: row f,
         cell c, columns c * 12 + 6 * k + s for component k and shape s of
@@ -489,9 +474,7 @@ def _edge_moments(degree: int):
             lam[i, o, :, (i + 2) % 3] = s
     legendre = rule.weights * np.array(
         [poly1d_eval([float(x) for x in EDGE_LEGENDRE[m]], t) for m in (0, 1)])
-    cubic = shape_set(CUBIC_SHAPES)
-    val = np.array([p.eval(lam) for p in cubic])
-    d1 = np.array([[p.dlam(j).eval(lam) for j in range(3)] for p in cubic])
+    val, d1, _ = tabulate(CUBIC_SHAPES, lam)
     return (np.einsum("sioq,q->ios", val, rule.weights),
             np.einsum("sjioq,mq->iosjm", d1, legendre))
 

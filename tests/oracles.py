@@ -1,6 +1,21 @@
-"""Reference checks that only the tests use."""
+"""Reference implementations that only the tests use.
 
+The cell-polynomial oracle rebuilds a field cell by cell as BaryPoly
+objects from a space's P, A and shape_set, and differentiates them
+symbolically.  It shares no code with the library's array evaluation
+(spaces.tabulate and the chain-rule contraction), so the two can check each
+other.
+"""
+
+import numpy as np
 import scipy.sparse as sp
+
+from biharmfem.elements import (DofFunctional, _affine_rows,
+                                _interior_weights, nodal_coefficients)
+from biharmfem.polynomials import EDGE_LEGENDRE, BaryPoly, poly1d_eval
+from biharmfem.quadrature import edge_rule
+from biharmfem.spaces import shape_set
+from biharmfem.stokes_complex import CUBIC_SHAPES, NCUBIC
 
 
 def is_symmetric(A, rel: float = 1e-12) -> bool:
@@ -11,3 +26,238 @@ def is_symmetric(A, rel: float = 1e-12) -> bool:
         return True
     amax = abs(A).max() if A.nnz else 0.0
     return d.max() <= rel * max(amax, 1e-300)
+
+
+# -- cell polynomials ---------------------------------------------------------
+
+def combine(weights, polys) -> BaryPoly:
+    """sum_s weights[s] polys[s] with float weights; zero weights skipped."""
+    out = BaryPoly()
+    for w, p in zip(weights, polys):
+        if w != 0.0:
+            out = out + float(w) * p
+    return out
+
+
+def cell_poly(space, coeffs, c: int):
+    """The field with global coefficients coeffs on cell c: a BaryPoly, or a
+    (px, py) pair on a vector space."""
+    local = space.P[c * space.nloc:(c + 1) * space.nloc] @ coeffs
+    svec = local @ (space.A if space.A.ndim == 2 else space.A[c])
+    polys = [combine(part, shape_set(space.shapes))
+             for part in svec.reshape(2 if space.vector else 1, -1)]
+    return tuple(polys) if space.vector else polys[0]
+
+
+def cubic_poly(field, c: int) -> BaryPoly:
+    """The cubic on cell c of the first field of a CellwiseField."""
+    vals = field.coeffs[0, c * NCUBIC:(c + 1) * NCUBIC].toarray().ravel()
+    return combine(vals, shape_set(CUBIC_SHAPES))
+
+
+def poly_gradient(p: BaryPoly, grad_lambda) -> tuple[BaryPoly, BaryPoly]:
+    """Cartesian gradient of p via the chain rule; grad_lambda is 3x2."""
+    gx = BaryPoly()
+    gy = BaryPoly()
+    for i in range(3):
+        d = p.dlam(i)
+        if d.is_zero():
+            continue
+        gx = gx + d * grad_lambda[i][0]
+        gy = gy + d * grad_lambda[i][1]
+    return gx, gy
+
+
+def poly_hessian(p: BaryPoly, grad_lambda):
+    """Cartesian Hessian entries (xx, xy, yy) via the chain rule."""
+    hxx = BaryPoly()
+    hxy = BaryPoly()
+    hyy = BaryPoly()
+    for i in range(3):
+        di = p.dlam(i)
+        if di.is_zero():
+            continue
+        for j in range(3):
+            dij = di.dlam(j)
+            if dij.is_zero():
+                continue
+            gi, gj = grad_lambda[i], grad_lambda[j]
+            hxx = hxx + dij * (gi[0] * gj[0])
+            hxy = hxy + dij * (gi[0] * gj[1])
+            hyy = hyy + dij * (gi[1] * gj[1])
+    return hxx, hxy, hyy
+
+
+def field_at(space, coeffs, points, order: int = 0) -> np.ndarray:
+    """The derivatives of the given order of a field at points (npts, 2):
+    (npts, ncomp, 2, ..., 2), one axis of length 2 per order.  A point
+    belongs to the lowest-index cell where its barycentric coordinates, from
+    a linear solve with the cell's vertices, are all >= -1e-12."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    mesh = space.mesh
+    out = np.zeros((len(pts), 2 if space.vector else 1, *(2,) * order))
+    todo = np.ones(len(pts), dtype=bool)
+    for c in range(mesh.n_cells):
+        geom = mesh.geometry(c)
+        system = np.vstack([geom.verts.T, np.ones(3)])
+        lam = np.linalg.solve(system, np.vstack([pts.T, np.ones(len(pts))])).T
+        hit = todo & (lam >= -1e-12).all(axis=1)
+        if not hit.any():
+            continue
+        todo &= ~hit
+        polys = cell_poly(space, coeffs, c)
+        gl = geom.grad_lambda
+        for k, p in enumerate(polys if space.vector else (polys,)):
+            if order == 0:
+                out[hit, k] = p.eval(lam[hit])
+            elif order == 1:
+                out[hit, k] = np.column_stack(
+                    [g.eval(lam[hit]) for g in poly_gradient(p, gl)])
+            else:
+                hxx, hxy, hyy = (h.eval(lam[hit])
+                                 for h in poly_hessian(p, gl))
+                out[hit, k] = np.stack([hxx, hxy, hxy, hyy],
+                                       axis=1).reshape(-1, 2, 2)
+    if todo.any():
+        raise ValueError(f"point {tuple(pts[todo][0])} outside the mesh")
+    return out
+
+
+# -- edge traces and jumps ----------------------------------------------------
+
+def edge_trace(mesh, c: int, e: int, poly: BaryPoly, tpts: np.ndarray,
+               deriv: str = "value") -> np.ndarray:
+    """Trace of a cell polynomial on edge e at canonical parameters tpts.
+
+    deriv='value' evaluates the trace; 'normal' the derivative along the
+    canonical edge normal (same normal for both incident cells).
+    """
+    geom = mesh.geometry(c)
+    va, vb = int(mesh.edges[e, 0]), int(mesh.edges[e, 1])
+    loc = {int(mesh.cells[c, i]): i for i in range(3)}
+    la, lb = loc[va], loc[vb]
+    lam = np.zeros((len(tpts), 3))
+    lam[:, la] = 1.0 - tpts
+    lam[:, lb] = tpts
+    if deriv == "value":
+        return poly.eval(lam)
+    pa, pb = mesh.vertices[va], mesh.vertices[vb]
+    t = (pb - pa) / np.linalg.norm(pb - pa)
+    n = np.array([t[1], -t[0]])
+    gx, gy = poly_gradient(poly, geom.grad_lambda)
+    return gx.eval(lam) * n[0] + gy.eval(lam) * n[1]
+
+
+def edge_jump_moments(mesh, cellpolys, e: int, weights_deg: int,
+                      deriv: str = "value", quad_degree: int = 12) -> float:
+    """Max over canonical Legendre weights (deg <= weights_deg) of the jump
+    moment |fint_e w * [trace]|; boundary edges use the single trace."""
+    rule = edge_rule(quad_degree)
+    c0, c1 = (int(x) for x in mesh.edge_cells[e])
+    tr = edge_trace(mesh, c0, e, cellpolys(c0), rule.points, deriv)
+    if c1 >= 0:
+        tr = tr - edge_trace(mesh, c1, e, cellpolys(c1), rule.points, deriv)
+    worst = 0.0
+    for m in range(weights_deg + 1):
+        wv = poly1d_eval([float(x) for x in EDGE_LEGENDRE[m]], rule.points)
+        worst = max(worst, abs(float(np.sum(rule.weights * wv * tr))))
+    return worst
+
+
+# -- cartesian <-> barycentric conversion -------------------------------------
+
+def xy_to_bary(coeffs2d: dict, verts) -> BaryPoly:
+    """Convert a polynomial in (x, y), {(i, j): c}, to a barycentric
+    representative on the triangle verts."""
+    X = BaryPoly({(1, 0, 0): float(verts[0][0]), (0, 1, 0): float(verts[1][0]),
+                  (0, 0, 1): float(verts[2][0])})
+    Y = BaryPoly({(1, 0, 0): float(verts[0][1]), (0, 1, 0): float(verts[1][1]),
+                  (0, 0, 1): float(verts[2][1])})
+    one = BaryPoly({(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 1): 1.0})
+    out = BaryPoly()
+    xpow: dict[int, BaryPoly] = {}
+    ypow: dict[int, BaryPoly] = {}
+    for (i, j), c in coeffs2d.items():
+        if c == 0:
+            continue
+        if i not in xpow:
+            xpow[i] = _power(X, i, one)
+        if j not in ypow:
+            ypow[j] = _power(Y, j, one)
+        out = out + (xpow[i] * ypow[j]) * c
+    return out
+
+
+def _power(p: BaryPoly, n: int, one: BaryPoly) -> BaryPoly:
+    out = one
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+def bary_to_xy(p: BaryPoly, verts) -> dict:
+    """Convert a BaryPoly to cartesian coefficients {(i, j): c}."""
+    v = np.asarray(verts, dtype=float)
+    e1 = v[1] - v[0]
+    e2 = v[2] - v[0]
+    det = e1[0] * e2[1] - e1[1] * e2[0]
+    # lam affine forms: lam_i = a_i + b_i x + c_i y
+    gl = np.array([
+        [-(e2[1] - e1[1]) / det, (e2[0] - e1[0]) / det],
+        [e2[1] / det, -e2[0] / det],
+        [-e1[1] / det, e1[0] / det],
+    ])
+    lam2d = []
+    for i in range(3):
+        # constant term from lam_i(v_i) = 1
+        const = 1.0 - (gl[i, 0] * v[i, 0] + gl[i, 1] * v[i, 1])
+        lam2d.append({(0, 0): const, (1, 0): gl[i, 0], (0, 1): gl[i, 1]})
+    out: dict = {}
+    for (a, b, c), coef in p.coeffs.items():
+        term = {(0, 0): float(coef)}
+        for i, n in enumerate((a, b, c)):
+            for _ in range(n):
+                term = poly2d_mul(term, lam2d[i])
+        for k, cv in term.items():
+            out[k] = out.get(k, 0.0) + cv
+    return {k: cv for k, cv in out.items() if cv != 0.0}
+
+
+def poly2d_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0.0) + c1 * c2
+    return out
+
+
+# -- element nodal bases ------------------------------------------------------
+
+def combination(elem, coefs, geom):
+    """sum_s coefs[s] shape_s: a BaryPoly, or a (px, py) pair if vector."""
+    comps = [BaryPoly() for _ in range(2 if elem.vector else 1)]
+    for c, s in zip(coefs, elem.shapes):
+        if c != 0.0:
+            comps = [q + float(c) * s.component(k, geom)
+                     for k, q in enumerate(comps)]
+    return tuple(comps) if elem.vector else comps[0]
+
+
+def resolved_dofs(elem, geom) -> list[DofFunctional]:
+    """The element's DOFs on a cell, FE_vec's interior weights resolved to
+    explicit cell_vec functionals."""
+    out = [d for d in elem.dofs if d.kind != "cell_vec"]
+    if not elem.needs_interior_construction:
+        return out
+    gl = np.asarray([geom.grad_lambda], dtype=float)
+    K = _interior_weights(elem, gl, _affine_rows(elem, gl))[0][0]
+    return out + [DofFunctional(kind="cell_vec",
+                                vec_weight=combination(elem, k, geom))
+                  for k in K]
+
+
+def nodal_basis(elem, geom):
+    """Nodal basis polynomials (scalar: BaryPoly, vector: (px, py))."""
+    Minv = nodal_coefficients(elem, [geom.grad_lambda])[0]
+    return [combination(elem, Minv[:, j], geom) for j in range(elem.dim)]

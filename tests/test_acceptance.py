@@ -34,12 +34,12 @@ from biharmfem.elements import (REFERENCE_EXACT, VEQ_DET_CONSTANT,
                                 grad_curl_pairing, random_grad_lambdas,
                                 unisolvence_check, _phi4, _s_poly, L, LAM)
 from biharmfem.mesh import generate_structured
-from biharmfem.polynomials import poly_gradient
 from biharmfem.biharmonic import (convergence_study, galerkin_residual,
                                   infsup_study, manufactured, solve_cubic)
 from biharmfem.quadrature import tri_rule
 from biharmfem.stokes_complex import (b3_basis, exactness_report,
                                       grad_inverse)
+from oracles import cubic_poly, poly_gradient
 
 F = Fraction
 
@@ -321,7 +321,8 @@ def test_criterion8_gradient_inverse_roundtrip(grad_array):
         polys = {}
         for w, fn in zip(coefs, basis.functions):
             for c in fn.field.support:
-                polys[c] = polys.get(c, 0) + float(w) * fn.field.poly(c)
+                polys[c] = polys.get(c, 0) \
+                    + float(w) * cubic_poly(fn.field, c)
         # normalize to unit broken-H1 so the absolute gate is meaningful
         norm2 = 0.0
         for c, p in polys.items():
@@ -346,7 +347,7 @@ def test_criterion8_gradient_inverse_roundtrip(grad_array):
             target = polys.get(c)
             gx_t, gy_t = (poly_gradient(target, geom.grad_lambda)
                           if target is not None else (None, None))
-            gx_w, gy_w = poly_gradient(w2.poly(c), geom.grad_lambda)
+            gx_w, gy_w = poly_gradient(cubic_poly(w2, c), geom.grad_lambda)
             dx = gx_w - gx_t if gx_t is not None else gx_w
             dy = gy_w - gy_t if gy_t is not None else gy_w
             err2 += geom.area * float(np.sum(

@@ -9,6 +9,7 @@ from biharmfem.biharmonic import (convergence_study, galerkin_residual,
                                   solve_morley, solve_quartic)
 from biharmfem.spaces import build_space, error_norms, assemble_bilinear
 from biharmfem.stokes_complex import b3_basis
+from oracles import cell_poly, cubic_poly, poly_hessian, xy_to_bary
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +191,6 @@ def test_galerkin_residual_detects_perturbation(mesh2, poly8):
 def test_galerkin_residual_matches_cell_loop(mesh2, poly8):
     # a u_h far from the Galerkin solution: each residual is O(1) and equals
     # the one summed cell by cell over BaryPoly Hessians
-    from biharmfem.polynomials import poly_hessian
     from biharmfem.quadrature import tri_rule
     res = solve_cubic(mesh2, poly8.f)
     res.u_h.coeffs = np.random.default_rng(19).standard_normal(
@@ -206,16 +206,17 @@ def test_galerkin_residual_matches_cell_loop(mesh2, poly8):
         a = l = w2 = 0.0
         for c in fn.field.support:
             hw = [h.eval(rule.points) for h in
-                  poly_hessian(fn.field.poly(c), geoms[c].grad_lambda)]
+                  poly_hessian(cubic_poly(fn.field, c), geoms[c].grad_lambda)]
             hu = [h.eval(rule.points) for h in
-                  poly_hessian(res.u_h.cell_poly(c), geoms[c].grad_lambda)]
+                  poly_hessian(cell_poly(res.u_h.space, res.u_h.coeffs, c),
+                               geoms[c].grad_lambda)]
             area = geoms[c].area
             a += area * np.sum(rule.weights * (hu[0] * hw[0] + 2 * hu[1] * hw[1]
                                                + hu[2] * hw[2]))
             w2 += area * np.sum(rule.weights * (hw[0]**2 + 2 * hw[1]**2
                                                 + hw[2]**2))
             l += area * np.sum(rule.weights * poly8.f(*xy[c].T)
-                               * fn.field.poly(c).eval(rule.points))
+                               * cubic_poly(fn.field, c).eval(rule.points))
         want = max(want, abs(a - l) / (np.sqrt(w2) * max(1.0, fnorm)))
     got = galerkin_residual(res, poly8.f, basis)
     assert want > 1e-3
@@ -233,7 +234,7 @@ def _eval_cellwise(fieldw, x, y):
         geom = mesh.geometry(c)
         lam = np.array([geom.grad_lambda[i] @ (np.array([a, b]) - geom.verts[i])
                         + 1.0 for i in range(3)])
-        p = fieldw.poly(c)
+        p = cubic_poly(fieldw, c)
         out[k] = p.eval(lam) if p.coeffs else 0.0
     return out if np.ndim(x) else float(out[0])
 
@@ -313,7 +314,6 @@ def test_hessian_consistency_global_quadratic(mesh2):
     # a DG2 field reproducing x^2 + x*y - y^2 has the exact constant hessian;
     # the DG2 modes are L2-orthogonal, so each coefficient is the cell
     # average of q times the mode over the mode's mean square
-    from biharmfem.polynomials import xy_to_bary
     from biharmfem.spaces import FieldFunction, eval_field, shape_set
     dg2 = build_space(mesh2, "DG2")
     modes = shape_set(dg2.shapes)

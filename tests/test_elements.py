@@ -15,11 +15,11 @@ from biharmfem.elements import (ELEMENT_DIMS, VEQ_DET_CONSTANT,
                                 DofFunctional, ExactGeometry, dof_matrices,
                                 dof_matrix, edge_weight_poly, element_catalog,
                                 eval_dof, exact_det, grad_curl_pairing,
-                                nodal_basis, random_shape_regular_triangle,
-                                resolved_dofs, unisolvence_check,
-                                VERIFIED_ELEMENTS, ShapeFunction, _s_poly,
-                                _phi4, L, LAM)
+                                random_shape_regular_triangle,
+                                unisolvence_check, VERIFIED_ELEMENTS,
+                                ShapeFunction, _s_poly, _phi4, L, LAM)
 from biharmfem.mesh import cell_geometry
+from oracles import nodal_basis, resolved_dofs
 
 F = Fraction
 GEOMS = [REFERENCE_EXACT, ExactGeometry.from_vertices([(0, 0), (3, F(1, 2)), (1, 2)])]

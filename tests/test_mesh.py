@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from biharmfem.mesh import (Mesh, MeshError, cell_geometry, classify,
-                            format_mesh, generate_structured, parse_mesh,
-                            refine_uniform)
+from biharmfem.mesh import (Mesh, MeshError, cell_geometry, format_mesh,
+                            generate_structured, parse_mesh, refine_uniform)
 
 
 def test_structured_counts_n1():
@@ -70,29 +69,6 @@ def test_refine_preserves_orientation_and_euler():
     for _ in range(2):
         m = refine_uniform(m)
         assert m.euler_characteristic() == 1
-
-
-def test_classify_n2_single_interior_vertex():
-    m = generate_structured(2)
-    cls = classify(m)
-    assert list(cls.vertex_level.values()) == [1]
-    assert cls.n_levels == 1
-
-
-def test_classify_n4_center_level_two():
-    m = generate_structured(4)
-    cls = classify(m)
-    center = None
-    for a in m.interior_vertices():
-        if np.allclose(m.vertices[a], [0.5, 0.5]):
-            center = int(a)
-    assert center is not None
-    assert cls.vertex_level[center] == 2
-    others = [cls.vertex_level[int(a)] for a in m.interior_vertices()
-              if int(a) != center]
-    assert all(lv == 1 for lv in others)
-    # levels partition the interior vertex set
-    assert sorted(cls.vertex_level) == sorted(int(a) for a in m.interior_vertices())
 
 
 def test_reference_triangle_geometry():

@@ -7,15 +7,15 @@ import scipy.sparse as sp
 from biharmfem.biharmonic import manufactured
 from biharmfem.elements import element_catalog, eval_dof
 from biharmfem.mesh import Mesh, generate_structured, refine_uniform
-from biharmfem.polynomials import (EDGE_LEGENDRE, BaryPoly, poly1d_eval,
-                                  poly_gradient, poly_hessian)
+from biharmfem.polynomials import EDGE_LEGENDRE, BaryPoly, poly1d_eval
 from biharmfem.quadrature import edge_rule, tri_rule
-from biharmfem.spaces import (ROUNDOFF_RTOL, FieldFunction, assemble_bilinear,
-                              assemble_load, build_space, edge_jump_moments,
+from biharmfem.spaces import (LAYOUT_KINDS, ROUNDOFF_RTOL, FieldFunction,
+                              assemble_bilinear, assemble_load, build_space,
                               error_norms, eval_field, interpolate,
                               _pressure_modes, interpolate_vector,
                               locate_cells)
-from oracles import is_symmetric
+from oracles import (cell_poly, edge_jump_moments, field_at, is_symmetric,
+                     poly_gradient, poly_hessian)
 
 
 def counts(mesh):
@@ -146,7 +146,8 @@ def test_a3_reproduces_global_cubic():
     a3 = build_space(mesh, "A3_0")
     f = interpolate(a3, cubic_u)
     for e in mesh.interior_edges():
-        jump = edge_jump_moments(mesh, lambda c: f.cell_poly(c), int(e), 0)
+        jump = edge_jump_moments(
+            mesh, lambda c: cell_poly(a3, f.coeffs, c), int(e), 0)
         assert jump < 1e-12
     # interior consistency: at the interior vertex the field equals u
     mid = eval_field(f, (0.5, 0.5))
@@ -179,8 +180,8 @@ def test_interpolant_jumps_vanish(kind, jump_deg, deriv):
                     grad_u=boundary_flat_grad if needs_grad else None)
     assert np.abs(f.coeffs).max() > 0
     for e in range(mesh.n_edges):
-        jump = edge_jump_moments(mesh, lambda c: f.cell_poly(c), int(e),
-                                 jump_deg, deriv=deriv)
+        jump = edge_jump_moments(mesh, lambda c: cell_poly(space, f.coeffs, c),
+                                 int(e), jump_deg, deriv=deriv)
         assert jump < 1e-12, (kind, e, deriv, jump)
 
 
@@ -209,11 +210,10 @@ def test_g3_interpolant_jumps_vanish():
                 trule.weights * f(xy[:, 0], xy[:, 1]))
     got = interpolate_vector(g3, u1, u2).coeffs
     assert np.abs(got - coeffs).max() <= 1e-14 * np.abs(coeffs).max()
-    fld = FieldFunction(g3, coeffs)
     for e in range(mesh.n_edges):
         for comp in range(2):
             jump = edge_jump_moments(
-                mesh, lambda c: fld.cell_poly(c)[comp], int(e), 2)
+                mesh, lambda c: cell_poly(g3, coeffs, c)[comp], int(e), 2)
             assert jump < 1e-11, (e, comp)
 
 
@@ -226,7 +226,7 @@ def test_g2_interpolant_jumps_vanish():
     for e in range(mesh.n_edges):
         for comp in range(2):
             jump = edge_jump_moments(
-                mesh, lambda c: f.cell_poly(c)[comp], int(e), 0)
+                mesh, lambda c: cell_poly(g2, f.coeffs, c)[comp], int(e), 0)
             assert jump < 1e-12
 
 
@@ -262,7 +262,8 @@ def test_interpolant_reproduces_shape_polynomials(relabeled4, kind, degree):
     pts = tri_rule(6).points
     for c in inner:
         xy = pts @ mesh.geometry(c).verts
-        polys = f.cell_poly(c) if space.vector else (f.cell_poly(c),)
+        polys = cell_poly(space, f.coeffs, c)
+        polys = polys if space.vector else (polys,)
         for p, u in zip(polys, exact):
             want = u(xy[:, 0], xy[:, 1])
             assert np.allclose(p.eval(pts), want, rtol=0,
@@ -292,29 +293,28 @@ def test_eval_outside_domain_rejected():
         eval_field(f, (2.0, 2.0))
 
 
-def test_hessian_of_quadratic_interpolant():
-    # Morley reproduces quadratics; hessian must be the exact constant
-    mesh = generate_structured(2)
-    mo = build_space(mesh, "Morley_0")
-    u = lambda x, y: x * y
-    gu = lambda x, y: (y, x)
-    f = interpolate(mo, u, grad_u=gu)
-    # the interpolant of xy is exact only modulo boundary conditions; check
-    # the hessian evaluation path on the raw cell polynomial instead
-    c = 0
-    from biharmfem.polynomials import poly_hessian
-    p = f.cell_poly(c)
-    geom = mesh.geometry(c)
-    hxx, hxy, hyy = poly_hessian(p, geom.grad_lambda)
-    pts = np.array([[0.4, 0.3, 0.3]])
-    assert np.isfinite(hxx.eval(pts)).all()
+def test_hessian_of_quadratic_interpolant(relabeled4):
+    # Morley reproduces quadratics on the cells that touch no boundary
+    # entity, so there the Hessian of the interpolant of xy is exact
+    mesh = relabeled4
+    f = interpolate(build_space(mesh, "Morley_0"), lambda x, y: x * y,
+                    grad_u=lambda x, y: (y, x))
+    inner = np.flatnonzero(~mesh.vertex_is_boundary[mesh.cells].any(axis=1))
+    assert inner.size == 8
+    for c in inner:
+        for lam in ([1 / 3, 1 / 3, 1 / 3], [0.6, 0.3, 0.1], [0.1, 0.2, 0.7]):
+            H = eval_field(f, np.array(lam) @ mesh.geometry(c).verts, order=2)
+            assert H.shape == (2, 2)
+            assert np.allclose(H, [[0.0, 1.0], [1.0, 0.0]], rtol=0,
+                               atol=1e-11), (c, lam, H)
 
 
 def test_error_norms_reproduction():
     mesh = generate_structured(2)
     a3 = build_space(mesh, "A3_0")
     f = interpolate(a3, boundary_flat_u)
-    # compare the field against callbacks built from the field itself
+    # compare the field against callbacks built from the cell-polynomial
+    # oracle of the same field
     e0, e1, e2 = error_norms(
         f, lambda x, y: _field_vals(f, x, y, 0),
         lambda x, y: _field_vals(f, x, y, 1),
@@ -323,15 +323,34 @@ def test_error_norms_reproduction():
 
 
 def _field_vals(f, x, y, order):
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    pts = np.column_stack([np.ravel(x), np.ravel(y)])
+    vals = field_at(f.space, f.coeffs, pts, order)[:, 0]
     if order == 0:
-        return np.array([eval_field(f, (a, b)) for a, b in zip(xs, ys)])
+        return vals
     if order == 1:
-        g = np.array([eval_field(f, (a, b), 1) for a, b in zip(xs, ys)])
-        return g[:, 0], g[:, 1]
-    h = np.array([eval_field(f, (a, b), 2) for a, b in zip(xs, ys)])
-    return h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+        return vals[:, 0], vals[:, 1]
+    return vals[:, 0, 0], vals[:, 0, 1], vals[:, 1, 1]
+
+
+@pytest.mark.parametrize("mesh_name", ["jittered4", "relabeled4"])
+def test_eval_field_matches_cell_oracle(request, mesh_name):
+    # every layout kind, the per-cell transforms of A4_0 and Morley_0 and the
+    # vector spaces among them, and the DG pressures, at seeded random points
+    mesh = request.getfixturevalue(mesh_name)
+    rng = np.random.default_rng(41)
+    pts = rng.uniform(0.0, 1.0, size=(12, 2))
+    for kind in [row[0] for row in LAYOUT_KINDS] + ["DG0", "DG1", "DG2"]:
+        space = build_space(mesh, kind)
+        f = FieldFunction(space, rng.standard_normal(space.ndof))
+        for order in (0, 1, 2):
+            got = np.array([eval_field(f, p, order) for p in pts])
+            want = field_at(space, f.coeffs, pts, order)
+            want = want if space.vector else want[:, 0]
+            assert got.shape == want.shape, (kind, order)
+            scale = max(np.abs(want).max(), 1e-300)
+            assert np.abs(got - want).max() <= 1e-13 * scale, (kind, order)
+        with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+            eval_field(f, pts[0], order=3)
 
 
 def test_error_norms_zero_field():
@@ -368,10 +387,10 @@ def _oracle_mesh(request, name):
 
 
 def _cell_fields(space, coeffs, c, pts, order):
-    """Components of a field on cell c at barycentric pts, from cell_poly and
-    the BaryPoly chain rule: per component (value, grad, hessian)."""
+    """Components of a field on cell c at barycentric pts, from the cell
+    polynomial oracle: per component (value, grad, hessian)."""
     gl = space.mesh.geometry(c).grad_lambda
-    polys = space.cell_poly(c, coeffs)
+    polys = cell_poly(space, coeffs, c)
     out = []
     for p in (polys if space.vector else (polys,)):
         grad = [g.eval(pts) for g in poly_gradient(p, gl)] if order >= 1 else None

@@ -3,16 +3,17 @@ import pytest
 import scipy.sparse as sp
 
 from biharmfem.mesh import Mesh, generate_structured, refine_uniform
-from biharmfem.polynomials import BaryPoly, poly_gradient
+from biharmfem.polynomials import BaryPoly
 from biharmfem.quadrature import tri_rule
-from biharmfem.spaces import (assemble_bilinear, build_space,
-                              edge_jump_moments, reference_tables)
+from biharmfem.spaces import assemble_bilinear, build_space, reference_tables
 from biharmfem.stokes_complex import (GRADIENT_SHAPES, CellwiseField,
                                       ComplexError, b3_basis,
                                       b3_membership_violation, bubble_correct,
                                       embed_s2_in_g2, exactness_report,
                                       grad_inverse, weak_rotfree_basis,
                                       _edge_jump_violation, _vertex_violation)
+from oracles import (cell_poly, cubic_poly, edge_jump_moments, poly_gradient,
+                     poly_hessian)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +47,7 @@ def test_phi_e_zero_tangential_mean(mesh2, basis2):
 
 
 def cell_rot_mean(space, c, coeffs):
-    px, py = space.cell_poly(c, coeffs)
+    px, py = cell_poly(space, coeffs, c)
     geom = space.mesh.geometry(c)
     gx_py, _ = poly_gradient(py, geom.grad_lambda)
     _, gy_px = poly_gradient(px, geom.grad_lambda)
@@ -92,7 +93,7 @@ def test_grad_inverse_zero(mesh2, grad_array):
     z = BaryPoly()
     w = grad_inverse(mesh2, grad_array(mesh2, lambda c: (z, z)))
     assert w.support == frozenset()
-    assert all(w.poly(c).is_zero() for c in range(mesh2.n_cells))
+    assert all(cubic_poly(w, c).is_zero() for c in range(mesh2.n_cells))
 
 
 def test_grad_inverse_roundtrip_on_b3(mesh2, grad_array):
@@ -104,7 +105,7 @@ def test_grad_inverse_roundtrip_on_b3(mesh2, grad_array):
         polys = [BaryPoly() for _ in range(mesh2.n_cells)]
         for w, fn in zip(coef, basis.functions):
             for c in fn.field.support:
-                polys[c] = polys[c] + float(w) * fn.field.poly(c)
+                polys[c] = polys[c] + float(w) * cubic_poly(fn.field, c)
 
         def grad_of(c):
             geom = mesh2.geometry(c)
@@ -115,7 +116,7 @@ def test_grad_inverse_roundtrip_on_b3(mesh2, grad_array):
         pts = np.array([[1 / 3, 1 / 3, 1 / 3], [0.6, 0.2, 0.2],
                         [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]])
         for c in range(mesh2.n_cells):
-            diff = polys[c] - w2.poly(c)
+            diff = polys[c] - cubic_poly(w2, c)
             if diff.coeffs:
                 err = max(err, float(np.abs(diff.eval(pts)).max()))
         assert err < 1e-10
@@ -149,8 +150,6 @@ def test_b3_membership(mesh2):
 
 
 def test_b3_gram_nonsingular(mesh2):
-    from biharmfem.polynomials import poly_hessian
-    from biharmfem.quadrature import tri_rule
     basis = b3_basis(mesh2)
     rule = tri_rule(4)
     n = len(basis)
@@ -160,7 +159,7 @@ def test_b3_gram_nonsingular(mesh2):
         rows = []
         for c in range(mesh2.n_cells):
             geom = mesh2.geometry(c)
-            p = fn.field.poly(c)
+            p = cubic_poly(fn.field, c)
             if p.coeffs:
                 hxx, hxy, hyy = poly_hessian(p, geom.grad_lambda)
                 rows.append((hxx.eval(rule.points), hxy.eval(rule.points),
@@ -289,7 +288,8 @@ def test_rot_grad_composition_is_zero(mesh2):
 @pytest.mark.parametrize("mesh_name", ["jittered4", "relabeled4"])
 def test_b3_gradient_matches_g2_oracle(mesh_name, request):
     # the array gradient of every cubic equals its G2 coefficients read
-    # through g2.cell_poly, at the tri_rule(6) points of every cell
+    # through the cell-polynomial oracle, at the tri_rule(6) points of every
+    # cell
     mesh = request.getfixturevalue(mesh_name)
     basis = b3_basis(mesh)
     pts = tri_rule(6).points
@@ -298,7 +298,7 @@ def test_b3_gradient_matches_g2_oracle(mesh_name, request):
     for fn in basis.functions:
         got = fn.field.gradient().toarray().reshape(mesh.n_cells, 2, -1) @ val
         want = np.array([[p.eval(pts) for p in
-                          basis.g2.cell_poly(c, fn.gradient_coeffs)]
+                          cell_poly(basis.g2, fn.gradient_coeffs, c)]
                          for c in range(mesh.n_cells)])
         worst = max(worst, float(np.abs(got - want).max()
                                  / np.abs(want).max()))
@@ -307,12 +307,15 @@ def test_b3_gradient_matches_g2_oracle(mesh_name, request):
 
 def _membership_oracle(mesh, field):
     """Edge and vertex clauses of one field, cell by cell with BaryPoly."""
-    edge = max(max(edge_jump_moments(mesh, field.poly, e, 0, "value", 10),
-                   edge_jump_moments(mesh, field.poly, e, 1, "normal", 10))
+    def poly(c):
+        return cubic_poly(field, c)
+
+    edge = max(max(edge_jump_moments(mesh, poly, e, 0, "value", 10),
+                   edge_jump_moments(mesh, poly, e, 1, "normal", 10))
                for e in range(mesh.n_edges))
     values = {}
     for c in range(mesh.n_cells):
-        for a, v in zip(mesh.cells[c], field.poly(c).eval(np.eye(3))):
+        for a, v in zip(mesh.cells[c], poly(c).eval(np.eye(3))):
             values.setdefault(int(a), []).append(float(v))
     vertex = max(max(map(abs, vals)) if mesh.vertex_is_boundary[a]
                  else max(vals) - min(vals) for a, vals in values.items())
