@@ -2,11 +2,12 @@
 Stokes solve, inf-sup and rank queries.
 
 saddle_solve and infsup_constant share one set-up (_schur) that factors the
-velocity Gram once; the pressure Gram must be diagonal (the DG pressure
-modes are L2-orthogonal), so its inverse is a division.  saddle_solve
-projects the pressure mean out and, when it fails, names the inf-sup
-constant of the pair computed from that same factor, by standard-form
-Lanczos on M^-1/2 S M^-1/2.  kernel_dimension counts small Gram eigenvalues
+Gram A of one velocity component once and solves every component with it
+(the velocity Gram is I_k (x) A, components numbered one after another);
+the pressure Gram must be diagonal (the DG pressure modes are
+L2-orthogonal), so its inverse is a division.  saddle_solve projects the
+pressure mean out and, when it fails, names the inf-sup constant of the pair
+computed from that same factor, by standard-form Lanczos on M^-1/2 S M^-1/2.  kernel_dimension counts small Gram eigenvalues
 by inertia: one Lanczos estimate of the largest and one Bunch-Kaufman LDL^T
 of the shifted Gram, instead of the whole spectrum.  Matrices are scipy
 CSR/CSC; everything here is deterministic for fixed inputs (a fixed
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -74,13 +76,13 @@ def _splu(A):
         raise SolverError(f"sparse factorization failed: {exc}") from exc
 
 
-def _checked(A, lu_solve, tol):
-    """lu_solve with the residual of every solve checked against tol."""
+def _checked(apply, lu_solve, tol):
+    """lu_solve with the residual of every solve (by apply) checked."""
     def solve(b):
         b = np.asarray(b, dtype=float)
         x = lu_solve(b)
         bnorm = np.linalg.norm(b)
-        res = np.linalg.norm(A @ x - b)
+        res = np.linalg.norm(apply(x) - b)
         if bnorm > 0 and res > tol * bnorm:
             raise SolverError(f"direct solve residual {res / bnorm:.3e} > tol",
                               residual=res / bnorm)
@@ -93,7 +95,13 @@ def spd_solver(A, tol: float = 1e-10):
     """Return ``solve(b)`` for the SPD matrix A, factored once by splu; the
     residual of every solve is checked against tol."""
     A = sp.csc_matrix(A)
-    return _checked(A, _splu(A).solve, tol)
+    return _checked(A.dot, _splu(A).solve, tol)
+
+
+def _per_component(op, n: int, x: np.ndarray) -> np.ndarray:
+    """op on the k length-n components of x as the columns of one (n, k)
+    array: with op = A.dot it applies I_k (x) A, with lu.solve solves it."""
+    return op(x.reshape(-1, n).T).T.ravel()
 
 
 #: Iteration cap of the Schur-complement PCG.  For an inf-sup stable pair the
@@ -123,9 +131,10 @@ def _start_vector(n: int) -> np.ndarray:
 
 def _schur(A, B, M, mean, tol):
     """Factor A (_splu) once for the pressure Schur complement
-    S = B A^-1 B^T; the pressure Gram M must be diagonal.  Returns (solve_a,
-    solve_m, BT, s_mv): solve_a checks its residual as spd_solver's does,
-    solve_m divides by the diagonal of M, BT is B^T as CSR, and s_mv applies
+    S = B (I_k (x) A)^-1 B^T (see saddle_solve for k); the pressure Gram M
+    must be diagonal.  Returns (solve_a, solve_m, BT, s_mv): solve_a solves
+    with I_k (x) A by one multi-column solve and checks its residual as
+    spd_solver's does, solve_m divides by the diagonal of M, BT is B^T as CSR, and s_mv applies
     S and, when the mean functional m is given (m @ q the integral of the
     pressure q, in a space holding the constants), the rank-one shift
     m m^T / (m^T M^-1 m).  S vanishes on the constant; the shift moves it to
@@ -140,8 +149,12 @@ def _schur(A, B, M, mean, tol):
         raise ValueError("the pressure Gram must be diagonal with a positive "
                          "diagonal (L2-orthogonal pressure modes)")
     A = sp.csc_matrix(A)
-    lu_solve = _splu(A).solve
-    solve_a = _checked(A, lu_solve, tol)
+    n = A.shape[0]
+    if n == 0 or B.shape[1] % n:
+        raise ValueError(f"B's {B.shape[1]} columns: not a multiple of {n}")
+    lu = _splu(A)
+    lu_solve = partial(_per_component, lu.solve, n)
+    solve_a = _checked(partial(_per_component, A.dot, n), lu_solve, tol)
     BT = B.T.tocsr()
 
     def solve_m(q):
@@ -181,11 +194,13 @@ def _smallest_eig(s_mv, solve_m, npres, tol) -> float:
 
 
 def saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
-    """Solve [[A, B^T], [B, 0]] [u; p] = [f; 0] by PCG on the pressure Schur
-    complement.
+    """Solve [[I_k (x) A, B^T], [B, 0]] [u; p] = [f; 0] by PCG on the
+    pressure Schur complement.
 
-    S = B A^-1 B^T is applied through one factorization of the SPD block A
-    and preconditioned by the pressure Gram M, which is spectrally equivalent
+    A is the SPD Gram of one velocity component, factored once for all
+    k = B.shape[1] / A.shape[0] components of u and f, numbered one after
+    another (ValueError if k is not whole).  S = B A^-1 B^T is
+    preconditioned by the pressure Gram M, which is spectrally equivalent
     to S for an inf-sup stable pair (Benzi, Golub and Liesen, Acta Numerica
     2005).  M must be diagonal, so its inverse is a division by its
     diagonal.  PCG runs from p = 0 on S p = B A^-1 f, then
@@ -199,9 +214,9 @@ def saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
     iterations).
     """
     npres = B.shape[0]
-    if npres == 0:
-        return spd_solver(A, tol)(f), np.zeros(0), 0
     solve_a, solve_m, BT, s_mv = _schur(A, B, M, mean, tol)
+    if npres == 0:
+        return solve_a(f), np.zeros(0), 0
     scale = max(1.0, np.linalg.norm(f))
     p = np.zeros(npres)
     r = B @ solve_a(f)
@@ -225,7 +240,7 @@ def saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
         d = z + (rz_new / rz) * d
         rz = rz_new
     u = solve_a(f - BT @ p)
-    r1 = np.linalg.norm(A @ u + BT @ p - f)
+    r1 = np.linalg.norm(_per_component(A.dot, A.shape[0], u) + BT @ p - f)
     r2 = np.linalg.norm(B @ u)
     if not (np.isfinite(u).all() and np.isfinite(p).all()) \
             or r1 > tol * scale or r2 > tol * scale:
@@ -244,14 +259,14 @@ def saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
 
 
 def infsup_constant(B, A, Mp, tol: float = 1e-10, mean=None) -> float:
-    """sqrt of the smallest eigenvalue of B A^-1 B^T q = lam Mp q.
+    """sqrt of the smallest eigenvalue of B (I_k (x) A)^-1 B^T q = lam Mp q.
 
-    A is the velocity Gram (SPD), Mp the pressure Gram (diagonal, positive);
-    B pairs the pressure basis with the velocity basis.  When the pressures
-    are the mean-zero subspace of a space holding the constants, mean is the
-    mean functional m and the constant mode is deflated (see _schur).
-    Nonpositive smallest eigenvalues (beyond roundoff) report 0: the pair is
-    unstable.
+    A is the Gram of one velocity component, as in saddle_solve, Mp the
+    pressure Gram (diagonal, positive); B pairs the pressure basis with the
+    velocity basis.  When the pressures are the mean-zero subspace of a
+    space holding the constants, mean is the mean functional m and the
+    constant mode is deflated (see _schur).  Nonpositive smallest
+    eigenvalues (beyond roundoff) report 0: the pair is unstable.
     """
     B = sp.csr_matrix(B)
     if B.shape[0] == 0:

@@ -10,7 +10,8 @@ arrays built once per mesh:
   P  the sparse cell-to-global operator of shape (ncells * nloc, ndof): row
      c * nloc + l expresses local DOF l of cell c in the global DOFs.
 
-Vector spaces repeat the scalar shape set once per cartesian component.
+A vector space is its one-component space twice: Space.component, and
+component_dofs (2, ndof / 2), the DOF of each (component, component DOF).
 Shape polynomials are evaluated at float points in one place, tabulate(),
 which gives values and lambda-derivatives up to order 2 at any barycentric
 points.  The reference tables are tabulate at the tri_rule points, cached
@@ -89,15 +90,22 @@ def shape_set(name: str) -> tuple[BaryPoly, ...]:
     return tuple(p.as_float() for p in polys)
 
 
+@lru_cache(maxsize=None)
+def _shape_derivatives(shapes: str):
+    """A shape set's lambda-derivative polynomials, (nsh, 3) and (nsh, 3, 3)."""
+    d1 = tuple(tuple(p.dlam(i) for i in range(3)) for p in shape_set(shapes))
+    return d1, tuple(tuple(tuple(q.dlam(j) for j in range(3)) for q in row)
+                     for row in d1)
+
+
 def tabulate(shapes: str, lam):
     """A shape set at barycentric points lam (..., 3): values (nsh, ...) and
     first (nsh, 3, ...) and second (nsh, 3, 3, ...) lambda-derivatives.
     The one place where shape polynomials are evaluated at float points."""
-    polys = shape_set(shapes)
-    val = np.array([p.eval(lam) for p in polys])
-    d1 = np.array([[p.dlam(i).eval(lam) for i in range(3)] for p in polys])
-    d2 = np.array([[[p.dlam(i).dlam(j).eval(lam) for j in range(3)]
-                    for i in range(3)] for p in polys])
+    d1, d2 = _shape_derivatives(shapes)
+    val = np.array([p.eval(lam) for p in shape_set(shapes)])
+    d1 = np.array([[q.eval(lam) for q in row] for row in d1])
+    d2 = np.array([[[q.eval(lam) for q in r] for r in rows] for rows in d2])
     return val, d1, d2
 
 
@@ -124,6 +132,7 @@ class Space:
         self.P = P
         self.poly_degree = poly_degree
         self.meta = meta
+        self.component = self.component_dofs = None  # see _two_components
 
     def __repr__(self):
         return f"Space({self.kind}, ndof={self.ndof})"
@@ -310,11 +319,9 @@ def _shared_transform(name: str) -> np.ndarray:
 
 def _build_layout(mesh: Mesh, kind: str, element: str, ncomp: int,
                   bubble: bool, bc: bool) -> Space:
-    """A space from its row of LAYOUT_KINDS.
-
-    DOFs are numbered vertex | edge | cell, entity by entity, component-major
-    within an entity: entity table column comp * nslot + slot.
-    """
+    """A space from its row of LAYOUT_KINDS: DOFs numbered vertex | edge |
+    cell, entity by entity.  A two-component row is its one-component space
+    twice (_two_components)."""
     elem = element_catalog(element)
     lay = layout(element, bubble)
     free = {"vertex": ~mesh.vertex_is_boundary if bc
@@ -324,23 +331,17 @@ def _build_layout(mesh: Mesh, kind: str, element: str, ncomp: int,
             "cell": np.ones(mesh.n_cells, bool)}
     tables, n = {}, 0
     for etype in ENTITIES:
-        tables[etype], n = _numbering(free[etype], n,
-                                      ncomp * len(lay.slots[etype]))
+        tables[etype], n = _numbering(free[etype], n, len(lay.slots[etype]))
     incident = {"vertex": mesh.cells, "edge": mesh.cell_edges,
                 "cell": np.arange(mesh.n_cells)[:, None]}
     forward = mesh.cell_edge_signs == 1
-    nloc = len(lay.local)
     terms = []
-    for comp in range(ncomp):
-        for l, (etype, i, fwd, rev) in enumerate(lay.local):
-            ent = incident[etype][:, i]
-            first = comp * len(lay.slots[etype])
-            orient = forward[:, i] if etype == "edge" else True
-            for (fs, fw), (rs, rw) in zip(fwd, rev):
-                slot = np.where(orient, fs, rs)
-                terms.append((comp * nloc + l,
-                              tables[etype][ent, first + slot],
-                              np.where(orient, fw, rw)))
+    for l, (etype, i, fwd, rev) in enumerate(lay.local):
+        ent = incident[etype][:, i]
+        orient = forward[:, i] if etype == "edge" else True
+        for (fs, fw), (rs, rw) in zip(fwd, rev):
+            terms.append((l, tables[etype][ent, np.where(orient, fs, rs)],
+                          np.where(orient, fw, rw)))
     if ("normal",) in lay.slots["edge"]:
         A = nodal_coefficients(elem, mesh.geometry_arrays()[0]
                                ).transpose(0, 2, 1)
@@ -348,12 +349,35 @@ def _build_layout(mesh: Mesh, kind: str, element: str, ncomp: int,
         A = _shared_transform(element)
     if bubble:
         A = np.block([[A, np.zeros((len(A), 1))], [np.zeros((1, len(A))), 1.0]])
-    if ncomp == 2:
-        A = np.kron(np.eye(2), A)
     meta = {f"{etype}_dofs": tables[etype] for etype in ENTITIES}
     meta["layout"] = lay
-    return Space(mesh, kind, ncomp == 2, n, "g2" if bubble else element, A,
-                 _operator(mesh, ncomp * nloc, n, terms), elem.degree, meta)
+    space = Space(mesh, kind, False, n, "g2" if bubble else element, A,
+                  _operator(mesh, len(lay.local), n, terms), elem.degree, meta)
+    return _two_components(space) if ncomp == 2 else space
+
+
+def _two_components(comp: Space) -> Space:
+    """comp twice: an entity's DOFs are component-major (table column
+    c * nslot + s), so component c of comp's DOF d, in slot s, is
+    2 d - s + c nslot; so are the local DOFs, and P is comp's P per
+    component, its columns mapped through component_dofs."""
+    cdofs = np.empty((2, comp.ndof), dtype=np.int64)
+    meta = dict(comp.meta)
+    for etype in ENTITIES:
+        S = comp.meta[f"{etype}_dofs"]
+        nslot, free = S.shape[1], S >= 0
+        V = 2 * S[:, None] - np.arange(nslot) + nslot * np.arange(2)[:, None]
+        cdofs[:, S[free]] = V.transpose(1, 0, 2)[:, free]
+        meta[f"{etype}_dofs"] = np.where(free[:, None], V, -1).reshape(
+            len(S), 2 * nslot)
+    P = sp.kron(np.eye(2), comp.P, format="coo")
+    c, cell, l = np.unravel_index(P.row, (2, comp.mesh.n_cells, comp.nloc))
+    P = sp.csr_matrix((P.data, ((2 * cell + c) * comp.nloc + l,
+                                cdofs.ravel()[P.col])), shape=P.shape)
+    space = Space(comp.mesh, comp.kind, True, 2 * comp.ndof, comp.shapes,
+                  np.kron(np.eye(2), comp.A), P, comp.poly_degree, meta)
+    space.component, space.component_dofs = comp, cdofs
+    return space
 
 
 _LAYOUT_BY_KEY = {row[0].lower(): row for row in LAYOUT_KINDS}
@@ -461,7 +485,7 @@ def assemble_bilinear(trial: Space, test: Space, form: str,
 def _quadrature_points(mesh: Mesh, degree: int):
     """Every (cell, point) pair of tri_rule(degree), as flat x and y."""
     verts = mesh.geometry_arrays()[2]
-    xy = np.einsum("qi,cid->cqd", tri_rule(degree).points, verts)
+    xy = tri_rule(degree).points @ verts
     return xy[..., 0].ravel(), xy[..., 1].ravel()
 
 
@@ -530,11 +554,6 @@ def locate_cells(mesh: Mesh, points):
         cells[idx] = near[first]
         lam[idx] = chunk[np.arange(len(p)), first]
     return cells, lam
-
-
-def locate_cell(mesh: Mesh, point) -> int:
-    """Deterministic point location: lowest cell index containing the point."""
-    return int(locate_cells(mesh, [point])[0][0])
 
 
 def _chain_rule(S: np.ndarray, gl: np.ndarray, dirs) -> np.ndarray:

@@ -7,7 +7,8 @@ from biharmfem.mesh import generate_structured
 from biharmfem.biharmonic import (convergence_study, galerkin_residual,
                                   infsup_study, manufactured, solve_cubic,
                                   solve_morley, solve_quartic)
-from biharmfem.spaces import build_space, error_norms, assemble_bilinear
+from biharmfem.spaces import (assemble_bilinear, build_space, error_norms,
+                              locate_cells)
 from biharmfem.stokes_complex import b3_basis
 from oracles import cell_poly, cubic_poly, poly_hessian, xy_to_bary
 
@@ -126,8 +127,8 @@ def test_stage2_iterations_reach_diagnostics():
 
 def test_stage2_failure_reports_infsup_constant(monkeypatch, mesh2, poly8):
     # one PCG iteration cannot reach the tolerance; the diagnosis reuses the
-    # factor of the failed solve, so A1 and A2 are each factored once and the
-    # diagonal pressure Gram not at all
+    # factor of the failed solve, so A1 and the one-component velocity Gram
+    # are each factored once and the diagonal pressure Gram not at all
     calls, splu = [], la._splu
 
     def counting_splu(A):
@@ -141,6 +142,7 @@ def test_stage2_failure_reports_infsup_constant(monkeypatch, mesh2, poly8):
     assert "cubic stage-2 Stokes solve failed" in str(err.value)
     assert "inf-sup constant of the pair" in str(err.value)
     assert len(calls) == 2
+    assert calls[1][0] == build_space(mesh2, "G2_0").ndof // 2
 
 
 @pytest.mark.parametrize("mesh_name", ["mesh2", "jittered4", "relabeled4"])
@@ -224,13 +226,12 @@ def test_galerkin_residual_matches_cell_loop(mesh2, poly8):
 
 
 def _eval_cellwise(fieldw, x, y):
-    from biharmfem.spaces import locate_cell
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     out = np.zeros_like(xs)
     mesh = fieldw.mesh
-    for k, (a, b) in enumerate(zip(xs, ys)):
-        c = locate_cell(mesh, (a, b))
+    cells = locate_cells(mesh, np.column_stack([xs, ys]))[0]
+    for k, (a, b, c) in enumerate(zip(xs, ys, cells)):
         geom = mesh.geometry(c)
         lam = np.array([geom.grad_lambda[i] @ (np.array([a, b]) - geom.verts[i])
                         + 1.0 for i in range(3)])

@@ -70,6 +70,48 @@ def test_saddle_schur_pcg_matches_monolithic_lu(request, pair, jittered):
     assert np.linalg.norm(p - p_ref) <= 1e-8 * np.linalg.norm(p_ref)
 
 
+@pytest.mark.parametrize("pair,jittered", [(("G2_0", "DG1"), False),
+                                           (("G3_0", "DG2"), True)],
+                         ids=["cubic-criss", "quartic-jittered"])
+def test_component_gram_matches_vector_gram(request, pair, jittered):
+    # one factor of the component Gram K, with B and f in component order,
+    # solves the same system as the vector Gram I_2 (x) K in DOF order
+    mesh = (request.getfixturevalue("jittered4") if jittered
+            else generate_structured(4))
+    A, B, M, m = _stokes(mesh, pair)
+    vel = build_space(mesh, pair[0])
+    K = assemble_bilinear(vel.component, vel.component, "grad_grad")
+    perm = vel.component_dofs.ravel()
+    f = np.random.default_rng(11).standard_normal(B.shape[1])
+    u_ref, p_ref, it_ref = saddle_solve(A, B, f, M, mean=m)
+    u_perm, p, iterations = saddle_solve(K, B[:, perm], f[perm], M, mean=m)
+    u = np.empty_like(u_perm)
+    u[perm] = u_perm
+    assert iterations == it_ref
+    assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+    assert infsup_constant(B[:, perm], K, M, mean=m) == pytest.approx(
+        infsup_constant(B, A, M, mean=m), rel=1e-12)
+
+
+def test_velocity_columns_must_be_whole_components():
+    A = sp.diags([2.0, 4.0], format="csc")
+    B = sp.csr_matrix(np.ones((1, 3)))
+    with pytest.raises(ValueError, match="not a multiple"):
+        saddle_solve(A, B, np.ones(3), sp.identity(1))
+    with pytest.raises(ValueError, match="not a multiple"):
+        infsup_constant(B, A, sp.identity(1))
+
+
+def test_saddle_empty_pressure_solves_each_component():
+    A = sp.diags([2.0, 3.0], format="csr")
+    u, p, iterations = saddle_solve(A, sp.csr_matrix((0, 4)),
+                                    np.array([2.0, 6.0, 4.0, 3.0]),
+                                    sp.identity(0))
+    assert np.allclose(u, [1.0, 2.0, 2.0, 1.0]) and p.size == 0
+    assert iterations == 0
+
+
 def test_saddle_projects_the_mean(monkeypatch):
     # PCG from p = 0 keeps m @ p at round-off by itself.  A preconditioner
     # that also adds a multiple of 1_h, which S annihilates, converges in the

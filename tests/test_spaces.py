@@ -536,3 +536,29 @@ def test_dg_mass_is_diagonal(request, name):
         M = assemble_bilinear(dg, dg, "mass")
         assert (M - sp.diags(M.diagonal())).count_nonzero() == 0, kind
         assert (M.diagonal() > 0).all(), kind
+
+
+@pytest.mark.parametrize("name", ORACLE_MESHES)
+@pytest.mark.parametrize("kind", ["G2_0", "G3_0", "G2", "G3"])
+def test_vector_space_is_its_component_twice(request, name, kind):
+    # the Stokes solver factors the component Gram K once for both
+    # components, so the vector grad_grad must be I_2 (x) K in component order
+    vel = build_space(_oracle_mesh(request, name), kind)
+    comp, cdofs = vel.component, vel.component_dofs
+    n = comp.ndof
+    assert not comp.vector and vel.ndof == 2 * n and cdofs.shape == (2, n)
+    perm = cdofs.ravel()
+    assert np.array_equal(np.sort(perm), np.arange(vel.ndof))
+    K = assemble_bilinear(comp, comp, "grad_grad")
+    A = assemble_bilinear(vel, vel, "grad_grad")[perm][:, perm]
+    assert A[:n, n:].count_nonzero() == 0 and A[n:, :n].count_nonzero() == 0
+    for block in (A[:n, :n], A[n:, n:]):
+        assert abs(block - K).max() <= 1e-15 * abs(K).max()
+    # each component's local rows of P: the component's P, columns mapped
+    nloc, nc = comp.nloc, vel.mesh.n_cells
+    for c in range(2):
+        rows = (np.arange(nc)[:, None] * 2 * nloc + c * nloc
+                + np.arange(nloc)).ravel()
+        E = sp.csr_matrix((np.ones(n), (np.arange(n), cdofs[c])),
+                          shape=(n, vel.ndof))
+        assert (vel.P[rows] - comp.P @ E).count_nonzero() == 0
