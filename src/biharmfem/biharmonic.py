@@ -19,9 +19,9 @@ from .linalg import (SolverError, _per_component, infsup_constant,
                      saddle_solve, spd_solver)
 from .mesh import Mesh, generate_structured
 from .quadrature import tri_rule
-from .spaces import (FieldFunction, _derivative, _quadrature_points,
-                     assemble_bilinear, assemble_load, build_space,
-                     error_norms, reference_tables)
+from .spaces import (FieldFunction, _at, _derivative, _form_operator,
+                     _point_blocks, assemble_bilinear, assemble_load,
+                     build_space, error_norms, reference_tables)
 from .stokes_complex import CUBIC_SHAPES, B3Basis
 
 #: quadrature degrees of the load vectors, of galerkin_residual and of the
@@ -64,24 +64,26 @@ def _poly8():
 
 
 def _sin2():
+    # s(t) = sin^2(pi t) = (1 - cos 2 pi t) / 2: u = s(x) s(y) and every
+    # derivative in closed form from one cos (and sin) of 2 pi t per axis
     pi = math.pi
 
-    def s(t):
-        return np.sin(pi * t) ** 2
+    def cos_sin(t):
+        return np.cos(2 * pi * t), np.sin(2 * pi * t)
 
-    def s1(t):
-        return pi * np.sin(2 * pi * t)
+    def grad(x, y):
+        (cx, sx), (cy, sy) = cos_sin(x), cos_sin(y)
+        return pi / 2 * sx * (1 - cy), pi / 2 * (1 - cx) * sy
 
-    def s2(t):
-        return 2 * pi**2 * np.cos(2 * pi * t)
+    def hess(x, y):
+        (cx, sx), (cy, sy) = cos_sin(x), cos_sin(y)
+        return pi**2 * cx * (1 - cy), pi**2 * sx * sy, pi**2 * (1 - cx) * cy
 
-    def s4(t):
-        return -8 * pi**4 * np.cos(2 * pi * t)
+    def f(x, y):
+        cx, cy = np.cos(2 * pi * x), np.cos(2 * pi * y)
+        return 4 * pi**4 * (4 * cx * cy - cx - cy)
 
-    u = lambda x, y: s(x) * s(y)
-    grad = lambda x, y: (s1(x) * s(y), s(x) * s1(y))
-    hess = lambda x, y: (s2(x) * s(y), s1(x) * s1(y), s(x) * s2(y))
-    f = lambda x, y: s4(x) * s(y) + 2 * s2(x) * s2(y) + s(x) * s4(y)
+    u = lambda x, y: (1 - np.cos(2 * pi * x)) * (1 - np.cos(2 * pi * y)) / 4
     return ManufacturedProblem("sin2", "H5", u, grad, hess, f)
 
 
@@ -142,7 +144,7 @@ def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float) -> SolveResult:
     K = assemble_bilinear(vel.component, vel.component, "grad_grad")
     perm = vel.component_dofs.ravel()
     B = assemble_bilinear(vel, pres, "rot_pressure")[:, perm]
-    D = assemble_bilinear(vel, pot, "vecfield_grad")
+    D = _form_operator(vel, pot, "vecfield_grad")
     Mp = assemble_bilinear(pres, pres, "mass")
     rhs2 = (D.T @ r)[perm]
     try:
@@ -201,14 +203,16 @@ def galerkin_residual(result: SolveResult, f, basis: B3Basis) -> float:
         raise ValueError("basis built on a different mesh")
     w = tri_rule(RESIDUAL_QUAD_DEGREE).weights
     gl, area, _ = mesh.geometry_arrays()
-    x, y = _quadrature_points(mesh, RESIDUAL_QUAD_DEGREE)
-    fv = np.broadcast_to(np.asarray(f(x, y), dtype=float),
-                         x.shape).reshape(len(area), -1)
-    fnorm = math.sqrt(float(area @ (fv**2 @ w)))
+    val, _, d2 = reference_tables(CUBIC_SHAPES, RESIDUAL_QUAD_DEGREE)
+    load = np.empty((len(area), len(val)))
+    fnorm2 = 0.0
+    for blk, x, y in _point_blocks(mesh, RESIDUAL_QUAD_DEGREE):
+        fv = _at(f(x, y), x).reshape(-1, len(w))
+        fnorm2 += float(area[blk] @ (fv**2 @ w))
+        load[blk] = (fv * w) @ val.T
     u_h = result.u_h
     S = u_h.space.shape_coefficients(u_h.coeffs)
     d2u = reference_tables(u_h.space.shapes, RESIDUAL_QUAD_DEGREE)[2]
-    val, _, d2 = reference_tables(CUBIC_SHAPES, RESIDUAL_QUAD_DEGREE)
     # Hessian entries xx, xy, yy; the Frobenius product counts xy twice
     dirs = ((0, 0), (0, 1), (1, 1))
     hu = np.stack([_derivative(S, gl, d2u, d) for d in dirs])
@@ -216,15 +220,14 @@ def galerkin_residual(result: SolveResult, f, basis: B3Basis) -> float:
                    for a, b in dirs])
     wq = np.array([1.0, 2.0, 1.0])[:, None, None] * w
     stiff = np.einsum("kcq,kcsq->cs", hu * wq, hw)
-    load = (fv * w) @ val.T
     residual = basis.field.coeffs @ (area[:, None] * (stiff - load)).ravel()
     gram = area[:, None, None] * np.einsum("kcsq,kctq->cst",
                                            hw * wq[:, :, None], hw)
     rows, cells, W = basis.field.blocks()
     norm2 = np.bincount(rows, np.einsum("bs,bst,bt->b", W, gram[cells], W),
                         minlength=len(basis))
-    return float(np.max(np.abs(residual) / (np.sqrt(norm2) * max(1.0, fnorm)),
-                        initial=0.0))
+    scale = np.sqrt(norm2) * max(1.0, math.sqrt(fnorm2))
+    return float(np.max(np.abs(residual) / scale, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

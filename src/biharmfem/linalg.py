@@ -43,8 +43,9 @@ def _pin_mmap_threshold() -> bool:
     to 64 MB of freed heap then stays resident, by an amount that depends on
     the order of earlier allocations: over 40 cubic n=32 solves with error
     norms, the peak RSS ranged over 137-163 MB between processes.  With the
-    threshold fixed, large buffers are unmapped when freed and the heap top is
-    trimmed at glibc's default 128 kB; the same peak read 106 MB in each.
+    threshold fixed, large buffers are unmapped when freed; the same peak read
+    106 MB in each.  The heap top is still trimmed at glibc's default 128 kB,
+    so spaces.BLOCK_POINTS keeps the quadrature blocks below that.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):

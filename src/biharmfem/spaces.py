@@ -18,8 +18,10 @@ points.  The reference tables are tabulate at the tri_rule points, cached
 process-wide; field evaluation (eval_field, sample_field_csv) tabulates at
 the located points.  Physical derivatives follow by one chain rule through
 grad_lambda, shared by evaluation, error norms and the Galerkin residual.
+Loads and error norms walk the points in heap-sized blocks (_point_blocks).
 Assembly contracts geometry-free reference tensors with per-cell
-grad_lambda/Gram arrays and forms P_test^T blockdiag(M_c) P_trial.
+grad_lambda/Gram arrays into cell matrices M_c, forms P_test^T blockdiag(M_c)
+P_trial from them, or applies it unassembled (_form_operator).
 Inter-cell identification of edge moments goes through canonical-edge
 Legendre moments; orientation flips and normal signs live entirely in P.
 
@@ -44,6 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .elements import REFERENCE_EXACT, element_catalog, nodal_coefficients
 from .mesh import Mesh
@@ -463,8 +466,9 @@ def block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
                           np.arange(n * r + 1) * k), shape=(n * r, n * k))
 
 
-def assemble_bilinear(trial: Space, test: Space, form: str,
-                      quad_degree: int | None = None) -> sp.csr_matrix:
+def _cell_matrices(trial: Space, test: Space, form: str,
+                   quad_degree: int | None = None) -> np.ndarray:
+    """The (ncells, test nloc, trial nloc) stack of a form's cell matrices."""
     if trial.mesh is not test.mesh:
         raise ValueError("trial and test spaces live on different meshes")
     if quad_degree is None:
@@ -472,8 +476,13 @@ def assemble_bilinear(trial: Space, test: Space, form: str,
     R, G = _form_tensor(form, trial, test, quad_degree)
     nc = trial.mesh.n_cells
     shape_mats = (G @ R.reshape(-1, R.shape[2]).T).reshape(nc, *R.shape[:2])
-    local = test.A @ shape_mats @ np.swapaxes(trial.A, -1, -2)
-    out = (test.P.T @ (block_diagonal(local) @ trial.P)).tocsr()
+    return test.A @ shape_mats @ np.swapaxes(trial.A, -1, -2)
+
+
+def assemble_bilinear(trial: Space, test: Space, form: str,
+                      quad_degree: int | None = None) -> sp.csr_matrix:
+    local = _cell_matrices(trial, test, form, quad_degree)
+    out = test.P.T.tocsr() @ (block_diagonal(local) @ trial.P)
     mag = np.abs(out.data)
     if mag.size:
         out.data[mag <= ROUNDOFF_RTOL * mag.max()] = 0.0
@@ -482,23 +491,46 @@ def assemble_bilinear(trial: Space, test: Space, form: str,
     return out
 
 
-def _quadrature_points(mesh: Mesh, degree: int):
-    """Every (cell, point) pair of tri_rule(degree), as flat x and y."""
+def _form_operator(trial: Space, test: Space, form: str):
+    """P_test^T blockdiag(M_c) P_trial as an operator, never assembled."""
+    M, P, Q = _cell_matrices(trial, test, form), trial.P, test.P
+    return spla.LinearOperator(
+        (test.ndof, trial.ndof), dtype=float,
+        matvec=lambda u: Q.T @ (M @ (P @ u).reshape(len(M), -1, 1)).ravel(),
+        rmatvec=lambda v: P.T @ ((Q @ v).reshape(len(M), 1, -1) @ M).ravel())
+
+
+def _at(values, x: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(np.asarray(values, dtype=float), x.shape)
+
+
+#: Points per block of _point_blocks: 64 kB per float array, below glibc's
+#: 128 kB heap trim threshold (see linalg._pin_mmap_threshold).
+BLOCK_POINTS = 8192
+
+
+def _point_blocks(mesh: Mesh, degree: int):
+    """Blocks of whole cells, at most BLOCK_POINTS points of tri_rule(degree)
+    (at least one cell): (cell slice, flat x, flat y), cell-major."""
+    rule = tri_rule(degree)
     verts = mesh.geometry_arrays()[2]
-    xy = tri_rule(degree).points @ verts
-    return xy[..., 0].ravel(), xy[..., 1].ravel()
+    step = max(1, BLOCK_POINTS // len(rule.weights))
+    for start in range(0, mesh.n_cells, step):
+        blk = slice(start, start + step)
+        xy = rule.points @ verts[blk]
+        yield blk, xy[..., 0].ravel(), xy[..., 1].ravel()
 
 
 def assemble_load(space: Space, f, quad_degree: int = 12) -> np.ndarray:
     if space.vector:
         raise ValueError("loads are assembled against scalar spaces only")
-    rule = tri_rule(quad_degree)
+    w = tri_rule(quad_degree).weights
     val = reference_tables(space.shapes, quad_degree)[0]
     area = space.mesh.geometry_arrays()[1]
-    x, y = _quadrature_points(space.mesh, quad_degree)
-    fv = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
-    shape_load = area[:, None] * ((fv.reshape(len(area), -1) * rule.weights)
-                                  @ val.T)
+    shape_load = np.empty((len(area), len(val)))
+    for blk, x, y in _point_blocks(space.mesh, quad_degree):
+        fv = _at(f(x, y), x).reshape(-1, len(w))
+        shape_load[blk] = area[blk, None] * ((fv * w) @ val.T)
     local = (space.A @ shape_load[:, :, None])[:, :, 0]
     return space.P.T @ local.ravel()
 
@@ -608,24 +640,22 @@ def error_norms(field: FieldFunction, u, grad_u=None, hess_u=None,
     w = tri_rule(quad_degree).weights
     tables = reference_tables(space.shapes, quad_degree)
     gl, area, _ = space.mesh.geometry_arrays()
-    x, y = _quadrature_points(space.mesh, quad_degree)
     S = space.shape_coefficients(field.coeffs)
-
-    def sq_error(dirs, exact):
-        exact = np.broadcast_to(np.asarray(exact, dtype=float), x.shape)
-        diff = _derivative(S, gl, tables[len(dirs)], dirs) \
-            - exact.reshape(len(S), -1)
-        return float(area @ (diff**2 @ w))
-
     acc = np.zeros(3)
-    acc[0] = sq_error((), u(x, y))
-    if grad_u is not None:
-        gx, gy = grad_u(x, y)
-        acc[1] = sq_error((0,), gx) + sq_error((1,), gy)
-    if hess_u is not None:
-        hxx, hxy, hyy = hess_u(x, y)
-        acc[2] = (sq_error((0, 0), hxx) + 2 * sq_error((0, 1), hxy)
-                  + sq_error((1, 1), hyy))
+    for blk, x, y in _point_blocks(space.mesh, quad_degree):
+        def sq_error(dirs, exact):
+            diff = _derivative(S[blk], gl[blk], tables[len(dirs)], dirs) \
+                - _at(exact, x).reshape(-1, len(w))
+            return float(area[blk] @ (diff**2 @ w))
+
+        acc[0] += sq_error((), u(x, y))
+        if grad_u is not None:
+            gx, gy = grad_u(x, y)
+            acc[1] += sq_error((0,), gx) + sq_error((1,), gy)
+        if hess_u is not None:
+            hxx, hxy, hyy = hess_u(x, y)
+            acc[2] += (sq_error((0, 0), hxx) + 2 * sq_error((0, 1), hxy)
+                       + sq_error((1, 1), hyy))
     return tuple(np.sqrt(acc))
 
 
@@ -642,10 +672,6 @@ def sample_field_csv(field: FieldFunction, n: int = 50) -> str:
 # ---------------------------------------------------------------------------
 # interpolation of smooth functions
 # ---------------------------------------------------------------------------
-
-def _at(values, x: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(np.asarray(values, dtype=float), x.shape)
-
 
 def _slot_values(mesh: Mesh, etype: str, slot, ents: np.ndarray, func, grad,
                  degree: int = 12) -> np.ndarray:

@@ -4,7 +4,8 @@ The cell-polynomial oracle rebuilds a field cell by cell as BaryPoly
 objects from a space's P, A and shape_set, and differentiates them
 symbolically.  It shares no code with the library's array evaluation
 (spaces.tabulate and the chain-rule contraction), so the two can check each
-other.
+other.  The whole-mesh load and error norms evaluate every callback once on
+all (cell, point) pairs, the reference for the library's blocked walk.
 """
 
 import numpy as np
@@ -13,8 +14,8 @@ import scipy.sparse as sp
 from biharmfem.elements import (DofFunctional, _affine_rows,
                                 _interior_weights, nodal_coefficients)
 from biharmfem.polynomials import EDGE_LEGENDRE, BaryPoly, poly1d_eval
-from biharmfem.quadrature import edge_rule
-from biharmfem.spaces import shape_set
+from biharmfem.quadrature import edge_rule, tri_rule
+from biharmfem.spaces import _derivative, reference_tables, shape_set
 from biharmfem.stokes_complex import CUBIC_SHAPES, NCUBIC
 
 
@@ -121,6 +122,57 @@ def field_at(space, coeffs, points, order: int = 0) -> np.ndarray:
     if todo.any():
         raise ValueError(f"point {tuple(pts[todo][0])} outside the mesh")
     return out
+
+
+# -- whole-mesh quadrature ----------------------------------------------------
+
+def quadrature_points(mesh, degree: int):
+    """Every (cell, point) pair of tri_rule(degree), as flat x and y."""
+    xy = tri_rule(degree).points @ mesh.geometry_arrays()[2]
+    return xy[..., 0].ravel(), xy[..., 1].ravel()
+
+
+def _at_points(values, x):
+    return np.broadcast_to(np.asarray(values, dtype=float), x.shape)
+
+
+def whole_mesh_load(space, f, quad_degree: int = 12) -> np.ndarray:
+    """assemble_load with f called once on every quadrature point."""
+    rule = tri_rule(quad_degree)
+    val = reference_tables(space.shapes, quad_degree)[0]
+    area = space.mesh.geometry_arrays()[1]
+    x, y = quadrature_points(space.mesh, quad_degree)
+    fv = _at_points(f(x, y), x).reshape(len(area), -1)
+    shape_load = area[:, None] * ((fv * rule.weights) @ val.T)
+    local = (space.A @ shape_load[:, :, None])[:, :, 0]
+    return space.P.T @ local.ravel()
+
+
+def whole_mesh_error_norms(field, u, grad_u=None, hess_u=None,
+                           quad_degree: int = 17):
+    """error_norms with each callback called once on every quadrature point."""
+    space = field.space
+    w = tri_rule(quad_degree).weights
+    tables = reference_tables(space.shapes, quad_degree)
+    gl, area, _ = space.mesh.geometry_arrays()
+    x, y = quadrature_points(space.mesh, quad_degree)
+    S = space.shape_coefficients(field.coeffs)
+
+    def sq_error(dirs, exact):
+        diff = _derivative(S, gl, tables[len(dirs)], dirs) \
+            - _at_points(exact, x).reshape(len(S), -1)
+        return float(area @ (diff**2 @ w))
+
+    acc = np.zeros(3)
+    acc[0] = sq_error((), u(x, y))
+    if grad_u is not None:
+        gx, gy = grad_u(x, y)
+        acc[1] = sq_error((0,), gx) + sq_error((1,), gy)
+    if hess_u is not None:
+        hxx, hxy, hyy = hess_u(x, y)
+        acc[2] = (sq_error((0, 0), hxx) + 2 * sq_error((0, 1), hxy)
+                  + sq_error((1, 1), hyy))
+    return tuple(np.sqrt(acc))
 
 
 # -- edge traces and jumps ----------------------------------------------------

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+import biharmfem.biharmonic as bh
 import biharmfem.linalg as la
 from biharmfem.linalg import SolverError
 from biharmfem.mesh import generate_structured
 from biharmfem.biharmonic import (convergence_study, galerkin_residual,
                                   infsup_study, manufactured, solve_cubic,
                                   solve_morley, solve_quartic)
-from biharmfem.spaces import (assemble_bilinear, build_space, error_norms,
-                              locate_cells)
+from biharmfem.spaces import (_form_operator, assemble_bilinear, build_space,
+                              error_norms, locate_cells)
 from biharmfem.stokes_complex import b3_basis
 from oracles import cell_poly, cubic_poly, poly_hessian, xy_to_bary
 
@@ -79,6 +80,33 @@ def test_manufactured_fd_oracle(name):
     assert fd == pytest.approx(exact, rel=1e-5)
 
 
+def test_sin2_closed_forms_match_products_of_sines():
+    # the reference: s(t) = sin^2(pi t) and its derivatives, multiplied out
+    pi = np.pi
+
+    def s(t):
+        return np.sin(pi * t) ** 2
+
+    def s1(t):
+        return pi * np.sin(2 * pi * t)
+
+    def s2(t):
+        return 2 * pi**2 * np.cos(2 * pi * t)
+
+    def s4(t):
+        return -8 * pi**4 * np.cos(2 * pi * t)
+
+    p = manufactured("sin2")
+    x, y = np.random.default_rng(31).uniform(0.0, 1.0, size=(2, 10**4))
+    pairs = [(p.u(x, y), s(x) * s(y)),
+             (p.f(x, y), s4(x) * s(y) + 2 * s2(x) * s2(y) + s(x) * s4(y)),
+             *zip(p.grad_u(x, y), (s1(x) * s(y), s(x) * s1(y))),
+             *zip(p.hess_u(x, y), (s2(x) * s(y), s1(x) * s1(y),
+                                   s(x) * s2(y)))]
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_manufactured_hessian_fd(poly8):
     h = 1e-5
     x0, y0 = np.array([0.37]), np.array([0.61])
@@ -123,6 +151,33 @@ def test_stage2_iterations_reach_diagnostics():
     # iterations at criss n=8; a band, since round-off may shift it by one
     res = solve_cubic(generate_structured(8), manufactured("sin2").f)
     assert 10 <= res.diagnostics["stage2_iterations"] <= 25
+
+
+@pytest.mark.parametrize("vel_kind,pot_kind", [("G2_0", "A3_0"),
+                                               ("G3_0", "A4_0")])
+def test_applied_coupling_matches_assembled(jittered4, vel_kind, pot_kind):
+    vel = build_space(jittered4, vel_kind)
+    pot = build_space(jittered4, pot_kind)
+    D = assemble_bilinear(vel, pot, "vecfield_grad")
+    applied = _form_operator(vel, pot, "vecfield_grad")
+    rng = np.random.default_rng(12)
+    phi, r = rng.standard_normal(vel.ndof), rng.standard_normal(pot.ndof)
+    for got, want in ((applied @ phi, D @ phi), (applied.T @ r, D.T @ r)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_solve_assembles_no_coupling(monkeypatch, mesh2):
+    forms = []
+    assemble = bh.assemble_bilinear
+
+    def counting(trial, test, form, *args, **kwargs):
+        forms.append(form)
+        return assemble(trial, test, form, *args, **kwargs)
+
+    monkeypatch.setattr(bh, "assemble_bilinear", counting)
+    for solve in (solve_cubic, solve_quartic):
+        solve(mesh2, manufactured("sin2").f)
+    assert len(forms) == 8 and "vecfield_grad" not in forms
 
 
 def test_stage2_failure_reports_infsup_constant(monkeypatch, mesh2, poly8):

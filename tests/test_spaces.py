@@ -1,11 +1,14 @@
+import resource
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import biharmfem.spaces as spaces
 from biharmfem.biharmonic import manufactured
 from biharmfem.elements import element_catalog, eval_dof
+from biharmfem.linalg import _pin_mmap_threshold
 from biharmfem.mesh import Mesh, generate_structured, refine_uniform
 from biharmfem.polynomials import EDGE_LEGENDRE, BaryPoly, poly1d_eval
 from biharmfem.quadrature import edge_rule, tri_rule
@@ -15,7 +18,8 @@ from biharmfem.spaces import (LAYOUT_KINDS, ROUNDOFF_RTOL, FieldFunction,
                               _pressure_modes, interpolate_vector,
                               locate_cells)
 from oracles import (cell_poly, edge_jump_moments, field_at, is_symmetric,
-                     poly_gradient, poly_hessian)
+                     poly_gradient, poly_hessian, quadrature_points,
+                     whole_mesh_error_norms, whole_mesh_load)
 
 
 def counts(mesh):
@@ -471,6 +475,93 @@ def test_load_and_error_norms_match_cellwise_oracle(request, mesh_name):
                                 prob.hess_u, quad_degree=degree)
             assert np.allclose(norms, np.sqrt(acc), rtol=1e-12, atol=0), \
                 (kind, degree, norms, np.sqrt(acc))
+
+
+# -- blocked quadrature walk against the whole-mesh evaluation ----------------
+
+BLOCK_MESHES = ("criss8", "jittered4", "relabeled4", "refined2")
+
+
+def _block_mesh(request, name):
+    return generate_structured(8) if name == "criss8" \
+        else _oracle_mesh(request, name)
+
+
+def _ragged_blocks(monkeypatch, mesh, degree):
+    """Blocks of three cells, the last one shorter."""
+    assert mesh.n_cells % 3
+    monkeypatch.setattr(spaces, "BLOCK_POINTS",
+                        3 * len(tri_rule(degree).weights) + 1)
+
+
+@pytest.mark.parametrize("mesh_name", BLOCK_MESHES)
+def test_blocked_load_and_error_norms_match_whole_mesh(request, monkeypatch,
+                                                       mesh_name):
+    mesh = _block_mesh(request, mesh_name)
+    prob = manufactured("sin2")
+    rng = np.random.default_rng(8)
+    for kind in ("A3_0", "A4_0", "Morley_0", "DG1"):
+        space = build_space(mesh, kind)
+        field = FieldFunction(space, rng.standard_normal(space.ndof))
+        for degree in (12, 17):
+            _ragged_blocks(monkeypatch, mesh, degree)
+            want = whole_mesh_load(space, prob.f, quad_degree=degree)
+            got = assemble_load(space, prob.f, quad_degree=degree)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            want = whole_mesh_error_norms(field, prob.u, prob.grad_u,
+                                          prob.hess_u, quad_degree=degree)
+            got = error_norms(field, prob.u, prob.grad_u, prob.hess_u,
+                              quad_degree=degree)
+            assert np.allclose(got, want, rtol=1e-13, atol=0), (kind, degree)
+
+
+@pytest.mark.parametrize("mesh_name", BLOCK_MESHES)
+def test_blocks_visit_every_point_once(request, monkeypatch, mesh_name):
+    mesh = _block_mesh(request, mesh_name)
+    _ragged_blocks(monkeypatch, mesh, 12)
+    seen = []
+
+    def record(x, y):
+        seen.append((x.copy(), y.copy()))
+        return x
+
+    assemble_load(build_space(mesh, "A3_0"), record, quad_degree=12)
+    assert len(seen) == -(-mesh.n_cells // 3)
+    x, y = quadrature_points(mesh, 12)
+    assert np.array_equal(np.concatenate([s[0] for s in seen]), x)
+    assert np.array_equal(np.concatenate([s[1] for s in seen]), y)
+
+
+def test_scalar_callbacks_broadcast(jittered4, monkeypatch):
+    _ragged_blocks(monkeypatch, jittered4, 12)
+    space = build_space(jittered4, "A4_0")
+    ones = whole_mesh_load(space, lambda x, y: np.ones_like(x))
+    assert np.abs(assemble_load(space, lambda x, y: 2.0)
+                  - 2 * ones).max() <= 1e-13 * np.abs(ones).max()
+    field = FieldFunction(space, np.random.default_rng(9).standard_normal(
+        space.ndof))
+    want = whole_mesh_error_norms(field, lambda x, y: 1.0,
+                                  lambda x, y: (0.5, -1.0),
+                                  lambda x, y: (0.0, 2.0, 0.0), quad_degree=12)
+    got = error_norms(field, lambda x, y: 1.0, lambda x, y: (0.5, -1.0),
+                      lambda x, y: (0.0, 2.0, 0.0), quad_degree=12)
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_warm_error_norms_fault_in_no_fresh_pages():
+    # Blocks keep every temporary below glibc's 128 kB trim threshold, so a
+    # warm call reuses the heap; whole-mesh arrays of 1.3 MB at criss n=32
+    # are returned to the OS and faulted in again, 5000-7000 minor faults
+    # per call.
+    if not _pin_mmap_threshold():
+        pytest.skip("needs glibc")
+    prob = manufactured("sin2")
+    field = interpolate(build_space(generate_structured(32), "A3_0"), prob.u)
+    args = (field, prob.u, prob.grad_u, prob.hess_u)
+    error_norms(*args)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    error_norms(*args)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
 
 
 # -- batched nodal transforms -------------------------------------------------
