@@ -3,12 +3,11 @@
 A Space is a shape set, tabulated once on the reference cell, plus two
 arrays built once per mesh:
 
-  A  the local basis in the shape basis, local_l = sum_s A[l, s] shape_s: one
-     (nloc, nshape) matrix where every cell has the same nodal transform, a
-     (ncells, nloc, nshape) stack where normal-derivative DOFs make it depend
-     on the cell (A4_0, Morley_0);
+  A  the reference nodal basis in the shape basis, local_l = sum_s A[l, s]
+     shape_s: one (nloc, nshape) matrix shared by every cell;
   P  the sparse cell-to-global operator of shape (ncells * nloc, ndof): row
-     c * nloc + l expresses local DOF l of cell c in the global DOFs.
+     c * nloc + l expresses DOF l of cell c in the global DOFs, with all of
+     its cell geometry (a normal DOF also reads its edge's vertex values).
 
 A vector space is its one-component space twice: Space.component, and
 component_dofs (2, ndof / 2), the DOF of each (component, component DOF).
@@ -19,11 +18,11 @@ process-wide; field evaluation (eval_field, sample_field_csv) tabulates at
 the located points.  Physical derivatives follow by one chain rule through
 grad_lambda, shared by evaluation, error norms and the Galerkin residual.
 Loads and error norms walk the points in heap-sized blocks (_point_blocks).
-Assembly contracts geometry-free reference tensors with per-cell
-grad_lambda/Gram arrays into cell matrices M_c, forms P_test^T blockdiag(M_c)
-P_trial from them, or applies it unassembled (_form_operator).
+Assembly folds A into geometry-free reference tensors and contracts them
+with per-cell grad_lambda/Gram arrays into cell matrices M_c, forms P_test^T
+blockdiag(M_c) P_trial from them, or applies it unassembled (_form_operator).
 Inter-cell identification of edge moments goes through canonical-edge
-Legendre moments; orientation flips and normal signs live entirely in P.
+Legendre moments; orientation flips, normal signs and scales live in P.
 
 Global DOF layouts (deterministic): every space but the pressure spaces is a
 row of LAYOUT_KINDS, a catalog element with its component count, G2 bubble
@@ -48,7 +47,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .elements import REFERENCE_EXACT, element_catalog, nodal_coefficients
+from .elements import (REFERENCE_EXACT, dof_matrix, element_catalog,
+                       nodal_coefficients)
 from .mesh import Mesh
 from .polynomials import EDGE_LEGENDRE, BaryPoly, poly1d_eval
 from .quadrature import edge_rule, tri_rule
@@ -142,12 +142,11 @@ class Space:
 
     @property
     def nloc(self) -> int:
-        return self.A.shape[-2]
+        return self.A.shape[0]
 
     def shape_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
         """(ncells, nshape) shape-basis coefficients of a global vector."""
-        local = (self.P @ coeffs).reshape(self.mesh.n_cells, 1, self.nloc)
-        return (local @ self.A)[:, 0]
+        return (self.P @ coeffs).reshape(self.mesh.n_cells, self.nloc) @ self.A
 
 
 @dataclass
@@ -312,8 +311,8 @@ def build_space(mesh: Mesh, kind: str) -> Space:
 
 @lru_cache(maxsize=None)
 def _shared_transform(name: str) -> np.ndarray:
-    """The nodal transform of an element whose DOFs are point values and
-    moments only: the same on every cell, so computed once per process."""
+    """An element's nodal transform on the reference cell, shared by every
+    cell (normal-DOF geometry is folded into P) and computed once."""
     A = nodal_coefficients(element_catalog(name),
                            [REFERENCE_EXACT.grad_lambda])[0].T
     A.setflags(write=False)
@@ -346,10 +345,16 @@ def _build_layout(mesh: Mesh, kind: str, element: str, ncomp: int,
             terms.append((l, tables[etype][ent, np.where(orient, fs, rs)],
                           np.where(orient, fw, rw)))
     if ("normal",) in lay.slots["edge"]:
-        A = nodal_coefficients(elem, mesh.geometry_arrays()[0]
-                               ).transpose(0, 2, 1)
-    else:
-        A = _shared_transform(element)
+        # P <- blockdiag(V_c^-1) P, V_c = M_c M_ref^-1 (Kirby 2018): V_c^-1 is
+        # I but in the normal rows, which also read their edge's vertex values
+        V = dof_matrix(elem, REFERENCE_EXACT) @ nodal_coefficients(
+            elem, mesh.geometry_arrays()[0])
+        dofs = elem.dofs
+        nrm = [l for l, d in enumerate(dofs) if d.kind == "edge_normal"]
+        terms = [t for t in terms if t[0] not in nrm] + [
+            (l, g, w * V[:, l, k]) for l in nrm for k, g, w in terms if k == l
+            or dofs[k].kind == "vertex" and dofs[k].entity != dofs[l].entity]
+    A = _shared_transform(element)
     if bubble:
         A = np.block([[A, np.zeros((len(A), 1))], [np.zeros((1, len(A))), 1.0]])
     meta = {f"{etype}_dofs": tables[etype] for etype in ENTITIES}
@@ -474,9 +479,8 @@ def _cell_matrices(trial: Space, test: Space, form: str,
     if quad_degree is None:
         quad_degree = max(trial.poly_degree + test.poly_degree, 2)
     R, G = _form_tensor(form, trial, test, quad_degree)
-    nc = trial.mesh.n_cells
-    shape_mats = (G @ R.reshape(-1, R.shape[2]).T).reshape(nc, *R.shape[:2])
-    return test.A @ shape_mats @ np.swapaxes(trial.A, -1, -2)
+    R = test.A @ np.moveaxis(R, 2, 0) @ trial.A.T  # (k, test nloc, trial nloc)
+    return (G @ R.reshape(len(R), -1)).reshape(len(G), *R.shape[1:])
 
 
 def assemble_bilinear(trial: Space, test: Space, form: str,
@@ -531,8 +535,7 @@ def assemble_load(space: Space, f, quad_degree: int = 12) -> np.ndarray:
     for blk, x, y in _point_blocks(space.mesh, quad_degree):
         fv = _at(f(x, y), x).reshape(-1, len(w))
         shape_load[blk] = area[blk, None] * ((fv * w) @ val.T)
-    local = (space.A @ shape_load[:, :, None])[:, :, 0]
-    return space.P.T @ local.ravel()
+    return space.P.T @ (shape_load @ space.A.T).ravel()
 
 
 # ---------------------------------------------------------------------------

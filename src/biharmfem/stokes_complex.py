@@ -33,8 +33,7 @@ from .linalg import kernel_dimension, matrix_rank
 from .mesh import Mesh
 from .polynomials import EDGE_LEGENDRE, BaryPoly, poly1d_eval
 from .quadrature import edge_rule
-from .spaces import (Space, assemble_bilinear, block_diagonal, build_space,
-                     shape_set, tabulate)
+from .spaces import Space, assemble_bilinear, build_space, shape_set, tabulate
 
 
 class ComplexError(RuntimeError):
@@ -120,12 +119,10 @@ def _from_blocks(rows, cells, vals, shape) -> sp.csr_matrix:
 def _gradient_operator(space: Space) -> sp.csr_matrix:
     """(ncells * 12, ndof): coefficients of a vector space -> each cell's
     (x, y) components in GRADIENT_SHAPES."""
-    nc = space.mesh.n_cells
     T = np.array([_ref_coeffs(p, GRADIENT_SHAPES)
                   for p in shape_set(space.shapes)]).T
-    A = np.broadcast_to(space.A, (nc, *space.A.shape[-2:]))
-    return block_diagonal(np.kron(np.eye(2), T)
-                          @ np.swapaxes(A, -1, -2)) @ space.P
+    return sp.kron(sp.identity(space.mesh.n_cells),
+                   np.kron(np.eye(2), T) @ space.A.T, format="csr") @ space.P
 
 
 def _rot_at_vertices(gl: np.ndarray, cells: np.ndarray,

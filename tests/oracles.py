@@ -44,7 +44,7 @@ def cell_poly(space, coeffs, c: int):
     """The field with global coefficients coeffs on cell c: a BaryPoly, or a
     (px, py) pair on a vector space."""
     local = space.P[c * space.nloc:(c + 1) * space.nloc] @ coeffs
-    svec = local @ (space.A if space.A.ndim == 2 else space.A[c])
+    svec = local @ space.A
     polys = [combine(part, shape_set(space.shapes))
              for part in svec.reshape(2 if space.vector else 1, -1)]
     return tuple(polys) if space.vector else polys[0]

@@ -274,6 +274,18 @@ def test_interpolant_reproduces_shape_polynomials(relabeled4, kind, degree):
                                atol=1e-11 * np.abs(want).max()), (kind, c)
 
 
+@pytest.mark.parametrize("kind", ["A4_0", "Morley_0"])
+def test_normal_dof_interpolation_needs_gradient(jittered4, kind):
+    with pytest.raises(ValueError, match=f"{kind} interpolation needs grad_u"):
+        interpolate(build_space(jittered4, kind), lambda x, y: x * y)
+
+
+def test_dg_has_no_interpolation_rule(jittered4):
+    with pytest.raises(ValueError, match="no interpolation rule for space "
+                                         "kind DG1"):
+        interpolate(build_space(jittered4, "DG1"), lambda x, y: x * y)
+
+
 # -- evaluation and error norms ----------------------------------------------
 
 def test_eval_constant_field():
@@ -564,21 +576,53 @@ def test_warm_error_norms_fault_in_no_fresh_pages():
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
 
 
-# -- batched nodal transforms -------------------------------------------------
+# -- nodal transforms --------------------------------------------------------
 
+@pytest.mark.parametrize("kind", [row[0] for row in LAYOUT_KINDS]
+                         + ["DG0", "DG1", "DG2"])
+def test_transform_is_shared_by_every_mesh(jittered4, kind):
+    # every cell's geometry lives in P, so A is one (nloc, nshape) matrix
+    space = build_space(generate_structured(4), kind)
+    nshape = len(spaces.shape_set(space.shapes)) * (2 if space.vector else 1)
+    assert space.A.shape == (space.nloc, nshape)
+    assert np.array_equal(build_space(jittered4, kind).A, space.A)
+
+
+def _entity_operator(space, c):
+    """The geometry-free rows of cell c: each element DOF as its layout
+    weights on the global slots of its entity, under the cell's edge
+    orientation (eliminated slots left out)."""
+    mesh = space.mesh
+    incident = {"vertex": mesh.cells[c], "edge": mesh.cell_edges[c],
+                "cell": [c]}
+    Q = np.zeros((space.nloc, space.ndof))
+    for l, (etype, i, fwd, rev) in enumerate(space.meta["layout"].local):
+        reverse = etype == "edge" and mesh.cell_edge_signs[c, i] == -1
+        for slot, w in rev if reverse else fwd:
+            g = space.meta[f"{etype}_dofs"][incident[etype][i], slot]
+            if g >= 0:
+                Q[l, g] += w
+    return Q
+
+
+@pytest.mark.parametrize("mesh_name", ORACLE_MESHES)
 @pytest.mark.parametrize("kind,name", [("A4_0", "nsq"),
                                        ("Morley_0", "morley")])
-def test_batched_transform_matches_per_cell(jittered4, kind, name):
-    space = build_space(jittered4, kind)
+def test_batched_transform_matches_per_cell(request, mesh_name, kind, name):
+    # per-cell oracle: on cell c the global basis in the shape basis,
+    # A^T P_c, is the inverse of the DOF matrix built entry by entry applied
+    # to the geometry-free rows of the cell (_entity_operator)
+    mesh = _oracle_mesh(request, mesh_name)
+    space = build_space(mesh, kind)
     elem = element_catalog(name)
-    assert space.A.shape == (jittered4.n_cells, elem.dim, elem.dim)
-    # per-cell oracle: the inverse of the matrix built entry by entry
-    for c in range(jittered4.n_cells):
-        geom = jittered4.geometry(c)
+    P = space.P.toarray()
+    for c in range(mesh.n_cells):
+        geom = mesh.geometry(c)
         M = np.array([[eval_dof(d, s, geom) for s in elem.shapes]
                       for d in elem.dofs])
-        want = np.linalg.inv(M).T
-        assert np.abs(space.A[c] - want).max() <= 1e-12 * np.abs(want).max()
+        want = np.linalg.solve(M, _entity_operator(space, c))
+        got = space.A.T @ P[c * space.nloc:(c + 1) * space.nloc]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("kind,height", [("A4_0", 1e-11),
