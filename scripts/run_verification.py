@@ -11,6 +11,7 @@ from biharmfem.biharmonic import infsup_study
 from biharmfem.elements import (VERIFIED_ELEMENTS, element_catalog,
                                 unisolvence_check)
 from biharmfem.mesh import generate_structured
+from biharmfem.schemes import DECOMPOSED, SCHEMES
 from biharmfem.stokes_complex import exactness_report
 
 
@@ -32,7 +33,7 @@ def main():
         print(f"  {name}: failures {rep.failures}, min sigma ratio "
               f"{rep.min_sigma_ratio:.2e}{extra}")
 
-    for order in ("cubic", "quartic"):
+    for order in DECOMPOSED:
         print(f"== {order} complex")
         for n in args.levels:
             rep = exactness_report(generate_structured(n), order)
@@ -40,7 +41,7 @@ def main():
             print("   " + rep.to_text().replace("\n", "\n   "))
 
     print("== inf-sup constants")
-    for pair in ("g2p1", "g3p2"):
+    for pair in (SCHEMES[order][1] for order in DECOMPOSED):
         vals = infsup_study(pair, [2, 4, 8, 16])
         print(f"  {pair}: " + ", ".join(f"n={n}: {c:.4f}" for n, c in vals))
 

@@ -18,10 +18,10 @@ import scipy.sparse.linalg as spla  # noqa: F401
 from .linalg import (SolverError, _per_component, infsup_constant,
                      saddle_solve, spd_solver)
 from .mesh import Mesh, generate_structured
-from .quadrature import tri_rule
-from .spaces import (FieldFunction, _at, _derivative, _form_operator,
-                     _point_blocks, assemble_bilinear, assemble_load,
-                     build_space, error_norms, reference_tables)
+from .schemes import PAIRS, SCHEMES, lookup
+from .spaces import (FieldFunction, _broken_space, _cell_matrices,
+                     _form_operator, assemble_bilinear, assemble_load,
+                     build_space, error_norms)
 from .stokes_complex import CUBIC_SHAPES, B3Basis
 
 #: quadrature degrees of the load vectors, of galerkin_residual and of the
@@ -98,11 +98,7 @@ _PROBLEMS = {"poly8": _poly8, "sin2": _sin2, "zero": _zero}
 
 
 def manufactured(name: str) -> ManufacturedProblem:
-    try:
-        return _PROBLEMS[name]()
-    except KeyError:
-        raise KeyError(f"unknown problem '{name}'; known: "
-                       f"{sorted(_PROBLEMS)}") from None
+    return lookup(_PROBLEMS, name, "problem")()
 
 
 # ---------------------------------------------------------------------------
@@ -119,37 +115,37 @@ class SolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _constant(pres, Mp):
-    """The mean functional m = Mp 1_h, with m @ q the integral of the
-    pressure q; 1_h, the DG vector of the constant 1, is 1 in each cell's
-    first (constant) slot."""
+def _stokes_pair(mesh: Mesh, vel_kind: str, pres_kind: str):
+    """A Stokes pair (a PAIRS row) on a mesh, as the solve and the inf-sup
+    study use it: (velocity space, pressure space, K, B, Mp, m).  The
+    velocity Gram is I_2 (x) K in component order, so K is the Gram of one
+    component, and B has its columns in that order.  m = Mp 1_h is the mean
+    functional, with m @ q the integral of the pressure q."""
+    vel = build_space(mesh, vel_kind)
+    pres = build_space(mesh, pres_kind)
+    K = assemble_bilinear(vel.component, vel.component, "grad_grad")
+    perm = vel.component_dofs.ravel()
+    B = assemble_bilinear(vel, pres, "rot_pressure")[:, perm]
+    Mp = assemble_bilinear(pres, pres, "mass")
+    # 1_h, the DG vector of the constant 1: 1 in each cell's constant slot
     one = np.zeros(pres.ndof)
-    one[::pres.meta["per_cell"]] = 1.0
-    return Mp @ one
+    one[::pres.nloc] = 1.0
+    return vel, pres, K, B, Mp, Mp @ one
 
 
 def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float) -> SolveResult:
-    pot_kind, vel_kind, pres_kind = {
-        "cubic": ("A3_0", "G2_0", "DG1"),
-        "quartic": ("A4_0", "G3_0", "DG2"),
-    }[scheme]
+    pot_kind, pair = SCHEMES[scheme]
     pot = build_space(mesh, pot_kind)
-    vel = build_space(mesh, vel_kind)
-    pres = build_space(mesh, pres_kind)
     A1 = assemble_bilinear(pot, pot, "grad_grad")
     b1 = assemble_load(pot, f, quad_degree=LOAD_DEGREE)
     solve_a1 = spd_solver(A1, tol)
     r = solve_a1(b1)
-    # the velocity Gram is I_2 (x) K in component order: one factor of K
-    K = assemble_bilinear(vel.component, vel.component, "grad_grad")
+    vel, pres, K, B, Mp, mean = _stokes_pair(mesh, *PAIRS[pair])
     perm = vel.component_dofs.ravel()
-    B = assemble_bilinear(vel, pres, "rot_pressure")[:, perm]
     D = _form_operator(vel, pot, "vecfield_grad")
-    Mp = assemble_bilinear(pres, pres, "mass")
     rhs2 = (D.T @ r)[perm]
     try:
-        u2, p, iterations = saddle_solve(K, B, rhs2, Mp,
-                                         mean=_constant(pres, Mp), tol=tol)
+        u2, p, iterations = saddle_solve(K, B, rhs2, Mp, mean=mean, tol=tol)
     except SolverError as exc:
         raise SolverError(
             f"{scheme} stage-2 Stokes solve failed ({exc})") from exc
@@ -195,38 +191,25 @@ def solve_morley(mesh: Mesh, f, tol: float = 1e-10) -> FieldFunction:
 def galerkin_residual(result: SolveResult, f, basis: B3Basis) -> float:
     """max_w |(hess u_h, hess w) - (f, w)| / (||hess w|| max(1, ||f||)).
 
-    Both forms are linear in the cubic coefficients of w, so each is one
-    vector per cell and shape, and the residuals of all basis functions are
-    one product with their coefficient matrix."""
+    The basis functions are cellwise cubics, so they live in the broken
+    cubic space W whose DoFs are the CUBIC_SHAPES coefficients of each cell
+    (A = I, P = I).  Both forms are vectors on W, and the residuals of all
+    basis functions are one product with their coefficient matrix."""
     mesh = result.u_h.space.mesh
     if basis.mesh is not mesh:
         raise ValueError("basis built on a different mesh")
-    w = tri_rule(RESIDUAL_QUAD_DEGREE).weights
-    gl, area, _ = mesh.geometry_arrays()
-    val, _, d2 = reference_tables(CUBIC_SHAPES, RESIDUAL_QUAD_DEGREE)
-    load = np.empty((len(area), len(val)))
-    fnorm2 = 0.0
-    for blk, x, y in _point_blocks(mesh, RESIDUAL_QUAD_DEGREE):
-        fv = _at(f(x, y), x).reshape(-1, len(w))
-        fnorm2 += float(area[blk] @ (fv**2 @ w))
-        load[blk] = (fv * w) @ val.T
+    W = _broken_space(mesh, CUBIC_SHAPES, CUBIC_SHAPES, 3)
     u_h = result.u_h
-    S = u_h.space.shape_coefficients(u_h.coeffs)
-    d2u = reference_tables(u_h.space.shapes, RESIDUAL_QUAD_DEGREE)[2]
-    # Hessian entries xx, xy, yy; the Frobenius product counts xy twice
-    dirs = ((0, 0), (0, 1), (1, 1))
-    hu = np.stack([_derivative(S, gl, d2u, d) for d in dirs])
-    hw = np.stack([np.einsum("sijq,ci,cj->csq", d2, gl[:, :, a], gl[:, :, b])
-                   for a, b in dirs])
-    wq = np.array([1.0, 2.0, 1.0])[:, None, None] * w
-    stiff = np.einsum("kcq,kcsq->cs", hu * wq, hw)
-    residual = basis.field.coeffs @ (area[:, None] * (stiff - load)).ravel()
-    gram = area[:, None, None] * np.einsum("kcsq,kctq->cst",
-                                           hw * wq[:, :, None], hw)
-    rows, cells, W = basis.field.blocks()
-    norm2 = np.bincount(rows, np.einsum("bs,bst,bt->b", W, gram[cells], W),
+    stiff = _form_operator(u_h.space, W, "hess_hess") @ u_h.coeffs
+    load = assemble_load(W, f, RESIDUAL_QUAD_DEGREE)
+    residual = basis.field.coeffs @ (stiff - load)
+    gram = _cell_matrices(W, W, "hess_hess")
+    rows, cells, C = basis.field.blocks()
+    norm2 = np.bincount(rows, np.einsum("bs,bst,bt->b", C, gram[cells], C),
                         minlength=len(basis))
-    scale = np.sqrt(norm2) * max(1.0, math.sqrt(fnorm2))
+    fnorm = error_norms(FieldFunction(W, np.zeros(W.ndof)), f,
+                        quad_degree=RESIDUAL_QUAD_DEGREE)[0]
+    scale = np.sqrt(norm2) * max(1.0, fnorm)
     return float(np.max(np.abs(residual) / scale, initial=0.0))
 
 
@@ -274,13 +257,9 @@ class RateTable:
 
 def solve_scheme(mesh: Mesh, scheme: str, f,
                  tol: float = 1e-10) -> FieldFunction:
-    if scheme == "morley":
+    if lookup(SCHEMES, scheme, "scheme") is None:
         return solve_morley(mesh, f, tol=tol)
-    if scheme == "cubic":
-        return solve_cubic(mesh, f, tol=tol).u_h
-    if scheme == "quartic":
-        return solve_quartic(mesh, f, tol=tol).u_h
-    raise KeyError(f"unknown scheme '{scheme}'")
+    return _decomposed_solve(mesh, f, scheme, tol).u_h
 
 
 def convergence_study(problem: ManufacturedProblem, scheme: str,
@@ -311,24 +290,11 @@ def convergence_study(problem: ManufacturedProblem, scheme: str,
 # inf-sup studies
 # ---------------------------------------------------------------------------
 
-PAIRS = {
-    "g2p0": ("G2_0", "DG0"),
-    "g2p1": ("G2_0", "DG1"),
-    "g3p2": ("G3_0", "DG2"),
-}
-
-
 def infsup_study(pair: str, n_list, tol: float = 1e-10):
-    """Inf-sup constants of a velocity/pressure pair on structured meshes."""
-    vel_kind, pres_kind = PAIRS[pair]
+    """Inf-sup constants of a Stokes pair (PAIRS) on structured meshes."""
+    kinds = lookup(PAIRS, pair, "pair")
     out = []
     for n in n_list:
-        mesh = generate_structured(n)
-        vel = build_space(mesh, vel_kind)
-        pres = build_space(mesh, pres_kind)
-        K = assemble_bilinear(vel.component, vel.component, "grad_grad")
-        B = assemble_bilinear(vel, pres, "rot_pressure")
-        Mp = assemble_bilinear(pres, pres, "mass")
-        out.append((n, infsup_constant(B[:, vel.component_dofs.ravel()], K,
-                                       Mp, tol=tol, mean=_constant(pres, Mp))))
+        _, _, K, B, Mp, mean = _stokes_pair(generate_structured(n), *kinds)
+        out.append((n, infsup_constant(B, K, Mp, tol=tol, mean=mean)))
     return out

@@ -7,14 +7,14 @@ Gram A of one velocity component once and solves every component with it
 the pressure Gram must be diagonal (the DG pressure modes are
 L2-orthogonal), so its inverse is a division.  saddle_solve projects the
 pressure mean out and, when it fails, names the inf-sup constant of the pair
-computed from that same factor, by standard-form Lanczos on M^-1/2 S M^-1/2.  kernel_dimension counts small Gram eigenvalues
-by inertia: one Lanczos estimate of the largest and one Bunch-Kaufman LDL^T
-of the shifted Gram, instead of the whole spectrum.  Matrices are scipy
-CSR/CSC; everything here is deterministic for fixed inputs (a fixed
-eigensolver start vector, no randomized pivoting options).  On glibc,
-importing this module fixes the process's malloc mmap threshold, so that
-the large buffers of a solve go back to the system when freed (see
-_pin_mmap_threshold).
+computed from that same factor, by standard-form Lanczos on M^-1/2 S M^-1/2.
+kernel_dimension counts small Gram eigenvalues by inertia: one Lanczos
+estimate of the largest and one Bunch-Kaufman LDL^T of the shifted Gram,
+instead of the whole spectrum.  Matrices are scipy CSR/CSC; everything here
+is deterministic for fixed inputs (a fixed eigensolver start vector, no
+randomized pivoting options).  On glibc, importing this module fixes the
+process's malloc mmap threshold, so that the large buffers of a solve go
+back to the system when freed (see _pin_mmap_threshold).
 """
 
 from __future__ import annotations
@@ -135,15 +135,15 @@ def _schur(A, B, M, mean, tol):
     S = B (I_k (x) A)^-1 B^T (see saddle_solve for k); the pressure Gram M
     must be diagonal.  Returns (solve_a, solve_m, BT, s_mv): solve_a solves
     with I_k (x) A by one multi-column solve and checks its residual as
-    spd_solver's does, solve_m divides by the diagonal of M, BT is B^T as CSR, and s_mv applies
-    S and, when the mean functional m is given (m @ q the integral of the
-    pressure q, in a space holding the constants), the rank-one shift
-    m m^T / (m^T M^-1 m).  S vanishes on the constant; the shift moves it to
-    eigenvalue 1 of S q = lam M q and leaves the eigenpairs M-orthogonal to
-    it, the mean-zero ones, as they are.  s_mv solves with A unchecked: an
-    eigensolve calls it about 90 times (g3p2, n=8), and residual checks
-    there added about 5 ms to the 50 ms of infsup_study("g3p2", [2, 4, 8])
-    on a 2-vCPU VM."""
+    spd_solver's does, solve_m divides by the diagonal of M, BT is B^T as
+    CSR, and s_mv applies S and, when the mean functional m is given (m @ q
+    the integral of the pressure q, in a space holding the constants), the
+    rank-one shift m m^T / (m^T M^-1 m).  S vanishes on the constant; the
+    shift moves it to eigenvalue 1 of S q = lam M q and leaves the
+    eigenpairs M-orthogonal to it, the mean-zero ones, as they are.  s_mv
+    solves with A unchecked: an eigensolve calls it about 90 times (g3p2,
+    n=8), and residual checks there added about 5 ms to the 50 ms of
+    infsup_study("g3p2", [2, 4, 8]) on a 2-vCPU VM."""
     M = sp.csr_matrix(M)
     d = M.diagonal()
     if (M - sp.diags(d)).count_nonzero() or not (d > 0).all():
@@ -176,9 +176,11 @@ def _schur(A, B, M, mean, tol):
 
 def _smallest_eig(s_mv, solve_m, npres, tol) -> float:
     """sqrt of the smallest eigenvalue of s_mv(q) = lam M q for the diagonal
-    M that solve_m inverts, 0 if it is not positive, from the standard form
-    M^-1/2 S M^-1/2.  Up to DENSE_MAX pressure DoFs from its dense matrix;
-    above, from Lanczos (ARPACK)."""
+    M that solve_m inverts, from the standard form M^-1/2 S M^-1/2.  Up to
+    DENSE_MAX pressure DoFs from its dense matrix; above, from Lanczos
+    (ARPACK).  An eigenvalue at or below tol reads 0: it is the round-off
+    of a singular S (2e-16 for g3p2 at n=1), as the mean shift puts the top
+    of the spectrum at 1 or above."""
     scale = np.sqrt(solve_m(np.ones(npres)))
     if npres <= DENSE_MAX:
         S = np.column_stack([s_mv(e) for e in np.diag(scale)])
@@ -191,7 +193,7 @@ def _smallest_eig(s_mv, solve_m, npres, tol) -> float:
                              tol=max(tol, 1e-12), return_eigenvectors=False)[0]
         except spla.ArpackError as exc:
             raise SolverError(f"inf-sup eigensolve failed: {exc}") from exc
-    return float(np.sqrt(max(float(lam), 0.0)))
+    return float(np.sqrt(lam)) if lam > tol else 0.0
 
 
 def saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
@@ -266,8 +268,8 @@ def infsup_constant(B, A, Mp, tol: float = 1e-10, mean=None) -> float:
     pressure Gram (diagonal, positive); B pairs the pressure basis with the
     velocity basis.  When the pressures are the mean-zero subspace of a
     space holding the constants, mean is the mean functional m and the
-    constant mode is deflated (see _schur).  Nonpositive smallest
-    eigenvalues (beyond roundoff) report 0: the pair is unstable.
+    constant mode is deflated (see _schur).  A smallest eigenvalue at or
+    below tol reports 0: the pair is unstable.
     """
     B = sp.csr_matrix(B)
     if B.shape[0] == 0:

@@ -304,7 +304,8 @@ def build_space(mesh: Mesh, kind: str) -> Space:
     if key in _LAYOUT_BY_KEY:
         return _build_layout(mesh, *_LAYOUT_BY_KEY[key])
     if key in _DG_KINDS:
-        return _build_dg(mesh, _DG_KINDS[key])
+        k = _DG_KINDS[key]
+        return _broken_space(mesh, f"DG{k}", f"pres{k}", k)
     known = sorted([*_LAYOUT_BY_KEY, *_DG_KINDS])
     raise KeyError(f"unknown space kind '{kind}'; known: {known}")
 
@@ -391,12 +392,13 @@ def _two_components(comp: Space) -> Space:
 _LAYOUT_BY_KEY = {row[0].lower(): row for row in LAYOUT_KINDS}
 
 
-def _build_dg(mesh: Mesh, k: int) -> Space:
-    per_cell = 1 + len(_pressure_modes(k))
-    ndof = mesh.n_cells * per_cell
-    meta = {"order": k, "per_cell": per_cell}
-    return Space(mesh, f"DG{k}", False, ndof, f"pres{k}", np.eye(per_cell),
-                 sp.identity(ndof, format="csr"), k, meta)
+def _broken_space(mesh: Mesh, kind: str, shapes: str, degree: int) -> Space:
+    """A discontinuous space whose DoFs are each cell's coefficients in a
+    shape set, numbered cell by cell (A = I, P = I)."""
+    nloc = len(shape_set(shapes))
+    ndof = mesh.n_cells * nloc
+    return Space(mesh, kind, False, ndof, shapes, np.eye(nloc),
+                 sp.identity(ndof, format="csr"), degree, {})
 
 
 _DG_KINDS = {f"dg{k}": k for k in range(3)}

@@ -33,6 +33,7 @@ from .linalg import kernel_dimension, matrix_rank
 from .mesh import Mesh
 from .polynomials import EDGE_LEGENDRE, BaryPoly, poly1d_eval
 from .quadrature import edge_rule
+from .schemes import DECOMPOSED, PAIRS, SCHEMES
 from .spaces import Space, assemble_bilinear, build_space, shape_set, tabulate
 
 
@@ -240,7 +241,7 @@ def bubble_correct(g2: Space, coeffs):
     linear; its mean must vanish, and the bubbles cancel its two mean-zero
     coordinates (lam_0 - lam_2 and lam_1 - lam_2 at the vertices).
     """
-    if g2.kind not in ("G2_0", "G2"):
+    if g2.shapes != "g2":
         raise ValueError("bubble_correct expects a G2 space")
     sparse_in = sp.issparse(coeffs)
     C = sp.csc_matrix(coeffs if sparse_in
@@ -444,7 +445,8 @@ class B3Basis:
 
 def b3_basis(mesh: Mesh) -> B3Basis:
     base = weak_rotfree_basis(mesh)
-    g2 = build_space(mesh, "G2_0")
+    # the broken gradients lie in the cubic scheme's velocity space
+    g2 = build_space(mesh, PAIRS[SCHEMES["cubic"][1]][0])
     C = bubble_correct(g2, embed_s2_in_g2(base.space, g2, base.matrix))
     w = grad_inverse(mesh, (_gradient_operator(g2) @ C).T)
     f, cells, _ = w.blocks()
@@ -594,37 +596,34 @@ class ExactnessReport:
 
 def exactness_report(mesh: Mesh, order: str = "cubic",
                      with_basis: bool = True) -> ExactnessReport:
+    row = SCHEMES.get(order)
+    if row is None:
+        raise ValueError(f"unknown order '{order}'; known: {list(DECOMPOSED)}")
     xi = mesh.n_interior_vertices
     ei = mesh.n_interior_edges
     nt = mesh.n_cells
+    vel, dg = (build_space(mesh, kind) for kind in PAIRS[row[1]])
+    # surjective: rot onto the mean-zero subspace of the pressure space
+    expected_rank = dg.ndof - 1
     if order == "cubic":
-        vel = build_space(mesh, "G2_0")
-        dg = build_space(mesh, "DG1")
-        expected_rank = 3 * nt - 1
         kernel_formula = 3 * xi + ei
         # dim(B3+) + dim(DG1) - 1 == dim(G2+): (xi + 3 ei) + (3 nt - 1)
         aux_ok = (xi + 3 * ei) + (3 * nt - 1) == 2 * (nt + 2 * ei)
-    elif order == "quartic":
-        vel = build_space(mesh, "G3_0")
-        dg = build_space(mesh, "DG2")
-        expected_rank = 6 * nt - 1
-        # dim(G3_0) = 6 ei + 2 nt and rank = 6 nt - 1, so the kernel is
-        # 6 ei - 4 nt + 1; Euler on the square (xi - ei + nt = 1) turns this
-        # into 4 xi + 2 ei - 3 (the often quoted 3 xi + 2 ei - 3 undercounts
-        # by one per interior vertex)
+    else:
+        # quartic: dim(G3_0) = 6 ei + 2 nt and rank = 6 nt - 1, so the kernel
+        # is 6 ei - 4 nt + 1; Euler on the square (xi - ei + nt = 1) turns
+        # this into 4 xi + 2 ei - 3 (the often quoted 3 xi + 2 ei - 3
+        # undercounts by one per interior vertex)
         kernel_formula = 4 * xi + 2 * ei - 3
         # the two facts the closed form rests on: the measured velocity
         # dimension and Euler's formula
         aux_ok = vel.ndof == 6 * ei + 2 * nt and xi - ei + nt == 1
-    else:
-        raise ValueError("order must be 'cubic' or 'quartic'")
     B = assemble_bilinear(vel, dg, "rot_pressure")
     kernel = kernel_dimension(B, tol=1e-8)
     rank = B.shape[1] - kernel
-    npres = dg.ndof - 1  # mean-zero subspace of the discontinuous space
     rep = ExactnessReport(
         order=order, n_cells=nt, n_interior_vertices=xi, n_interior_edges=ei,
-        dim_velocity=vel.ndof, dim_pressure_meanzero=npres, rank=rank,
+        dim_velocity=vel.ndof, dim_pressure_meanzero=expected_rank, rank=rank,
         kernel=kernel, expected_rank=expected_rank,
         kernel_dim_formula=kernel_formula,
         kernel_dim_derived=vel.ndof - expected_rank, aux_identity_ok=aux_ok)

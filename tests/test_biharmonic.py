@@ -7,7 +7,8 @@ from biharmfem.linalg import SolverError
 from biharmfem.mesh import generate_structured
 from biharmfem.biharmonic import (convergence_study, galerkin_residual,
                                   infsup_study, manufactured, solve_cubic,
-                                  solve_morley, solve_quartic)
+                                  solve_morley, solve_quartic, solve_scheme)
+from biharmfem.schemes import PAIRS, SCHEMES
 from biharmfem.spaces import (_form_operator, assemble_bilinear, build_space,
                               error_norms, locate_cells)
 from biharmfem.stokes_complex import b3_basis
@@ -221,9 +222,11 @@ def test_solver_determinism(mesh2, poly8):
 
 # -- decomposition <-> primal equivalence --------------------------------------
 
-def test_galerkin_residual_small(mesh2, poly8):
-    res = solve_cubic(mesh2, poly8.f)
-    basis = b3_basis(mesh2)
+@pytest.mark.parametrize("mesh_name", ["mesh2", "jittered4", "relabeled4"])
+def test_galerkin_residual_small(request, mesh_name, poly8):
+    mesh = request.getfixturevalue(mesh_name)
+    res = solve_cubic(mesh, poly8.f)
+    basis = b3_basis(mesh)
     assert galerkin_residual(res, poly8.f, basis) < 1e-8
 
 
@@ -245,16 +248,18 @@ def test_galerkin_residual_detects_perturbation(mesh2, poly8):
     assert bumped > max(1e-4, 10 * base)
 
 
-def test_galerkin_residual_matches_cell_loop(mesh2, poly8):
+@pytest.mark.parametrize("mesh_name", ["mesh2", "jittered4", "relabeled4"])
+def test_galerkin_residual_matches_cell_loop(request, mesh_name, poly8):
     # a u_h far from the Galerkin solution: each residual is O(1) and equals
     # the one summed cell by cell over BaryPoly Hessians
     from biharmfem.quadrature import tri_rule
-    res = solve_cubic(mesh2, poly8.f)
+    mesh = request.getfixturevalue(mesh_name)
+    res = solve_cubic(mesh, poly8.f)
     res.u_h.coeffs = np.random.default_rng(19).standard_normal(
         res.u_h.space.ndof)
-    basis = b3_basis(mesh2)
+    basis = b3_basis(mesh)
     rule = tri_rule(12)
-    geoms = [mesh2.geometry(c) for c in range(mesh2.n_cells)]
+    geoms = [mesh.geometry(c) for c in range(mesh.n_cells)]
     xy = [rule.points @ g.verts for g in geoms]
     fnorm = np.sqrt(sum(g.area * np.sum(rule.weights * poly8.f(*p.T)**2)
                         for g, p in zip(geoms, xy)))
@@ -333,6 +338,26 @@ def test_infsup_study_small():
     for pair, want in (("g2p0", 0.49724359936925), ("g2p1", 0.46864870618641),
                        ("g3p2", 0.22366683244355)):
         assert infsup_study(pair, [16])[0][1] == pytest.approx(want, rel=1e-9)
+
+
+def test_singular_pair_reads_zero():
+    # criss n=1: G3_0 has 10 velocity DoFs against 11 mean-zero pressures,
+    # so S is singular, and its smallest eigenvalue is round-off (2e-16)
+    assert infsup_study("g3p2", [1]) == [(1, 0.0)]
+
+
+def test_unknown_names_list_the_known_ones(mesh2, poly8):
+    with pytest.raises(KeyError, match=r"unknown pair 'nope'; known: "
+                                       r"\['g2p0', 'g2p1', 'g3p2'\]"):
+        infsup_study("nope", [])
+    with pytest.raises(KeyError, match=r"unknown scheme 'x'; known: "
+                                       r"\['cubic', 'morley', 'quartic'\]"):
+        solve_scheme(mesh2, "x", poly8.f)
+
+
+def test_scheme_rows_name_known_pairs():
+    assert bh.PAIRS is PAIRS    # the pair table stays importable here
+    assert all(row is None or row[1] in PAIRS for row in SCHEMES.values())
 
 
 def test_csv_header_exact(poly8):

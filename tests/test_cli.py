@@ -137,3 +137,10 @@ def test_verify_infsup():
     assert len(lines) == 2
     for ln in lines:
         assert float(ln.split("=")[-1]) > 0
+
+
+def test_verify_infsup_singular_pair_exits_2():
+    # g3p2 on criss n=1 has fewer velocity DoFs than mean-zero pressures
+    code, out, _ = run_cli(["verify", "infsup", "--pair", "g3p2", "--n", "1"])
+    assert code == 2
+    assert out == "n=1: C_h = 0\npair unstable: nonpositive constant\n"

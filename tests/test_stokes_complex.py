@@ -239,6 +239,15 @@ def test_exactness_cubic_n4():
     assert rep.kernel == rep.kernel_dim_formula
 
 
+@pytest.mark.parametrize("order", ["morley", "nope"])
+def test_exactness_report_names_the_known_orders(mesh2, order):
+    # morley is a scheme but has no Stokes pair, so no complex to verify
+    with pytest.raises(ValueError,
+                       match=rf"unknown order '{order}'; known: \['cubic', "
+                             r"'quartic'\]"):
+        exactness_report(mesh2, order)
+
+
 def test_exactness_quartic_n2(mesh2):
     rep = exactness_report(mesh2, "quartic")
     # surjectivity of the broken rot; the kernel matches the closed form
