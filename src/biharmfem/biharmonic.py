@@ -118,14 +118,13 @@ class SolveResult:
 def _stokes_pair(mesh: Mesh, vel_kind: str, pres_kind: str):
     """A Stokes pair (a PAIRS row) on a mesh, as the solve and the inf-sup
     study use it: (velocity space, pressure space, K, B, Mp, m).  The
-    velocity Gram is I_2 (x) K in component order, so K is the Gram of one
-    component, and B has its columns in that order.  m = Mp 1_h is the mean
-    functional, with m @ q the integral of the pressure q."""
+    velocity Gram is I_2 (x) K, K the Gram of one component, as B is
+    assembled: component-major.  m = Mp 1_h is the mean functional, with
+    m @ q the integral of the pressure q."""
     vel = build_space(mesh, vel_kind)
     pres = build_space(mesh, pres_kind)
     K = assemble_bilinear(vel.component, vel.component, "grad_grad")
-    perm = vel.component_dofs.ravel()
-    B = assemble_bilinear(vel, pres, "rot_pressure")[:, perm]
+    B = assemble_bilinear(vel, pres, "rot_pressure")
     Mp = assemble_bilinear(pres, pres, "mass")
     # 1_h, the DG vector of the constant 1: 1 in each cell's constant slot
     one = np.zeros(pres.ndof)
@@ -134,6 +133,12 @@ def _stokes_pair(mesh: Mesh, vel_kind: str, pres_kind: str):
 
 
 def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float) -> SolveResult:
+    # each hole adds a discrete harmonic field, rot-free but no gradient, to
+    # the stage-2 kernel, and the stages have no constraint against it
+    chi = mesh.euler_characteristic()
+    if chi != 1:
+        raise SolverError(f"the {scheme} scheme needs a simply connected mesh; "
+                          f"Euler characteristic {chi}, b1 = {1 - chi} hole(s)")
     pot_kind, pair = SCHEMES[scheme]
     pot = build_space(mesh, pot_kind)
     A1 = assemble_bilinear(pot, pot, "grad_grad")
@@ -141,16 +146,13 @@ def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float) -> SolveResult:
     solve_a1 = spd_solver(A1, tol)
     r = solve_a1(b1)
     vel, pres, K, B, Mp, mean = _stokes_pair(mesh, *PAIRS[pair])
-    perm = vel.component_dofs.ravel()
     D = _form_operator(vel, pot, "vecfield_grad")
-    rhs2 = (D.T @ r)[perm]
+    rhs2 = D.T @ r
     try:
-        u2, p, iterations = saddle_solve(K, B, rhs2, Mp, mean=mean, tol=tol)
+        phi, p, iterations = saddle_solve(K, B, rhs2, Mp, mean=mean, tol=tol)
     except SolverError as exc:
         raise SolverError(
             f"{scheme} stage-2 Stokes solve failed ({exc})") from exc
-    phi = np.empty(vel.ndof)
-    phi[perm] = u2
     rhs3 = D @ phi
     u = solve_a1(rhs3)
     diag = {
@@ -159,8 +161,8 @@ def _decomposed_solve(mesh: Mesh, f, scheme: str, tol: float) -> SolveResult:
         "dofs_pressure": pres.ndof - 1,
         "stage1_residual": float(np.linalg.norm(A1 @ r - b1)),
         "stage2_residual": float(np.linalg.norm(
-            _per_component(K.dot, K.shape[0], u2) + B.T @ p - rhs2)),
-        "stage2_constraint": float(np.linalg.norm(B @ u2)),
+            _per_component(K.dot, K.shape[0], phi) + B.T @ p - rhs2)),
+        "stage2_constraint": float(np.linalg.norm(B @ phi)),
         "stage2_iterations": iterations,
         "stage3_residual": float(np.linalg.norm(A1 @ u - rhs3)),
     }

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 MAX_DEGREE = 40
 
@@ -31,6 +30,17 @@ class EdgeQuadRule:
     degree: int
 
 
+def _gauss_jacobi10(m: int):
+    """The m-point Gauss rule for the weight 1 - z on [-1, 1] by Golub-Welsch:
+    the nodes are the eigenvalues of the Jacobi matrix, and each weight is
+    2 v_0^2 for its unit eigenvector v (2 is the integral of the weight)."""
+    k = np.arange(m)
+    off = np.sqrt(k[1:] * (k[1:] + 1.0)) / (2 * k[1:] + 1)
+    J = np.diag(off, 1) + np.diag(off, -1)
+    z, V = np.linalg.eigh(J - np.diag(1.0 / ((2 * k + 1) * (2 * k + 3))))
+    return z, 2.0 * V[0] ** 2
+
+
 @lru_cache(maxsize=None)
 def tri_rule(degree: int) -> TriQuadRule:
     if degree < 0 or degree > MAX_DEGREE:
@@ -39,7 +49,7 @@ def tri_rule(degree: int) -> TriQuadRule:
     xu, wu = np.polynomial.legendre.leggauss(m)
     u = (xu + 1.0) / 2.0
     wu = wu / 2.0                      # sum 1 on [0, 1]
-    zv, wj = roots_jacobi(m, 1, 0)     # weight (1 - z) on [-1, 1]
+    zv, wj = _gauss_jacobi10(m)        # weight (1 - z) on [-1, 1]
     v = (zv + 1.0) / 2.0
     wv = wj / 4.0                      # integrates (1 - v) f on [0, 1]
     U, V = np.meshgrid(u, v, indexing="ij")

@@ -9,8 +9,8 @@ arrays built once per mesh:
      c * nloc + l expresses DOF l of cell c in the global DOFs, with all of
      its cell geometry (a normal DOF also reads its edge's vertex values).
 
-A vector space is its one-component space twice: Space.component, and
-component_dofs (2, ndof / 2), the DOF of each (component, component DOF).
+A vector space is its one-component space (Space.component) twice, numbered
+component-major, so its Gram is blockdiag(K, K) for the component Gram K.
 Shape polynomials are evaluated at float points in one place, tabulate(),
 which gives values and lambda-derivatives up to order 2 at any barycentric
 points.  The reference tables are tabulate at the tri_rule points, cached
@@ -28,7 +28,7 @@ Global DOF layouts (deterministic): every space but the pressure spaces is a
 row of LAYOUT_KINDS, a catalog element with its component count, G2 bubble
 and boundary elimination.  Its layout (see layout()) is read from the
 element's DOF functionals, and DOFs are numbered vertex | edge | cell, each
-entity's slots together, component-major (S2_0 is thus a prefix of G2_0).
+entity's slots together, all of component 0 before component 1.
 The pressure spaces DG* are discontinuous, numbered cell by cell: the cell
 constant, then the cell's mean-zero modes, L2-orthogonal to each other and
 to the constant on every affine cell, so the DG mass matrix is diagonal.
@@ -135,7 +135,7 @@ class Space:
         self.P = P
         self.poly_degree = poly_degree
         self.meta = meta
-        self.component = self.component_dofs = None  # see _two_components
+        self.component = None  # see _two_components
 
     def __repr__(self):
         return f"Space({self.kind}, ndof={self.ndof})"
@@ -366,26 +366,22 @@ def _build_layout(mesh: Mesh, kind: str, element: str, ncomp: int,
 
 
 def _two_components(comp: Space) -> Space:
-    """comp twice: an entity's DOFs are component-major (table column
-    c * nslot + s), so component c of comp's DOF d, in slot s, is
-    2 d - s + c nslot; so are the local DOFs, and P is comp's P per
-    component, its columns mapped through component_dofs."""
-    cdofs = np.empty((2, comp.ndof), dtype=np.int64)
+    """comp twice, component-major: component c of comp's DOF d is DOF
+    c n + d (n = comp.ndof), in column c * nslot + s of an entity table.  A
+    cell's local DOFs are its component-0 ones, then its component-1 ones,
+    so the component-c local rows of P are comp's P, columns shifted by c n."""
     meta = dict(comp.meta)
     for etype in ENTITIES:
         S = comp.meta[f"{etype}_dofs"]
-        nslot, free = S.shape[1], S >= 0
-        V = 2 * S[:, None] - np.arange(nslot) + nslot * np.arange(2)[:, None]
-        cdofs[:, S[free]] = V.transpose(1, 0, 2)[:, free]
-        meta[f"{etype}_dofs"] = np.where(free[:, None], V, -1).reshape(
-            len(S), 2 * nslot)
-    P = sp.kron(np.eye(2), comp.P, format="coo")
-    c, cell, l = np.unravel_index(P.row, (2, comp.mesh.n_cells, comp.nloc))
-    P = sp.csr_matrix((P.data, ((2 * cell + c) * comp.nloc + l,
-                                cdofs.ravel()[P.col])), shape=P.shape)
+        meta[f"{etype}_dofs"] = np.hstack([S, np.where(S >= 0, S + comp.ndof,
+                                                       -1)])
+    # I_2 (x) comp.P has its rows as (component, cell, local DOF), P as
+    # (cell, component, local DOF)
+    order = np.arange(2 * comp.P.shape[0]).reshape(2, -1, comp.nloc)
+    P = sp.kron(np.eye(2), comp.P, format="csr")[order.swapaxes(0, 1).ravel()]
     space = Space(comp.mesh, comp.kind, True, 2 * comp.ndof, comp.shapes,
                   np.kron(np.eye(2), comp.A), P, comp.poly_degree, meta)
-    space.component, space.component_dofs = comp, cdofs
+    space.component = comp
     return space
 
 
@@ -716,24 +712,22 @@ def _slot_values(mesh: Mesh, etype: str, slot, ents: np.ndarray, func, grad,
     return (gx * t[:, 1:] - gy * t[:, :1]) @ rule.weights
 
 
-def _interpolate(space: Space, funcs, grads) -> FieldFunction:
-    """Every global DOF functional of a layout-built space applied to the
-    component functions funcs (gradients grads, for normal DOFs)."""
+def _interpolate(space: Space, func, grad) -> np.ndarray:
+    """Every global DOF functional of a layout-built scalar space applied to
+    func (its gradient grad, for normal DOFs)."""
     lay = space.meta.get("layout")
     if lay is None:
         raise ValueError(f"no interpolation rule for space kind {space.kind}")
-    if ("normal",) in lay.slots["edge"] and None in grads:
+    if ("normal",) in lay.slots["edge"] and grad is None:
         raise ValueError(f"{space.kind} interpolation needs grad_u")
     coeffs = np.zeros(space.ndof)
     for etype in ENTITIES:
         table = space.meta[f"{etype}_dofs"]
         ents = np.flatnonzero((table >= 0).any(axis=1))
-        nslot = len(lay.slots[etype])
-        for comp, (func, grad) in enumerate(zip(funcs, grads)):
-            for j, slot in enumerate(lay.slots[etype]):
-                coeffs[table[ents, comp * nslot + j]] = _slot_values(
-                    space.mesh, etype, slot, ents, func, grad)
-    return FieldFunction(space, coeffs)
+        for j, slot in enumerate(lay.slots[etype]):
+            coeffs[table[ents, j]] = _slot_values(space.mesh, etype, slot,
+                                                  ents, func, grad)
+    return coeffs
 
 
 def interpolate(space: Space, u, grad_u=None) -> FieldFunction:
@@ -741,11 +735,12 @@ def interpolate(space: Space, u, grad_u=None) -> FieldFunction:
     (normal-derivative DOFs read grad_u)."""
     if space.vector:
         raise ValueError("use interpolate_vector for vector spaces")
-    return _interpolate(space, (u,), (grad_u,))
+    return FieldFunction(space, _interpolate(space, u, grad_u))
 
 
 def interpolate_vector(space: Space, u1, u2) -> FieldFunction:
     """Canonical interpolant of (u1, u2) onto S2/G2/G3 (bubbles set to 0)."""
     if not space.vector:
         raise ValueError("interpolate_vector needs a vector space")
-    return _interpolate(space, (u1, u2), (None, None))
+    return FieldFunction(space, np.concatenate(
+        [_interpolate(space.component, u, None) for u in (u1, u2)]))

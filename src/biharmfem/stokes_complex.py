@@ -155,9 +155,9 @@ def _colmax(M) -> np.ndarray:
 
 @dataclass
 class WeakRotFreeBasis:
-    """Basis of the weakly rot-free subspace of the S2 velocity space."""
+    """Basis of the weakly rot-free subspace of S2_0, in G2_0 coefficients."""
 
-    space: Space                    # S2_0
+    space: Space                    # G2_0
     matrix: sp.csc_matrix           # (ndof, nfunc): the functions as columns
     labels: list[tuple]             # ("vx"|"vy"|"patch", vertex) or ("edge", e)
     cells: sp.csr_matrix            # (nfunc, ncells) support indicator
@@ -182,9 +182,10 @@ def weak_rotfree_basis(mesh: Mesh) -> WeakRotFreeBasis:
     tangential edge integrals away from it."""
     if mesh.n_interior_vertices < 1:
         raise ComplexError("mesh must have at least one interior vertex")
-    s2 = build_space(mesh, "S2_0")
-    vdofs = s2.meta["vertex_dofs"]
-    edofs = s2.meta["edge_dofs"]
+    # the cubic scheme's velocity space, whose vertex and edge DOFs are S2_0's
+    g2 = build_space(mesh, PAIRS[SCHEMES["cubic"][1]][0])
+    vdofs = g2.meta["vertex_dofs"]
+    edofs = g2.meta["edge_dofs"]
     iv, ie = mesh.interior_vertices(), mesh.interior_edges()
     nv, ne = iv.size, ie.size
     tang = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
@@ -204,7 +205,7 @@ def weak_rotfree_basis(mesh: Mesh) -> WeakRotFreeBasis:
         vals.append((sign * unit[k] / length[k, None]).ravel())
     M = sp.csc_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(s2.ndof, 3 * nv + ne))
+                      shape=(g2.ndof, 3 * nv + ne))
     if matrix_rank(M, tol=1e-10) != M.shape[1]:
         raise ComplexError("weak rot-free candidate functions are dependent")
     nc = mesh.n_cells
@@ -219,18 +220,7 @@ def weak_rotfree_basis(mesh: Mesh) -> WeakRotFreeBasis:
     labels = ([(tag, int(a)) for a in iv for tag in ("vx", "vy")]
               + [("edge", int(e)) for e in ie]
               + [("patch", int(a)) for a in iv])
-    return WeakRotFreeBasis(s2, M, labels, cells)
-
-
-def embed_s2_in_g2(s2: Space, g2: Space, coeffs):
-    """S2_0 coefficients (a vector or columns, dense or sparse) extend by
-    zero bubbles; the DoF layouts are aligned."""
-    pad = g2.ndof - s2.ndof
-    if sp.issparse(coeffs):
-        return sp.vstack([coeffs, sp.csc_matrix((pad, coeffs.shape[1]))],
-                         format="csc")
-    coeffs = np.asarray(coeffs, dtype=float)
-    return np.concatenate([coeffs, np.zeros((pad, *coeffs.shape[1:]))])
+    return WeakRotFreeBasis(g2, M, labels, cells)
 
 
 def bubble_correct(g2: Space, coeffs):
@@ -445,9 +435,8 @@ class B3Basis:
 
 def b3_basis(mesh: Mesh) -> B3Basis:
     base = weak_rotfree_basis(mesh)
-    # the broken gradients lie in the cubic scheme's velocity space
-    g2 = build_space(mesh, PAIRS[SCHEMES["cubic"][1]][0])
-    C = bubble_correct(g2, embed_s2_in_g2(base.space, g2, base.matrix))
+    g2 = base.space     # G2_0, where the broken gradients lie
+    C = bubble_correct(g2, base.matrix)
     w = grad_inverse(mesh, (_gradient_operator(g2) @ C).T)
     f, cells, _ = w.blocks()
     grown = np.asarray(base.cells[f, cells]).ravel() == 0
@@ -559,7 +548,9 @@ class ExactnessReport:
 
     @property
     def exact(self) -> bool:
-        return self.surjective and self.kernel == self.kernel_dim_derived
+        """aux_identity_ok fails exactly when xi - ei + T != 1 (holes)."""
+        return (self.surjective and self.kernel == self.kernel_dim_derived
+                and self.aux_identity_ok)
 
     def to_text(self) -> str:
         lines = [

@@ -55,6 +55,30 @@ def relabeled4():
     return _relabel(generate_structured(4), 11)
 
 
+def _cut(mesh, drop):
+    """mesh without the cells whose centroid (x, y) satisfies drop, its
+    unused vertices removed and the others renumbered in order."""
+    x, y = mesh.vertices[mesh.cells].mean(axis=1).T
+    cells = mesh.cells[~drop(x, y)]
+    used = np.unique(cells)
+    return Mesh(mesh.vertices[used], np.searchsorted(used, cells))
+
+
+@pytest.fixture(scope="session")
+def holed8():
+    """Criss n=8 with a square hole: the cells whose centroid has
+    |x - 1/2|, |y - 1/2| < 1/4 removed (96 cells, Euler characteristic 0)."""
+    return _cut(generate_structured(8),
+                lambda x, y: (abs(x - 0.5) < 0.25) & (abs(y - 0.5) < 0.25))
+
+
+@pytest.fixture(scope="session")
+def lshape8():
+    """Criss n=8 without the quadrant (1/2, 1)^2: 96 cells, simply
+    connected."""
+    return _cut(generate_structured(8), lambda x, y: (x > 0.5) & (y > 0.5))
+
+
 def _grad_array(mesh, cellvec):
     """grad_inverse's input from a callback: cellvec(c) is the (px, py)
     BaryPoly pair on cell c, fitted to GRADIENT_SHAPES at tri_rule(4)."""

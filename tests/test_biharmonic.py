@@ -230,6 +230,30 @@ def test_galerkin_residual_small(request, mesh_name, poly8):
     assert galerkin_residual(res, poly8.f, basis) < 1e-8
 
 
+@pytest.mark.parametrize("solve", [solve_cubic, solve_quartic],
+                         ids=["cubic", "quartic"])
+def test_decomposed_solve_rejects_holed_mesh(holed8, solve, monkeypatch):
+    # a hole adds a discrete harmonic field to the stage-2 kernel: refused
+    # before anything is assembled
+    assert holed8.n_cells == 96 and holed8.euler_characteristic() == 0
+    monkeypatch.setattr(bh, "build_space", None)
+    with pytest.raises(SolverError, match=r"simply connected mesh; Euler "
+                       r"characteristic 0, b1 = 1 hole\(s\)"):
+        solve(holed8, lambda x, y: np.ones_like(x))
+
+
+def test_morley_solves_holed_mesh(holed8):
+    u = solve_morley(holed8, lambda x, y: np.ones_like(x))
+    assert np.isfinite(u.coeffs).all() and np.abs(u.coeffs).max() > 0
+
+
+def test_lshape_galerkin_residual(lshape8):
+    assert lshape8.n_cells == 96 and lshape8.euler_characteristic() == 1
+    one = lambda x, y: np.ones_like(x)
+    res = solve_cubic(lshape8, one)
+    assert galerkin_residual(res, one, b3_basis(lshape8)) <= 1e-12
+
+
 def test_galerkin_residual_detects_perturbation(mesh2, poly8):
     res = solve_cubic(mesh2, poly8.f)
     basis = b3_basis(mesh2)

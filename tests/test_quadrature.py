@@ -5,12 +5,35 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biharmfem.polynomials import barycentric_moment
-from biharmfem.quadrature import edge_rule, tri_rule
+from biharmfem.quadrature import (MAX_DEGREE, _gauss_jacobi10, edge_rule,
+                                  tri_rule)
 
 
 def quad_monomial_average(rule, a, b, c):
     l1, l2, l3 = rule.points[:, 0], rule.points[:, 1], rule.points[:, 2]
     return float(np.sum(rule.weights * l1**a * l2**b * l3**c))
+
+
+def test_gauss_jacobi_matches_scipy_and_the_closed_form():
+    # the nodes match scipy.special.roots_jacobi; the weights match the closed
+    # form 4 / ((1 - z^2) P_m'(z)^2) (alpha = 1, beta = 0) at 40 digits,
+    # which roots_jacobi's own weights miss by up to 1.7e-13 relative (m = 16)
+    mpmath = pytest.importorskip("mpmath")
+    roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
+    mp = mpmath.mp
+
+    def jacobi(m, x):
+        return mp.jacobi(m, 1, 0, x)
+
+    with mpmath.workdps(40):
+        for m in range(1, (MAX_DEGREE + 2) // 2 + 1):   # every m of tri_rule
+            z, w = _gauss_jacobi10(m)
+            assert np.abs(z - roots_jacobi(m, 1, 0)[0]).max() <= 1e-15
+            exact = [mp.findroot(lambda x: jacobi(m, x), x0) for x0 in z]
+            assert len(set(exact)) == m
+            w_exact = np.array([float(4 / ((1 - x**2) * mp.diff(
+                lambda t: jacobi(m, t), x)**2)) for x in exact])
+            assert np.abs(w / w_exact - 1).max() <= 1e-13, m
 
 
 def test_weights_sum_to_one():

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import biharmfem.spaces as spaces
 from biharmfem.biharmonic import manufactured
 from biharmfem.elements import element_catalog, eval_dof
-from biharmfem.linalg import _pin_mmap_threshold
+from biharmfem.linalg import _pin_mmap_threshold, saddle_solve
 from biharmfem.mesh import Mesh, generate_structured, refine_uniform
 from biharmfem.polynomials import EDGE_LEGENDRE, BaryPoly, poly1d_eval
 from biharmfem.quadrature import edge_rule, tri_rule
@@ -677,23 +677,34 @@ def test_dg_mass_is_diagonal(request, name):
 @pytest.mark.parametrize("kind", ["G2_0", "G3_0", "G2", "G3"])
 def test_vector_space_is_its_component_twice(request, name, kind):
     # the Stokes solver factors the component Gram K once for both
-    # components, so the vector grad_grad must be I_2 (x) K in component order
+    # components, so in the space's own (component-major) DOF order the
+    # vector grad_grad must be blockdiag(K, K)
     vel = build_space(_oracle_mesh(request, name), kind)
-    comp, cdofs = vel.component, vel.component_dofs
+    comp = vel.component
     n = comp.ndof
-    assert not comp.vector and vel.ndof == 2 * n and cdofs.shape == (2, n)
-    perm = cdofs.ravel()
-    assert np.array_equal(np.sort(perm), np.arange(vel.ndof))
+    assert not comp.vector and vel.ndof == 2 * n
     K = assemble_bilinear(comp, comp, "grad_grad")
-    A = assemble_bilinear(vel, vel, "grad_grad")[perm][:, perm]
-    assert A[:n, n:].count_nonzero() == 0 and A[n:, :n].count_nonzero() == 0
-    for block in (A[:n, :n], A[n:, n:]):
-        assert abs(block - K).max() <= 1e-15 * abs(K).max()
-    # each component's local rows of P: the component's P, columns mapped
+    A = assemble_bilinear(vel, vel, "grad_grad")
+    assert abs(A - sp.block_diag([K, K])).max() <= 1e-15 * abs(A).max()
+    # each component's local rows of P: the component's P, columns shifted
     nloc, nc = comp.nloc, vel.mesh.n_cells
     for c in range(2):
         rows = (np.arange(nc)[:, None] * 2 * nloc + c * nloc
                 + np.arange(nloc)).ravel()
-        E = sp.csr_matrix((np.ones(n), (np.arange(n), cdofs[c])),
-                          shape=(n, vel.ndof))
-        assert (vel.P[rows] - comp.P @ E).count_nonzero() == 0
+        shifted = sp.hstack([sp.csr_matrix((len(rows), c * n)), comp.P,
+                             sp.csr_matrix((len(rows), (1 - c) * n))])
+        assert (vel.P[rows] - shifted).count_nonzero() == 0
+    if not kind.endswith("_0"):
+        return      # without boundary conditions K is singular (constants)
+    # one factor of K solves the system of the vector Gram, with B and f as
+    # assembled
+    pres = build_space(vel.mesh, "DG1" if kind == "G2_0" else "DG2")
+    B = assemble_bilinear(vel, pres, "rot_pressure")
+    M = assemble_bilinear(pres, pres, "mass")
+    m = M.diagonal() * (np.arange(pres.ndof) % pres.nloc == 0)
+    f = np.random.default_rng(11).standard_normal(vel.ndof)
+    u_ref, p_ref, it_ref = saddle_solve(A, B, f, M, mean=m)
+    u, p, iterations = saddle_solve(K, B, f, M, mean=m)
+    assert iterations == it_ref
+    assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)

@@ -9,7 +9,7 @@ from biharmfem.spaces import assemble_bilinear, build_space, reference_tables
 from biharmfem.stokes_complex import (GRADIENT_SHAPES, CellwiseField,
                                       ComplexError, b3_basis,
                                       b3_membership_violation, bubble_correct,
-                                      embed_s2_in_g2, exactness_report,
+                                      exactness_report,
                                       grad_inverse, weak_rotfree_basis,
                                       _edge_jump_violation, _vertex_violation)
 from oracles import (cell_poly, cubic_poly, edge_jump_moments, poly_gradient,
@@ -31,8 +31,7 @@ def test_weak_rotfree_count_and_independence(mesh2, basis2):
 
 
 def test_phi_e_zero_tangential_mean(mesh2, basis2):
-    s2 = basis2.space
-    edofs = s2.meta["edge_dofs"]
+    edofs = basis2.space.meta["edge_dofs"]
     for vec, label in zip(basis2.vectors, basis2.labels):
         if label[0] != "edge":
             continue
@@ -54,21 +53,24 @@ def cell_rot_mean(space, c, coeffs):
     return float((gx_py - gy_px).cell_average())
 
 
+def test_weak_rotfree_basis_is_g2_with_zero_bubbles(mesh2, basis2):
+    g2 = basis2.space
+    assert g2.kind == "G2_0" and basis2.matrix.shape[0] == g2.ndof
+    assert not basis2.matrix[g2.meta["cell_dofs"].ravel()].count_nonzero()
+
+
 def test_weak_rotfree_cell_means_vanish(mesh2, basis2):
-    g2 = build_space(mesh2, "G2_0")
     for vec in basis2.vectors:
-        emb = embed_s2_in_g2(basis2.space, g2, vec)
         for c in range(mesh2.n_cells):
-            assert abs(cell_rot_mean(g2, c, emb)) < 1e-12
+            assert abs(cell_rot_mean(basis2.space, c, vec)) < 1e-12
 
 
 def test_bubble_correct_makes_rot_pointwise_zero(mesh2, basis2):
-    g2 = build_space(mesh2, "G2_0")
+    g2 = basis2.space
     dg1 = build_space(mesh2, "DG1")
     B = assemble_bilinear(g2, dg1, "rot_pressure")
     for vec in basis2.vectors:
-        emb = embed_s2_in_g2(basis2.space, g2, vec)
-        fixed = bubble_correct(g2, emb)
+        fixed = bubble_correct(g2, vec)
         assert np.abs(B @ fixed).max() < 1e-12
 
 
@@ -80,11 +82,10 @@ def test_bubble_correct_identity_on_rotfree_input(mesh2):
 
 def test_bubble_correction_preserves_cell_means(mesh2, basis2):
     # the added bubble contributes zero cell-average rot itself
-    g2 = build_space(mesh2, "G2_0")
+    g2 = basis2.space
     vec = basis2.vectors[0]
-    emb = embed_s2_in_g2(basis2.space, g2, vec)
-    fixed = bubble_correct(g2, emb)
-    delta = fixed - emb
+    fixed = bubble_correct(g2, vec)
+    delta = fixed - vec
     for c in range(mesh2.n_cells):
         assert abs(cell_rot_mean(g2, c, delta)) < 1e-13
 
@@ -186,8 +187,7 @@ def test_patch_alpha_edge_detection(mesh2, basis2):
     # psi = sum_a alpha_a phi_{P_a}, the tangential edge integral over any
     # interior edge equals +-(alpha_L - alpha_R) (boundary alphas are 0),
     # so perturbing any single alpha_a changes some edge moment
-    s2 = basis2.space
-    edofs = s2.meta["edge_dofs"]
+    edofs = basis2.space.meta["edge_dofs"]
     patches = {lab[1]: v for v, lab in zip(basis2.vectors, basis2.labels)
                if lab[0] == "patch"}
     rng = np.random.default_rng(17)
@@ -257,6 +257,28 @@ def test_exactness_quartic_n2(mesh2):
     assert rep.dim_velocity == 64
     assert rep.kernel == rep.kernel_dim_formula == rep.kernel_dim_derived == 17
     assert rep.aux_identity_ok
+
+
+@pytest.mark.parametrize("order,kernel", [("cubic", 193), ("quartic", 337)])
+def test_holed_mesh_report_is_not_exact(holed8, order, kernel):
+    # rot stays onto and its kernel is the derived one, but the hole's
+    # discrete harmonic field is in that kernel: the cubic basis misses it
+    # (192 functions, 3 Xi + Ei) and the quartic closed form reads 333
+    rep = exactness_report(holed8, order)
+    assert rep.surjective and rep.kernel == rep.kernel_dim_derived == kernel
+    assert not rep.aux_identity_ok and not rep.exact
+    assert f"rank {rep.rank}, kernel {kernel}, exact: FAIL" in rep.to_text()
+    assert rep.to_csv().endswith(",0\n")
+    if order == "cubic":
+        assert rep.basis_count == kernel - 1
+    else:
+        assert rep.kernel_dim_formula == kernel - 4
+
+
+def test_lshape_report_is_exact(lshape8):
+    rep = exactness_report(lshape8, "cubic")
+    assert rep.exact and rep.aux_identity_ok
+    assert rep.kernel == rep.basis_count == 227
 
 
 def _jittered_criss(n, seed, amp=0.2):
