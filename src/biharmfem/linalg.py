@@ -10,11 +10,12 @@ pressure mean out and, when it fails, names the inf-sup constant of the pair
 computed from that same factor, by standard-form Lanczos on M^-1/2 S M^-1/2.
 kernel_dimension counts small Gram eigenvalues by inertia: one Lanczos
 estimate of the largest and one Bunch-Kaufman LDL^T of the shifted Gram,
-instead of the whole spectrum.  Matrices are scipy CSR/CSC; everything here
-is deterministic for fixed inputs (a fixed eigensolver start vector, no
-randomized pivoting options).  On glibc, importing this module fixes the
-process's malloc mmap threshold, so that the large buffers of a solve go
-back to the system when freed (see _pin_mmap_threshold).
+instead of the whole spectrum.  Matrices are scipy CSR and are not copied:
+SuperLU factors the CSC view A^T and solves A by trans="T", and B^T is a
+view.  Everything is deterministic for fixed inputs (a fixed eigensolver
+start vector, no randomized pivoting options).  On glibc, importing this
+module fixes the process's malloc mmap threshold, so that the large buffers
+of a solve go back to the system when freed (see _pin_mmap_threshold).
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def _splu(A):
     ordering of A + A^T and diagonal pivots (off-diagonal only where a pivot
     is exactly zero), so the ordering, the pivots and the structure of the
     factors depend on the sparsity pattern alone, not on round-off.  Panels
-    of one column factor a third faster than the default, at the same fill."""
+    of one column factor a third faster than the default, at the same fill.
+    Given the CSC view A^T of a CSR A, the factor solves A by trans="T"."""
     try:
         return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          panel_size=1, relax=1, options={"SymmetricMode": True})
@@ -94,10 +96,10 @@ def _checked(apply, lu_solve, tol):
 
 
 def spd_solver(A, tol: float = 1e-10):
-    """Return ``solve(b)`` for the SPD matrix A, factored once by splu; the
-    residual of every solve is checked against tol."""
-    A = sp.csc_matrix(A)
-    return _checked(A.dot, _splu(A).solve, tol)
+    """Return ``solve(b)`` for the SPD matrix A, factored once by _splu
+    through its transpose view; every solve's residual is checked (tol)."""
+    A = sp.csr_matrix(A)
+    return _checked(A.dot, partial(_splu(A.T).solve, trans="T"), tol)
 
 
 def _per_component(op, n: int, x: np.ndarray) -> np.ndarray:
@@ -132,12 +134,12 @@ def _start_vector(n: int) -> np.ndarray:
 
 
 def _schur(A, B, M, mean, tol):
-    """Factor A (_splu) once for the pressure Schur complement
+    """Factor A once, as spd_solver does, for the pressure Schur complement
     S = B (I_k (x) A)^-1 B^T (see saddle_solve for k); the pressure Gram M
     must be diagonal.  Returns (solve_a, solve_m, BT, s_mv): solve_a solves
     with I_k (x) A by one multi-column solve and checks its residual as
-    spd_solver's does, solve_m divides by the diagonal of M, BT is B^T as
-    CSR, and s_mv applies S and, when the mean functional m is given (m @ q
+    spd_solver's does, solve_m divides by the diagonal of M, BT is the view
+    B^T, and s_mv applies S and, when the mean functional m is given (m @ q
     the integral of the pressure q, in a space holding the constants), the
     rank-one shift m m^T / (m^T M^-1 m).  S vanishes on the constant; the
     shift moves it to eigenvalue 1 of S q = lam M q and leaves the
@@ -150,14 +152,13 @@ def _schur(A, B, M, mean, tol):
     if (M - sp.diags(d)).count_nonzero() or not (d > 0).all():
         raise ValueError("the pressure Gram must be diagonal with a positive "
                          "diagonal (L2-orthogonal pressure modes)")
-    A = sp.csc_matrix(A)
+    A = sp.csr_matrix(A)
     n = A.shape[0]
     if n == 0 or B.shape[1] % n:
         raise ValueError(f"B's {B.shape[1]} columns: not a multiple of {n}")
-    lu = _splu(A)
-    lu_solve = partial(_per_component, lu.solve, n)
+    lu_solve = partial(_per_component, partial(_splu(A.T).solve, trans="T"), n)
     solve_a = _checked(partial(_per_component, A.dot, n), lu_solve, tol)
-    BT = B.T.tocsr()
+    BT = B.T
 
     def solve_m(q):
         return q / d

@@ -18,9 +18,9 @@ process-wide; field evaluation (eval_field, sample_field_csv) tabulates at
 the located points.  Physical derivatives follow by one chain rule through
 grad_lambda, shared by evaluation, error norms and the Galerkin residual.
 Loads and error norms walk the points in heap-sized blocks (_point_blocks).
-Assembly folds A into geometry-free reference tensors and contracts them
-with per-cell grad_lambda/Gram arrays into cell matrices M_c, forms P_test^T
-blockdiag(M_c) P_trial from them, or applies it unassembled (_form_operator).
+Assembly folds A into geometry-free tensors R_k, M_c = sum_k G[c, k] R_k with
+per-cell grad_lambda/Gram factors G, and forms P_test^T blockdiag(M_c) P_trial
+or applies it from R and G with no per-cell stack (_form_operator).
 Inter-cell identification of edge moments goes through canonical-edge
 Legendre moments; orientation flips, normal signs and scales live in P.
 
@@ -375,10 +375,11 @@ def _two_components(comp: Space) -> Space:
         S = comp.meta[f"{etype}_dofs"]
         meta[f"{etype}_dofs"] = np.hstack([S, np.where(S >= 0, S + comp.ndof,
                                                        -1)])
-    # I_2 (x) comp.P has its rows as (component, cell, local DOF), P as
-    # (cell, component, local DOF)
-    order = np.arange(2 * comp.P.shape[0]).reshape(2, -1, comp.nloc)
-    P = sp.kron(np.eye(2), comp.P, format="csr")[order.swapaxes(0, 1).ravel()]
+    rows = np.arange(comp.P.shape[0]).reshape(-1, comp.nloc)
+    P = comp.P[np.hstack([rows, rows]).ravel()]   # (cell, component, local)
+    shift = comp.ndof * (np.arange(P.shape[0]) // comp.nloc % 2)
+    P = sp.csr_matrix((P.data, P.indices + np.repeat(shift, np.diff(P.indptr)),
+                       P.indptr), shape=(P.shape[0], 2 * comp.ndof))
     space = Space(comp.mesh, comp.kind, True, 2 * comp.ndof, comp.shapes,
                   np.kron(np.eye(2), comp.A), P, comp.poly_degree, meta)
     space.component = comp
@@ -416,14 +417,19 @@ FORMS = ("mass", "grad_grad", "hess_hess", "rot_pressure", "vecfield_grad")
 ROUNDOFF_RTOL = 1e-12
 
 
-def _form_tensor(form: str, trial: Space, test: Space, degree: int):
-    """(R, G) of a form: the cell matrix in the test x trial shape bases is
-    sum_k G[c, k] R[:, :, k], with R geometry-free and G per cell."""
+def _form_tensor(trial: Space, test: Space, form: str, degree=None):
+    """(R, G) of a form: cell c's matrix in the nodal bases is sum_k G[c, k]
+    R[k], R (k, test nloc, trial nloc) geometry-free with A folded in."""
+    if trial.mesh is not test.mesh:
+        raise ValueError("trial and test spaces live on different meshes")
+    if degree is None:
+        degree = max(trial.poly_degree + test.poly_degree, 2)
     w = tri_rule(degree).weights
     vt, d1t, d2t = reference_tables(test.shapes, degree)
     vr, d1r, d2r = reference_tables(trial.shapes, degree)
     gl, area, _ = trial.mesh.geometry_arrays()
     nc, na, nb = len(area), len(vt), len(vr)
+    gram = np.einsum("cid,cjd->cij", gl, gl)
     if form in ("rot_pressure", "vecfield_grad"):
         if not trial.vector or test.vector:
             raise ValueError(f"{form} needs vector trial, scalar test")
@@ -439,11 +445,10 @@ def _form_tensor(form: str, trial: Space, test: Space, degree: int):
             R1 = np.einsum("ajq,q,bq->abj", d1t, w, vr)
             R[:, 0, :, :, 0] = R1
             R[:, 1, :, :, 1] = R1
-        return R.reshape(na, 2 * nb, 6), area[:, None] * gl.reshape(nc, 6)
-    if trial.vector != test.vector:
+        R, G = R.reshape(na, 2 * nb, 6), area[:, None] * gl.reshape(nc, 6)
+    elif trial.vector != test.vector:
         raise ValueError(f"{form} needs trial and test of the same kind")
-    gram = np.einsum("cid,cjd->cij", gl, gl)
-    if form == "mass":
+    elif form == "mass":
         R = np.einsum("aq,q,bq->ab", vt, w, vr)[..., None]
         G = area[:, None]
     elif form == "grad_grad":
@@ -458,7 +463,7 @@ def _form_tensor(form: str, trial: Space, test: Space, degree: int):
         raise ValueError(f"unknown form '{form}'")
     if test.vector:
         R = np.einsum("xy,abk->xaybk", np.eye(2), R).reshape(2 * na, 2 * nb, -1)
-    return R, G
+    return test.A @ np.moveaxis(R, 2, 0) @ trial.A.T, G
 
 
 def block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
@@ -472,12 +477,7 @@ def block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
 def _cell_matrices(trial: Space, test: Space, form: str,
                    quad_degree: int | None = None) -> np.ndarray:
     """The (ncells, test nloc, trial nloc) stack of a form's cell matrices."""
-    if trial.mesh is not test.mesh:
-        raise ValueError("trial and test spaces live on different meshes")
-    if quad_degree is None:
-        quad_degree = max(trial.poly_degree + test.poly_degree, 2)
-    R, G = _form_tensor(form, trial, test, quad_degree)
-    R = test.A @ np.moveaxis(R, 2, 0) @ trial.A.T  # (k, test nloc, trial nloc)
+    R, G = _form_tensor(trial, test, form, quad_degree)
     return (G @ R.reshape(len(R), -1)).reshape(len(G), *R.shape[1:])
 
 
@@ -494,20 +494,34 @@ def assemble_bilinear(trial: Space, test: Space, form: str,
 
 
 def _form_operator(trial: Space, test: Space, form: str):
-    """P_test^T blockdiag(M_c) P_trial as an operator, never assembled."""
-    M, P, Q = _cell_matrices(trial, test, form), trial.P, test.P
+    """P_test^T blockdiag(M_c) P_trial as an operator, never assembled: the
+    M_c are applied from (R, G), one matmul per block of cells (at most
+    BLOCK_POINTS floats) and a G-weighted sum, never stacked."""
+    (R, G), P, Q = _form_tensor(trial, test, form), trial.P, test.P
+
+    def apply(R, x):  # M_c x_c for the rows x_c of x, by channels R_k x_c
+        k, nout, nin = R.shape
+        R = R.transpose(2, 0, 1).reshape(nin, k * nout)
+        x, out = x.reshape(len(G), nin), np.empty((len(G), nout))
+        step = max(1, BLOCK_POINTS // (k * nout))
+        for start in range(0, len(G), step):
+            blk = slice(start, start + step)
+            out[blk] = np.einsum("ck,cka->ca", G[blk],
+                                 (x[blk] @ R).reshape(-1, k, nout))
+        return out.ravel()
+
     return spla.LinearOperator(
         (test.ndof, trial.ndof), dtype=float,
-        matvec=lambda u: Q.T @ (M @ (P @ u).reshape(len(M), -1, 1)).ravel(),
-        rmatvec=lambda v: P.T @ ((Q @ v).reshape(len(M), 1, -1) @ M).ravel())
+        matvec=lambda u: Q.T @ apply(R, P @ u),
+        rmatvec=lambda v: P.T @ apply(R.transpose(0, 2, 1), Q @ v))
 
 
 def _at(values, x: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(values, dtype=float), x.shape)
 
 
-#: Points per block of _point_blocks: 64 kB per float array, below glibc's
-#: 128 kB heap trim threshold (see linalg._pin_mmap_threshold).
+#: Points per block of _point_blocks and floats per block of _form_operator:
+#: 64 kB per array, below glibc's 128 kB trim (linalg._pin_mmap_threshold).
 BLOCK_POINTS = 8192
 
 

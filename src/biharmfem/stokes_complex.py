@@ -27,7 +27,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order
 
 from .linalg import kernel_dimension, matrix_rank
 from .mesh import Mesh
@@ -316,6 +315,7 @@ def grad_inverse(mesh: Mesh, grad) -> CellwiseField:
     through shared vertex values; the global constant is fixed by zero
     boundary vertex values.  Inconsistencies beyond tolerance abort.
     """
+    from scipy.sparse.csgraph import breadth_first_order  # lazy: 1 MB RSS
     G = sp.csr_matrix(grad if sp.issparse(grad)
                       else np.atleast_2d(np.asarray(grad, dtype=float)))
     nf, nc = G.shape[0], mesh.n_cells

@@ -3,8 +3,9 @@ import pytest
 
 import biharmfem.biharmonic as bh
 import biharmfem.linalg as la
+import biharmfem.spaces as spaces
 from biharmfem.linalg import SolverError
-from biharmfem.mesh import generate_structured
+from biharmfem.mesh import generate_structured, refine_uniform
 from biharmfem.biharmonic import (convergence_study, galerkin_residual,
                                   infsup_study, manufactured, solve_cubic,
                                   solve_morley, solve_quartic, solve_scheme)
@@ -156,15 +157,26 @@ def test_stage2_iterations_reach_diagnostics():
 
 @pytest.mark.parametrize("vel_kind,pot_kind", [("G2_0", "A3_0"),
                                                ("G3_0", "A4_0")])
-def test_applied_coupling_matches_assembled(jittered4, vel_kind, pot_kind):
-    vel = build_space(jittered4, vel_kind)
-    pot = build_space(jittered4, pot_kind)
-    D = assemble_bilinear(vel, pot, "vecfield_grad")
-    applied = _form_operator(vel, pot, "vecfield_grad")
+def test_applied_coupling_matches_assembled(monkeypatch, jittered4, relabeled4,
+                                            vel_kind, pot_kind):
+    # applied channel by channel, in blocks of a few cells and a partial
+    # last one, without the stack of cell matrices
+    stack, calls = spaces._cell_matrices, []
+    monkeypatch.setattr(spaces, "_cell_matrices",
+                        lambda *args: calls.append(args) or stack(*args))
+    monkeypatch.setattr(spaces, "BLOCK_POINTS", 1000)
     rng = np.random.default_rng(12)
-    phi, r = rng.standard_normal(vel.ndof), rng.standard_normal(pot.ndof)
-    for got, want in ((applied @ phi, D @ phi), (applied.T @ r, D.T @ r)):
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for mesh in (generate_structured(4), jittered4, relabeled4,
+                 refine_uniform(generate_structured(2))):
+        vel = build_space(mesh, vel_kind)
+        pot = build_space(mesh, pot_kind)
+        D = assemble_bilinear(vel, pot, "vecfield_grad")
+        calls.clear()
+        applied = _form_operator(vel, pot, "vecfield_grad")
+        phi, r = rng.standard_normal(vel.ndof), rng.standard_normal(pot.ndof)
+        for got, want in ((applied @ phi, D @ phi), (applied.T @ r, D.T @ r)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert not calls
 
 
 def test_solve_assembles_no_coupling(monkeypatch, mesh2):
