@@ -12,9 +12,9 @@ from .elements import (ElementDef, DofFunctional, ShapeFunction,
 from .spaces import (Space, FieldFunction, build_space, assemble_bilinear,
                      assemble_load, interpolate, interpolate_vector,
                      eval_field, error_norms, sample_field_csv)
-from .stokes_complex import (WeakRotFreeBasis, B3Basis, CellwiseField,
-                             ComplexError, weak_rotfree_basis, bubble_correct,
-                             grad_inverse, b3_basis, b3_membership_violation,
+from .stokes_complex import (WeakRotFreeBasis, B3Basis, ComplexError,
+                             weak_rotfree_basis, bubble_correct, grad_inverse,
+                             b3_basis, b3_membership_violation,
                              exactness_report)
 from .biharmonic import (ManufacturedProblem, SolveResult, RateTable,
                          manufactured, solve_cubic, solve_quartic,
@@ -33,7 +33,7 @@ __all__ = [
     "Space", "FieldFunction", "build_space", "assemble_bilinear",
     "assemble_load", "interpolate", "interpolate_vector", "eval_field",
     "error_norms", "sample_field_csv",
-    "WeakRotFreeBasis", "B3Basis", "CellwiseField", "ComplexError",
+    "WeakRotFreeBasis", "B3Basis", "ComplexError",
     "weak_rotfree_basis", "bubble_correct", "grad_inverse", "b3_basis",
     "b3_membership_violation", "exactness_report",
     "ManufacturedProblem", "SolveResult", "RateTable", "manufactured",

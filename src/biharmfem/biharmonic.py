@@ -19,9 +19,9 @@ from .linalg import (SolverError, _per_component, infsup_constant,
                      saddle_solve, spd_solver)
 from .mesh import Mesh, generate_structured
 from .schemes import PAIRS, SCHEMES, lookup
-from .spaces import (FieldFunction, _broken_space, _cell_matrices,
-                     _form_operator, assemble_bilinear, assemble_load,
-                     build_space, error_norms)
+from .spaces import (FieldFunction, _broken_space, _form_operator,
+                     assemble_bilinear, assemble_load, build_space,
+                     error_norms)
 from .stokes_complex import CUBIC_SHAPES, B3Basis
 
 #: quadrature degrees of the load vectors, of galerkin_residual and of the
@@ -196,19 +196,19 @@ def galerkin_residual(result: SolveResult, f, basis: B3Basis) -> float:
     The basis functions are cellwise cubics, so they live in the broken
     cubic space W whose DoFs are the CUBIC_SHAPES coefficients of each cell
     (A = I, P = I).  Both forms are vectors on W, and the residuals of all
-    basis functions are one product with their coefficient matrix."""
+    basis functions are one product with their coefficient matrix C; the
+    squared norms are the diagonal of C H C^T, H the Hessian Gram of W."""
     mesh = result.u_h.space.mesh
-    if basis.mesh is not mesh:
+    if basis.g2.mesh is not mesh:
         raise ValueError("basis built on a different mesh")
     W = _broken_space(mesh, CUBIC_SHAPES, CUBIC_SHAPES, 3)
     u_h = result.u_h
     stiff = _form_operator(u_h.space, W, "hess_hess") @ u_h.coeffs
     load = assemble_load(W, f, RESIDUAL_QUAD_DEGREE)
-    residual = basis.field.coeffs @ (stiff - load)
-    gram = _cell_matrices(W, W, "hess_hess")
-    rows, cells, C = basis.field.blocks()
-    norm2 = np.bincount(rows, np.einsum("bs,bst,bt->b", C, gram[cells], C),
-                        minlength=len(basis))
+    C = basis.coeffs
+    residual = C @ (stiff - load)
+    H = assemble_bilinear(W, W, "hess_hess")
+    norm2 = np.asarray((C @ H).multiply(C).sum(axis=1)).ravel()
     fnorm = error_norms(FieldFunction(W, np.zeros(W.ndof)), f,
                         quad_degree=RESIDUAL_QUAD_DEGREE)[0]
     scale = np.sqrt(norm2) * max(1.0, fnorm)

@@ -132,17 +132,19 @@ def cmd_study(args) -> int:
 def cmd_verify(args) -> int:
     if args.what == "complex":
         csv_chunks = []
+        ok = True
         for n in args.n:
             rep = exactness_report(generate_structured(n), args.order)
             print(f"-- n = {n}")
             print(rep.to_text())
             csv_chunks.append(rep.to_csv())
+            ok = ok and rep.exact
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(csv_chunks[0].splitlines()[0] + "\n")
                 for chunk in csv_chunks:
                     fh.write(chunk.splitlines()[1] + "\n")
-        return 0
+        return 0 if ok else NUMERICAL_EXIT
     if args.what == "elements":
         lines = ["element,dim,dof_list,trials,min_abs_det,min_sigma_ratio,"
                  "max_condition,failures"]

@@ -271,29 +271,6 @@ def nodal_coefficients(elem: ElementDef, grad_lambda) -> np.ndarray:
     return np.linalg.inv(M)
 
 
-def exact_det(M) -> Fraction:
-    """Determinant of a small matrix of Fractions by exact elimination."""
-    A = [list(row) for row in M]
-    n = len(A)
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((r for r in range(k, n) if A[r][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            det = -det
-        det *= A[k][k]
-        inv = Fraction(1) / A[k][k]
-        for r in range(k + 1, n):
-            if A[r][k] == 0:
-                continue
-            f = A[r][k] * inv
-            for c in range(k, n):
-                A[r][c] -= f * A[k][c]
-    return det
-
-
 # --------------------------------------------------------------------------
 # catalog
 # --------------------------------------------------------------------------

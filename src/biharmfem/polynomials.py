@@ -28,11 +28,6 @@ def barycentric_moment(a: int, b: int, c: int) -> Fraction:
                     factorial(a + b + c + 2))
 
 
-def edge_point_moment(p: int, q: int) -> Fraction:
-    """Average of t^p (1-t)^q over [0, 1]: p! q! / (p+q+1)!."""
-    return Fraction(factorial(p) * factorial(q), factorial(p + q + 1))
-
-
 class BaryPoly:
     """Sparse polynomial in (lam1, lam2, lam3)."""
 

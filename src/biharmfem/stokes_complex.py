@@ -5,7 +5,8 @@ adds quadratic bubbles so that the broken rot vanishes pointwise, inverts the
 broken gradient, and verifies exactness of the discrete complexes by rank
 computations.
 
-Every step works on all basis functions and all cells at once.  Coefficient
+Every step works on all basis functions and all cells at once, and passes
+plain sparse matrices with the mesh or space they live on.  G2 coefficient
 vectors are the columns of one sparse matrix, and piecewise polynomials are
 sparse (function x cell * shape) matrices over one fixed shape set per
 degree, the monomials in the reference coordinates (lam_1, lam_2):
@@ -17,13 +18,15 @@ cell's grad_lambda.  Integration constants are matched along one
 breadth-first order of the cell adjacency.
 
 The piecewise-cubic functions produced this way span the nonconforming
-biharmonic space; each is supported in one vertex or edge patch.
+biharmonic space; each is supported in one vertex or edge patch.  b3_basis
+returns them as the rows of one such cubic matrix, beside the G2 coefficient
+columns of their broken gradients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,7 +78,6 @@ def _ref_coeffs(p: BaryPoly, shapes: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Reference:
-    dlam: np.ndarray       # (3, 6, 10): d/dlam_i, cubic -> gradient shapes
     antider: np.ndarray    # (10, 12): reference gradient -> cubic, constant 0
     vertex: np.ndarray     # (10, 3): the cubic shapes at the vertices
     rot: np.ndarray        # (6, 3, 3): d(gradient shape)/dlam_i at vertex j
@@ -89,7 +91,7 @@ def _reference() -> _Reference:
                      for i in range(3)]).transpose(0, 2, 1)
     # lam_0 does not occur, so d/dxi = d/dlam_1 and d/deta = d/dlam_2
     return _Reference(
-        dlam=dlam, antider=np.linalg.pinv(np.concatenate(dlam[1:])),
+        antider=np.linalg.pinv(np.concatenate(dlam[1:])),
         vertex=tabulate(CUBIC_SHAPES, np.eye(3))[0],
         rot=tabulate(GRADIENT_SHAPES, np.eye(3))[1],
         bubble=tabulate("g2", np.eye(3))[1][-1])
@@ -163,16 +165,6 @@ class WeakRotFreeBasis:
 
     def __len__(self):
         return self.matrix.shape[1]
-
-    @property
-    def vectors(self) -> list[np.ndarray]:
-        return list(self.matrix.toarray().T)
-
-    @property
-    def supports(self) -> list[frozenset]:
-        S = self.cells
-        return [frozenset(S.indices[S.indptr[k]:S.indptr[k + 1]].tolist())
-                for k in range(S.shape[0])]
 
 
 def weak_rotfree_basis(mesh: Mesh) -> WeakRotFreeBasis:
@@ -265,55 +257,20 @@ def bubble_correct(g2: Space, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# cell-wise fields and the gradient inverse
+# the gradient inverse
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CellwiseField:
-    """Scalar fields given as one cubic per cell.
-
-    Row f of coeffs holds field f on every cell in CUBIC_SHAPES, cell c at
-    columns c * 10 ... c * 10 + 9.  support lists the cells on which some
-    field is nonzero.
-    """
-
-    mesh: Mesh
-    coeffs: sp.csr_matrix
-    support: frozenset = field(default_factory=frozenset)
-
-    def __len__(self):
-        return self.coeffs.shape[0]
-
-    def row(self, f: int) -> "CellwiseField":
-        """Field f alone."""
-        r = self.coeffs[f]
-        return CellwiseField(self.mesh, r,
-                             frozenset((r.indices // NCUBIC).tolist()))
-
-    def blocks(self):
-        """(field, cell, (nblocks, 10) coefficients) of the nonzero cells."""
-        return _cell_blocks(self.coeffs, NCUBIC)
-
-    def gradient(self) -> sp.csr_matrix:
-        """The broken gradients, in the layout grad_inverse reads: row f,
-        cell c, columns c * 12 + 6 * k + s for component k and shape s of
-        GRADIENT_SHAPES."""
-        f, cells, W = self.blocks()
-        gl = self.mesh.geometry_arrays()[0]
-        g = np.einsum("its,bs,bik->bkt", _reference().dlam, W, gl[cells])
-        return _from_blocks(f, cells, g.reshape(-1, NGRAD),
-                            (len(self), self.mesh.n_cells * NGRAD))
-
-
-def grad_inverse(mesh: Mesh, grad) -> CellwiseField:
+def grad_inverse(mesh: Mesh, grad) -> sp.csr_matrix:
     """Cell-wise antiderivatives of pointwise rot-free piecewise P2 fields.
 
     grad holds one field per row, (nfields, ncells * 12), dense or sparse,
     or one field as an (ncells * 12,) vector: on cell c, columns
     c * 12 + 6 * k + s hold component k (x, then y) in GRADIENT_SHAPES.
-    Integration constants are matched breadth-first over edge-adjacent cells
-    through shared vertex values; the global constant is fixed by zero
-    boundary vertex values.  Inconsistencies beyond tolerance abort.
+    Returns the cubics as an (nfields, ncells * 10) CSR matrix: row f, cell
+    c at columns c * 10 ... c * 10 + 9 in CUBIC_SHAPES.  Integration
+    constants are matched breadth-first over edge-adjacent cells through
+    shared vertex values; the global constant is fixed by zero boundary
+    vertex values.  Inconsistencies beyond tolerance abort.
     """
     from scipy.sparse.csgraph import breadth_first_order  # lazy: 1 MB RSS
     G = sp.csr_matrix(grad if sp.issparse(grad)
@@ -390,9 +347,7 @@ def grad_inverse(mesh: Mesh, grad) -> CellwiseField:
     vals[np.searchsorted(keys, keys_in)] = W
     vals[:, 0] += offset[cols, rows]
     keep = np.abs(vals).max(axis=1) > SNAP_TOL * scale[rows]
-    coeffs = _from_blocks(rows[keep], cols[keep], vals[keep],
-                          (nf, nc * NCUBIC))
-    return CellwiseField(mesh, coeffs, frozenset(cols[keep].tolist()))
+    return _from_blocks(rows[keep], cols[keep], vals[keep], (nf, nc * NCUBIC))
 
 
 # ---------------------------------------------------------------------------
@@ -400,37 +355,18 @@ def grad_inverse(mesh: Mesh, grad) -> CellwiseField:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class B3Function:
-    """One locally supported member of the piecewise-cubic biharmonic space."""
-
-    field: CellwiseField
-    gradient_coeffs: np.ndarray     # G2_0 coefficients of its broken gradient
-    label: tuple
-    input_support: frozenset
-
-
-@dataclass
 class B3Basis:
-    """The basis functions as the rows of one CellwiseField, and their broken
-    gradients as the columns of gradient_coeffs (G2_0 coefficients)."""
+    """The basis functions as the rows of coeffs, (nfunc, ncells * 10) in
+    grad_inverse's layout, and their broken gradients as the columns of
+    gradient_coeffs (G2_0 coefficients)."""
 
-    mesh: Mesh
     g2: Space
-    field: CellwiseField
+    coeffs: sp.csr_matrix
     gradient_coeffs: sp.csc_matrix
     labels: list[tuple]
-    input_supports: list[frozenset]
 
     def __len__(self):
         return len(self.labels)
-
-    @cached_property
-    def functions(self) -> list[B3Function]:
-        return [B3Function(self.field.row(k),
-                           self.gradient_coeffs[:, k].toarray().ravel(),
-                           label, support)
-                for k, (label, support) in enumerate(zip(self.labels,
-                                                         self.input_supports))]
 
 
 def b3_basis(mesh: Mesh) -> B3Basis:
@@ -438,13 +374,13 @@ def b3_basis(mesh: Mesh) -> B3Basis:
     g2 = base.space     # G2_0, where the broken gradients lie
     C = bubble_correct(g2, base.matrix)
     w = grad_inverse(mesh, (_gradient_operator(g2) @ C).T)
-    f, cells, _ = w.blocks()
+    f, cells, _ = _cell_blocks(w, NCUBIC)
     grown = np.asarray(base.cells[f, cells]).ravel() == 0
     if grown.any():
         k = f[grown][0]
         raise ComplexError(f"support of {base.labels[k]} grew: "
                            f"{sorted(cells[grown & (f == k)].tolist())}")
-    return B3Basis(mesh, g2, w, C, base.labels, base.supports)
+    return B3Basis(g2, w, C, base.labels)
 
 
 @lru_cache(maxsize=None)
@@ -467,11 +403,11 @@ def _edge_moments(degree: int):
             np.einsum("sjioq,mq->iosjm", d1, legendre))
 
 
-def _edge_jump_violation(mesh: Mesh, w: CellwiseField, degree: int) -> float:
-    """Largest jump, over all fields and edges, of the mean value and of the
-    canonical Legendre moments 0 and 1 of the normal derivative; boundary
-    edges take the single trace."""
-    f, cells, W = w.blocks()
+def _edge_jump_violation(mesh: Mesh, coeffs, degree: int) -> float:
+    """Largest jump, over all fields (rows of coeffs, grad_inverse's layout)
+    and edges, of the mean value and of the canonical Legendre moments 0 and
+    1 of the normal derivative; boundary edges take the single trace."""
+    f, cells, W = _cell_blocks(coeffs, NCUBIC)
     gl = mesh.geometry_arrays()[0]
     mean, normal = _edge_moments(degree)
     edges = mesh.cell_edges[cells]
@@ -489,15 +425,16 @@ def _edge_jump_violation(mesh: Mesh, w: CellwiseField, degree: int) -> float:
     jumps = sp.csr_matrix(
         ((sign[..., None] * moments).ravel(),
          ((edges[..., None] * 3 + np.arange(3)).ravel(), np.repeat(f, 9))),
-        shape=(3 * mesh.n_edges, len(w)))
+        shape=(3 * mesh.n_edges, coeffs.shape[0]))
     return float(np.abs(jumps.data).max(initial=0.0))
 
 
-def _vertex_violation(mesh: Mesh, w: CellwiseField) -> float:
+def _vertex_violation(mesh: Mesh, coeffs) -> float:
     """Largest spread, over all fields and vertices, of the values on the
     cells around an interior vertex (max - min), or largest |value| at a
     boundary vertex; cells where a field is zero count with value 0."""
-    values = _at_corners(mesh.n_cells, len(w), *w.blocks())
+    values = _at_corners(mesh.n_cells, coeffs.shape[0],
+                         *_cell_blocks(coeffs, NCUBIC))
     vertex = mesh.cells.ravel()
     order = np.argsort(vertex, kind="stable")
     starts = np.searchsorted(vertex[order], np.arange(mesh.n_vertices))
@@ -508,16 +445,16 @@ def _vertex_violation(mesh: Mesh, w: CellwiseField) -> float:
     return float(spread.max(initial=0.0))
 
 
-def b3_membership_violation(mesh: Mesh, w: CellwiseField) -> float:
+def b3_membership_violation(mesh: Mesh, coeffs) -> float:
     """Worst violation of the piecewise-cubic space's continuity clauses,
-    over all fields of w.
+    over all fields, the rows of coeffs in grad_inverse's layout.
 
     Checks vertex continuity (zero values on the boundary), mean value
     continuity across edges, and first-order normal-derivative moment
     continuity, including the homogeneous boundary clauses.
     """
-    return max(_edge_jump_violation(mesh, w, MEMBERSHIP_QUAD_DEGREE),
-               _vertex_violation(mesh, w))
+    return max(_edge_jump_violation(mesh, coeffs, MEMBERSHIP_QUAD_DEGREE),
+               _vertex_violation(mesh, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +560,7 @@ def exactness_report(mesh: Mesh, order: str = "cubic",
         C = basis.gradient_coeffs
         res = _colmax(B @ C) / (abs(B).max() * np.maximum(1.0, _colmax(C)))
         rep.basis_kernel_residual = float(res.max())
-        rep.basis_membership_violation = b3_membership_violation(mesh,
-                                                                 basis.field)
+        rep.basis_membership_violation = b3_membership_violation(
+            mesh, basis.coeffs)
         rep.basis_count = len(basis)
     return rep

@@ -19,15 +19,27 @@ settings.register_profile("ci", max_examples=50, derandomize=True, deadline=None
 settings.load_profile("ci")
 
 
+def _jitter(n, seed, amp=0.2):
+    """Criss n mesh, each interior vertex coordinate moved by a seeded
+    uniform draw of up to amp * h."""
+    mesh = generate_structured(n)
+    v = mesh.vertices.copy()
+    inner = np.all((v > 0) & (v < 1), axis=1)
+    rng = np.random.default_rng(seed)
+    v[inner] += amp / n * rng.uniform(-1, 1, size=(int(inner.sum()), 2))
+    return Mesh(v, mesh.cells)
+
+
+@pytest.fixture(scope="session")
+def jitter():
+    """The seeded jittering helper (see _jitter)."""
+    return _jitter
+
+
 @pytest.fixture(scope="session")
 def jittered4():
     """Criss n=4 mesh, each interior vertex coordinate moved by up to 0.2 h."""
-    mesh = generate_structured(4)
-    v = mesh.vertices.copy()
-    inner = np.all((v > 0) & (v < 1), axis=1)
-    rng = np.random.default_rng(7)
-    v[inner] += 0.2 / 4 * rng.uniform(-1, 1, size=(int(inner.sum()), 2))
-    return Mesh(v, mesh.cells)
+    return _jitter(4, seed=7)
 
 
 def _relabel(mesh, seed):

@@ -6,7 +6,10 @@ symbolically.  It shares no code with the library's array evaluation
 (spaces.tabulate and the chain-rule contraction), so the two can check each
 other.  The whole-mesh load and error norms evaluate every callback once on
 all (cell, point) pairs, the reference for the library's blocked walk.
+exact_det is the exact-rational determinant of the golden DOF matrices.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,9 +53,13 @@ def cell_poly(space, coeffs, c: int):
     return tuple(polys) if space.vector else polys[0]
 
 
-def cubic_poly(field, c: int) -> BaryPoly:
-    """The cubic on cell c of the first field of a CellwiseField."""
-    vals = field.coeffs[0, c * NCUBIC:(c + 1) * NCUBIC].toarray().ravel()
+def cubic_poly(row, c: int) -> BaryPoly:
+    """The cubic on cell c of one field: row holds its coefficients in
+    grad_inverse's layout (cell c at columns c * 10 ... c * 10 + 9), as a
+    vector or a one-row sparse matrix."""
+    if sp.issparse(row):
+        row = row.toarray()
+    vals = np.ravel(row)[c * NCUBIC:(c + 1) * NCUBIC]
     return combine(vals, shape_set(CUBIC_SHAPES))
 
 
@@ -282,6 +289,31 @@ def poly2d_mul(p: dict, q: dict) -> dict:
             k = (i1 + i2, j1 + j2)
             out[k] = out.get(k, 0.0) + c1 * c2
     return out
+
+
+# -- exact determinants -------------------------------------------------------
+
+def exact_det(M) -> Fraction:
+    """Determinant of a small matrix of Fractions by exact elimination."""
+    A = [list(row) for row in M]
+    n = len(A)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if A[r][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            det = -det
+        det *= A[k][k]
+        inv = Fraction(1) / A[k][k]
+        for r in range(k + 1, n):
+            if A[r][k] == 0:
+                continue
+            f = A[r][k] * inv
+            for c in range(k, n):
+                A[r][c] -= f * A[k][c]
+    return det
 
 
 # -- element nodal bases ------------------------------------------------------

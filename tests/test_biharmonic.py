@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from biharmfem.biharmonic import (convergence_study, galerkin_residual,
 from biharmfem.schemes import PAIRS, SCHEMES
 from biharmfem.spaces import (_form_operator, assemble_bilinear, build_space,
                               error_norms, locate_cells)
-from biharmfem.stokes_complex import b3_basis
+from biharmfem.stokes_complex import NCUBIC, b3_basis
 from oracles import cell_poly, cubic_poly, poly_hessian, xy_to_bary
 
 
@@ -266,17 +268,33 @@ def test_lshape_galerkin_residual(lshape8):
     assert galerkin_residual(res, one, b3_basis(lshape8)) <= 1e-12
 
 
+def test_galerkin_residual_peak_memory():
+    # criss n=16: the basis norms from one assembled Hessian Gram peak at
+    # 2.3 MiB; gathering a 10 x 10 cell matrix per (function, cell) block
+    # peaked at 5.4 MiB
+    mesh = generate_structured(16)
+    f = manufactured("sin2").f
+    basis, res = b3_basis(mesh), solve_cubic(mesh, f)
+    tracemalloc.start()
+    try:
+        galerkin_residual(res, f, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20
+
+
 def test_galerkin_residual_detects_perturbation(mesh2, poly8):
     res = solve_cubic(mesh2, poly8.f)
     basis = b3_basis(mesh2)
     base = galerkin_residual(res, poly8.f, basis)
     # add one basis function scaled to the solution size
-    fn = basis.functions[0]
+    row = basis.coeffs[0].toarray().ravel()
     scale = 0.5 * max(np.abs(res.u_h.coeffs).max(), 1e-3)
     pot = res.u_h.space
     pert = res.u_h.coeffs.copy()
     from biharmfem.spaces import interpolate
-    w_interp = interpolate(pot, lambda x, y: _eval_cellwise(fn.field, x, y))
+    w_interp = interpolate(pot, lambda x, y: _eval_cellwise(mesh2, row, x, y))
     pert += scale * w_interp.coeffs
     res.u_h.coeffs = pert
     bumped = galerkin_residual(res, poly8.f, basis)
@@ -300,11 +318,11 @@ def test_galerkin_residual_matches_cell_loop(request, mesh_name, poly8):
     fnorm = np.sqrt(sum(g.area * np.sum(rule.weights * poly8.f(*p.T)**2)
                         for g, p in zip(geoms, xy)))
     want = 0.0
-    for fn in basis.functions:
+    for row in basis.coeffs.toarray():
         a = l = w2 = 0.0
-        for c in fn.field.support:
+        for c in np.flatnonzero(row.reshape(-1, NCUBIC).any(axis=1)):
             hw = [h.eval(rule.points) for h in
-                  poly_hessian(cubic_poly(fn.field, c), geoms[c].grad_lambda)]
+                  poly_hessian(cubic_poly(row, c), geoms[c].grad_lambda)]
             hu = [h.eval(rule.points) for h in
                   poly_hessian(cell_poly(res.u_h.space, res.u_h.coeffs, c),
                                geoms[c].grad_lambda)]
@@ -314,24 +332,23 @@ def test_galerkin_residual_matches_cell_loop(request, mesh_name, poly8):
             w2 += area * np.sum(rule.weights * (hw[0]**2 + 2 * hw[1]**2
                                                 + hw[2]**2))
             l += area * np.sum(rule.weights * poly8.f(*xy[c].T)
-                               * cubic_poly(fn.field, c).eval(rule.points))
+                               * cubic_poly(row, c).eval(rule.points))
         want = max(want, abs(a - l) / (np.sqrt(w2) * max(1.0, fnorm)))
     got = galerkin_residual(res, poly8.f, basis)
     assert want > 1e-3
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def _eval_cellwise(fieldw, x, y):
+def _eval_cellwise(mesh, row, x, y):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     out = np.zeros_like(xs)
-    mesh = fieldw.mesh
     cells = locate_cells(mesh, np.column_stack([xs, ys]))[0]
     for k, (a, b, c) in enumerate(zip(xs, ys, cells)):
         geom = mesh.geometry(c)
         lam = np.array([geom.grad_lambda[i] @ (np.array([a, b]) - geom.verts[i])
                         + 1.0 for i in range(3)])
-        p = cubic_poly(fieldw, c)
+        p = cubic_poly(row, c)
         out[k] = p.eval(lam) if p.coeffs else 0.0
     return out if np.ndim(x) else float(out[0])
 

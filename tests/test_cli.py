@@ -120,6 +120,20 @@ def test_verify_complex_output():
     assert "rank 23, kernel 11, exact: PASS" in out
 
 
+@pytest.mark.parametrize("order,levels,code", [("quartic", "1", 2),
+                                               ("cubic", "2,4", 0)])
+def test_verify_complex_exit_code(tmp_path, order, levels, code):
+    # a report that is not exact is a numerical failure; the report and
+    # the CSV are written all the same
+    path = tmp_path / "complex.csv"
+    got, out, _ = run_cli(["verify", "complex", "--order", order,
+                           "--n", levels, "--out", str(path)])
+    assert got == code
+    assert out.count("exact: FAIL" if code else "exact: PASS") \
+        == len(levels.split(","))
+    assert len(path.read_text().splitlines()) == 1 + len(levels.split(","))
+
+
 def test_verify_elements(tmp_path):
     path = tmp_path / "elements.csv"
     code, out, _ = run_cli(["verify", "elements", "--trials", "10",

@@ -14,12 +14,12 @@ from biharmfem.elements import (ELEMENT_DIMS, VEQ_DET_CONSTANT,
                                 VEQ_DET_CONSTANT_CLAIMED, REFERENCE_EXACT,
                                 DofFunctional, ExactGeometry, dof_matrices,
                                 dof_matrix, edge_weight_poly, element_catalog,
-                                eval_dof, exact_det, grad_curl_pairing,
+                                eval_dof, grad_curl_pairing,
                                 random_shape_regular_triangle,
                                 unisolvence_check, VERIFIED_ELEMENTS,
                                 ShapeFunction, _s_poly, _phi4, L, LAM)
 from biharmfem.mesh import cell_geometry
-from oracles import nodal_basis, resolved_dofs
+from oracles import exact_det, nodal_basis, resolved_dofs
 
 F = Fraction
 GEOMS = [REFERENCE_EXACT, ExactGeometry.from_vertices([(0, 0), (3, F(1, 2)), (1, 2)])]

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from biharmfem.mesh import cell_geometry
 from biharmfem.polynomials import (BaryPoly, barycentric_moment,
-                                   edge_point_moment, poly1d_average01)
+                                   poly1d_average01)
 from oracles import bary_to_xy, poly_gradient, poly_hessian, xy_to_bary
 
 L1, L2, L3 = BaryPoly.lam(0), BaryPoly.lam(1), BaryPoly.lam(2)
@@ -35,7 +35,6 @@ def test_edge_restriction():
     assert coeffs == [Fraction(1), Fraction(-2), Fraction(1)]
     assert poly1d_average01(coeffs) == Fraction(1, 3)
     assert (L1 * L2).restrict_edge(0) == []
-    assert edge_point_moment(1, 1) == Fraction(1, 6)
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),

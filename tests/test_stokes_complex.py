@@ -1,17 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from biharmfem.mesh import Mesh, generate_structured, refine_uniform
+import biharmfem.stokes_complex as sc
+from biharmfem.mesh import generate_structured, refine_uniform
 from biharmfem.polynomials import BaryPoly
 from biharmfem.quadrature import tri_rule
-from biharmfem.spaces import assemble_bilinear, build_space, reference_tables
-from biharmfem.stokes_complex import (GRADIENT_SHAPES, CellwiseField,
-                                      ComplexError, b3_basis,
+from biharmfem.spaces import assemble_bilinear, build_space
+from biharmfem.stokes_complex import (NCUBIC, ComplexError, b3_basis,
                                       b3_membership_violation, bubble_correct,
                                       exactness_report,
                                       grad_inverse, weak_rotfree_basis,
-                                      _edge_jump_violation, _vertex_violation)
+                                      _cell_blocks, _edge_jump_violation,
+                                      _vertex_violation)
 from oracles import (cell_poly, cubic_poly, edge_jump_moments, poly_gradient,
                      poly_hessian)
 
@@ -32,7 +35,7 @@ def test_weak_rotfree_count_and_independence(mesh2, basis2):
 
 def test_phi_e_zero_tangential_mean(mesh2, basis2):
     edofs = basis2.space.meta["edge_dofs"]
-    for vec, label in zip(basis2.vectors, basis2.labels):
+    for vec, label in zip(basis2.matrix.toarray().T, basis2.labels):
         if label[0] != "edge":
             continue
         e = label[1]
@@ -60,7 +63,7 @@ def test_weak_rotfree_basis_is_g2_with_zero_bubbles(mesh2, basis2):
 
 
 def test_weak_rotfree_cell_means_vanish(mesh2, basis2):
-    for vec in basis2.vectors:
+    for vec in basis2.matrix.toarray().T:
         for c in range(mesh2.n_cells):
             assert abs(cell_rot_mean(basis2.space, c, vec)) < 1e-12
 
@@ -69,7 +72,7 @@ def test_bubble_correct_makes_rot_pointwise_zero(mesh2, basis2):
     g2 = basis2.space
     dg1 = build_space(mesh2, "DG1")
     B = assemble_bilinear(g2, dg1, "rot_pressure")
-    for vec in basis2.vectors:
+    for vec in basis2.matrix.toarray().T:
         fixed = bubble_correct(g2, vec)
         assert np.abs(B @ fixed).max() < 1e-12
 
@@ -83,7 +86,7 @@ def test_bubble_correct_identity_on_rotfree_input(mesh2):
 def test_bubble_correction_preserves_cell_means(mesh2, basis2):
     # the added bubble contributes zero cell-average rot itself
     g2 = basis2.space
-    vec = basis2.vectors[0]
+    vec = basis2.matrix[:, 0].toarray().ravel()
     fixed = bubble_correct(g2, vec)
     delta = fixed - vec
     for c in range(mesh2.n_cells):
@@ -93,7 +96,7 @@ def test_bubble_correction_preserves_cell_means(mesh2, basis2):
 def test_grad_inverse_zero(mesh2, grad_array):
     z = BaryPoly()
     w = grad_inverse(mesh2, grad_array(mesh2, lambda c: (z, z)))
-    assert w.support == frozenset()
+    assert w.shape == (1, 10 * mesh2.n_cells) and w.nnz == 0
     assert all(cubic_poly(w, c).is_zero() for c in range(mesh2.n_cells))
 
 
@@ -102,11 +105,8 @@ def test_grad_inverse_roundtrip_on_b3(mesh2, grad_array):
     assert len(basis) == 11
     rng = np.random.default_rng(2024)
     for _ in range(5):
-        coef = rng.standard_normal(len(basis))
-        polys = [BaryPoly() for _ in range(mesh2.n_cells)]
-        for w, fn in zip(coef, basis.functions):
-            for c in fn.field.support:
-                polys[c] = polys[c] + float(w) * cubic_poly(fn.field, c)
+        total = basis.coeffs.T @ rng.standard_normal(len(basis))
+        polys = [cubic_poly(total, c) for c in range(mesh2.n_cells)]
 
         def grad_of(c):
             geom = mesh2.geometry(c)
@@ -138,16 +138,31 @@ def test_grad_inverse_rejects_non_gradient(mesh2, grad_array):
         grad_inverse(mesh2, grad_array(mesh2, cellvec))
 
 
-def test_b3_support_preservation(mesh2):
+def test_b3_support_preservation(mesh2, basis2):
+    # every nonzero (function, cell) block lies in the weak rot-free support
     basis = b3_basis(mesh2)
-    for fn in basis.functions:
-        assert fn.field.support <= fn.input_support
+    f, cells, _ = _cell_blocks(basis.coeffs, NCUBIC)
+    assert set(zip(f, cells)) <= set(zip(*basis2.cells.nonzero()))
+
+
+def test_b3_basis_rejects_grown_support(mesh2, basis2, monkeypatch):
+    # the first candidate's recorded support loses its first cell, where its
+    # cubic is nonzero
+    cells = basis2.cells.copy()
+    lost = cells.indices[0]
+    cells.data[0] = 0
+    cells.eliminate_zeros()
+    monkeypatch.setattr(sc, "weak_rotfree_basis",
+                        lambda mesh: replace(basis2, cells=cells))
+    with pytest.raises(ComplexError, match=rf"support of \('vx', \d+\) grew: "
+                                           rf"\[{lost}\]"):
+        b3_basis(mesh2)
 
 
 def test_b3_membership(mesh2):
     basis = b3_basis(mesh2)
-    for fn in basis.functions:
-        assert b3_membership_violation(mesh2, fn.field) < 1e-10
+    for k in range(len(basis)):
+        assert b3_membership_violation(mesh2, basis.coeffs[[k]]) < 1e-10
 
 
 def test_b3_gram_nonsingular(mesh2):
@@ -156,11 +171,11 @@ def test_b3_gram_nonsingular(mesh2):
     n = len(basis)
     G = np.zeros((n, n))
     hess = []
-    for fn in basis.functions:
+    for row in basis.coeffs.toarray():
         rows = []
         for c in range(mesh2.n_cells):
             geom = mesh2.geometry(c)
-            p = cubic_poly(fn.field, c)
+            p = cubic_poly(row, c)
             if p.coeffs:
                 hxx, hxy, hyy = poly_hessian(p, geom.grad_lambda)
                 rows.append((hxx.eval(rule.points), hxy.eval(rule.points),
@@ -188,7 +203,8 @@ def test_patch_alpha_edge_detection(mesh2, basis2):
     # interior edge equals +-(alpha_L - alpha_R) (boundary alphas are 0),
     # so perturbing any single alpha_a changes some edge moment
     edofs = basis2.space.meta["edge_dofs"]
-    patches = {lab[1]: v for v, lab in zip(basis2.vectors, basis2.labels)
+    patches = {lab[1]: v for v, lab in zip(basis2.matrix.toarray().T,
+                                           basis2.labels)
                if lab[0] == "patch"}
     rng = np.random.default_rng(17)
     alpha = {a: rng.standard_normal() for a in patches}
@@ -281,26 +297,16 @@ def test_lshape_report_is_exact(lshape8):
     assert rep.kernel == rep.basis_count == 227
 
 
-def _jittered_criss(n, seed, amp=0.2):
-    mesh = generate_structured(n)
-    v = mesh.vertices.copy()
-    inner = np.all((v > 0) & (v < 1), axis=1)
-    rng = np.random.default_rng(seed)
-    v[inner] += amp / n * rng.uniform(-1, 1, size=(int(inner.sum()), 2))
-    return Mesh(v, mesh.cells)
-
-
-@pytest.mark.parametrize("make_mesh,kernel", [
-    (lambda: refine_uniform(generate_structured(2)), 113),
-    (lambda: _jittered_criss(4, seed=7), 113),
-], ids=["refined", "jittered"])
-def test_exactness_quartic_kernel_formula_off_criss(make_mesh, kernel):
-    mesh = make_mesh()
+@pytest.mark.parametrize("mesh_name", ["refined", "jittered4"],
+                         ids=["refined", "jittered"])
+def test_exactness_quartic_kernel_formula_off_criss(mesh_name, request):
+    mesh = (refine_uniform(generate_structured(2)) if mesh_name == "refined"
+            else request.getfixturevalue(mesh_name))
     rep = exactness_report(mesh, "quartic")
     assert rep.surjective
     assert rep.kernel == rep.kernel_dim_formula == rep.kernel_dim_derived \
         == 4 * mesh.n_interior_vertices + 2 * mesh.n_interior_edges - 3 \
-        == kernel
+        == 113
     assert rep.aux_identity_ok
 
 
@@ -309,37 +315,38 @@ def test_rot_grad_composition_is_zero(mesh2):
     g2 = build_space(mesh2, "G2_0")
     dg1 = build_space(mesh2, "DG1")
     B = assemble_bilinear(g2, dg1, "rot_pressure")
-    basis = b3_basis(mesh2)
-    for fn in basis.functions:
-        assert np.abs(B @ fn.gradient_coeffs).max() < 1e-12
+    C = b3_basis(mesh2).gradient_coeffs
+    assert abs(B @ C).max() < 1e-12
 
 
 # -- the batched layer against BaryPoly oracles --------------------------------
 
 @pytest.mark.parametrize("mesh_name", ["jittered4", "relabeled4"])
 def test_b3_gradient_matches_g2_oracle(mesh_name, request):
-    # the array gradient of every cubic equals its G2 coefficients read
+    # the gradient of every cubic equals its G2 coefficients, both read
     # through the cell-polynomial oracle, at the tri_rule(6) points of every
     # cell
     mesh = request.getfixturevalue(mesh_name)
     basis = b3_basis(mesh)
     pts = tri_rule(6).points
-    val = reference_tables(GRADIENT_SHAPES, 6)[0]
+    grad_lambda = [mesh.geometry(c).grad_lambda for c in range(mesh.n_cells)]
     worst = 0.0
-    for fn in basis.functions:
-        got = fn.field.gradient().toarray().reshape(mesh.n_cells, 2, -1) @ val
-        want = np.array([[p.eval(pts) for p in
-                          cell_poly(basis.g2, fn.gradient_coeffs, c)]
+    for row, col in zip(basis.coeffs.toarray(),
+                        basis.gradient_coeffs.toarray().T):
+        got = np.array([[p.eval(pts) for p in
+                         poly_gradient(cubic_poly(row, c), grad_lambda[c])]
+                        for c in range(mesh.n_cells)])
+        want = np.array([[p.eval(pts) for p in cell_poly(basis.g2, col, c)]
                          for c in range(mesh.n_cells)])
         worst = max(worst, float(np.abs(got - want).max()
                                  / np.abs(want).max()))
     assert worst < 1e-12
 
 
-def _membership_oracle(mesh, field):
+def _membership_oracle(mesh, row):
     """Edge and vertex clauses of one field, cell by cell with BaryPoly."""
     def poly(c):
-        return cubic_poly(field, c)
+        return cubic_poly(row, c)
 
     edge = max(max(edge_jump_moments(mesh, poly, e, 0, "value", 10),
                    edge_jump_moments(mesh, poly, e, 1, "normal", 10))
@@ -363,27 +370,27 @@ def test_membership_clauses_match_barypoly_oracle(relabeled4):
     rng = np.random.default_rng(23)
     k = basis.labels.index(("vx", int(np.flatnonzero(
         (mesh.vertices == 0.5).all(axis=1))[0])))
-    coeffs = np.vstack([basis.field.coeffs.T @ rng.standard_normal(len(basis)),
-                        basis.field.coeffs[[k, k]].toarray()])
+    coeffs = np.vstack([basis.coeffs.T @ rng.standard_normal(len(basis)),
+                        basis.coeffs[[k, k]].toarray()])
     coeffs[0, 50:60] += 1e-3 * rng.standard_normal(10)
-    for c in basis.field.row(k).support:
+    for c in _cell_blocks(basis.coeffs[[k]], NCUBIC)[1]:
         coeffs[1:, 10 * c] += [1e-3, -1e-3]     # shape 0 is the constant
-    field = CellwiseField(mesh, sp.csr_matrix(coeffs))
+    fields = sp.csr_matrix(coeffs)
     for r in range(3):
-        edge, vertex = _membership_oracle(mesh, field.row(r))
+        edge, vertex = _membership_oracle(mesh, coeffs[r])
         assert min(edge, vertex) > 1e-6
-        assert _edge_jump_violation(mesh, field.row(r), 10) == \
+        assert _edge_jump_violation(mesh, fields[[r]], 10) == \
             pytest.approx(edge, rel=1e-12)
-        assert _vertex_violation(mesh, field.row(r)) == \
+        assert _vertex_violation(mesh, fields[[r]]) == \
             pytest.approx(vertex, rel=1e-12)
-    assert b3_membership_violation(mesh, field) == pytest.approx(
-        max(max(_membership_oracle(mesh, field.row(r))) for r in range(3)),
+    assert b3_membership_violation(mesh, fields) == pytest.approx(
+        max(max(_membership_oracle(mesh, coeffs[r])) for r in range(3)),
         rel=1e-12)
 
 
 @pytest.fixture(scope="module")
-def jittered16():
-    return _jittered_criss(16, seed=7)
+def jittered16(jitter):
+    return jitter(16, seed=7)
 
 
 @pytest.mark.parametrize("mesh_name", ["relabeled4", "jittered16"])
