@@ -262,7 +262,9 @@ NODAL_SIGMA_TOL = 1e-13
 
 def nodal_coefficients(elem: ElementDef, grad_lambda) -> np.ndarray:
     """Inverse DOF matrices on a (ncells, 3, 2) grad_lambda stack: column j
-    of cell c's matrix expresses nodal basis function j in the shape basis."""
+    of cell c's matrix expresses nodal basis function j in the shape basis.
+    spaces calls it on the reference cell and, as its unisolvence test
+    (NODAL_SIGMA_TOL), on the cells whose condition bound is too large."""
     M = dof_matrices(elem, grad_lambda)
     sv = np.linalg.svd(M, compute_uv=False)
     if np.any(sv[:, -1] <= NODAL_SIGMA_TOL * sv[:, 0]):

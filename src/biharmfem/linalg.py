@@ -5,9 +5,10 @@ saddle_solve and infsup_constant share one set-up (_schur) that factors the
 Gram A of one velocity component once and solves every component with it
 (the velocity Gram is I_k (x) A, as spaces numbers a vector space
 component-major); the pressure Gram must be diagonal (the DG pressure modes
-are L2-orthogonal), so its inverse is a division.  saddle_solve projects the
-pressure mean out and, when it fails, names the inf-sup constant of the pair
-computed from that same factor, by standard-form Lanczos on M^-1/2 S M^-1/2.
+are L2-orthogonal), so its inverse is a division.  saddle_solve checks its
+ends, not its PCG loop, projects the pressure mean out and, when it fails,
+names the inf-sup constant of the pair computed from that same factor, by
+standard-form Lanczos on M^-1/2 S M^-1/2.
 kernel_dimension counts small Gram eigenvalues by inertia: one Lanczos
 estimate of the largest and one Bunch-Kaufman LDL^T of the shifted Gram,
 instead of the whole spectrum.  Matrices are scipy CSR and are not copied:
@@ -133,20 +134,15 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
-def _schur(A, B, M, mean, tol):
+def _schur(A, B, M, tol):
     """Factor A once, as spd_solver does, for the pressure Schur complement
     S = B (I_k (x) A)^-1 B^T (see saddle_solve for k); the pressure Gram M
     must be diagonal.  Returns (solve_a, solve_m, BT, s_mv): solve_a solves
     with I_k (x) A by one multi-column solve and checks its residual as
     spd_solver's does, solve_m divides by the diagonal of M, BT is the view
-    B^T, and s_mv applies S and, when the mean functional m is given (m @ q
-    the integral of the pressure q, in a space holding the constants), the
-    rank-one shift m m^T / (m^T M^-1 m).  S vanishes on the constant; the
-    shift moves it to eigenvalue 1 of S q = lam M q and leaves the
-    eigenpairs M-orthogonal to it, the mean-zero ones, as they are.  s_mv
-    solves with A unchecked: an eigensolve calls it about 90 times (g3p2,
-    n=8), and residual checks there added about 5 ms to the 50 ms of
-    infsup_study("g3p2", [2, 4, 8]) on a 2-vCPU VM."""
+    B^T, and s_mv applies S with the factor solve unchecked: the PCG and
+    the eigensolver call it once per iteration (saddle_solve checks what
+    its PCG returns)."""
     M = sp.csr_matrix(M)
     d = M.diagonal()
     if (M - sp.diags(d)).count_nonzero() or not (d > 0).all():
@@ -163,26 +159,31 @@ def _schur(A, B, M, mean, tol):
     def solve_m(q):
         return q / d
 
-    if mean is not None:
-        mean = np.asarray(mean, dtype=float)
-        mMm = float(mean @ solve_m(mean))
-
     def s_mv(q):
-        out = B @ lu_solve(BT @ q)
-        if mean is not None:
-            out += mean * ((mean @ q) / mMm)
-        return out
+        return B @ lu_solve(BT @ q)
 
     return solve_a, solve_m, BT, s_mv
 
 
-def _smallest_eig(s_mv, solve_m, npres, tol) -> float:
+def _smallest_eig(s_mv, solve_m, npres, tol, mean=None) -> float:
     """sqrt of the smallest eigenvalue of s_mv(q) = lam M q for the diagonal
-    M that solve_m inverts, from the standard form M^-1/2 S M^-1/2.  Up to
-    DENSE_MAX pressure DoFs from its dense matrix; above, from Lanczos
-    (ARPACK).  An eigenvalue at or below tol reads 0: it is the round-off
-    of a singular S (2e-16 for g3p2 at n=1), as the mean shift puts the top
-    of the spectrum at 1 or above."""
+    M that solve_m inverts, from the standard form M^-1/2 S M^-1/2.  Given
+    the mean functional m (m @ q the integral of the pressure q, in a space
+    holding the constants), S gets the shift m m^T / (m^T M^-1 m): S
+    vanishes on the constant, the shift moves it to eigenvalue 1 and leaves
+    the mean-zero eigenpairs as they are.  Up to DENSE_MAX pressure DoFs
+    from its dense matrix; above, from Lanczos (ARPACK).  An eigenvalue at
+    or below tol reads 0: it is the round-off of a singular S (2e-16 for
+    g3p2 at n=1), as the mean shift puts the top of the spectrum at 1 or
+    above."""
+    if mean is not None:
+        mean = np.asarray(mean, dtype=float)
+        mMm = float(mean @ solve_m(mean))
+        unshifted = s_mv
+
+        def s_mv(q):
+            return unshifted(q) + mean * ((mean @ q) / mMm)
+
     scale = np.sqrt(solve_m(np.ones(npres)))
     if npres <= DENSE_MAX:
         S = np.column_stack([s_mv(e) for e in np.diag(scale)])
@@ -209,17 +210,20 @@ def saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
     to S for an inf-sup stable pair (Benzi, Golub and Liesen, Acta Numerica
     2005).  M must be diagonal, so its inverse is a division by its
     diagonal.  PCG runs from p = 0 on S p = B A^-1 f, then
-    u = A^-1 (f - B^T p); both block residuals are checked at the end.  The
-    PCG applies S without the shift of _schur: B^T vanishes on the constant,
-    so its residuals are orthogonal to the constant up to round-off.  With
-    the mean functional m the returned p is M-orthogonal to the constant:
+    u = A^-1 (f - B^T p).  These two solves are checked (spd_solver); the
+    loop applies S unchecked (s_mv), as p only feeds the last solve, and
+    both block residuals of the returned (u, p) are checked with A itself,
+    so a bad factor fails a check instead of returning a wrong pair.  The
+    PCG applies S without the mean shift of _smallest_eig: B^T vanishes on
+    the constant, so its residuals are orthogonal to it up to round-off.
+    With the mean functional m the returned p is M-orthogonal to the constant:
     p -= (m @ p) / (m @ z) z with z = M^-1 m.  If the check fails, the
     SolverError names the inf-sup constant of the pair (shift included),
     computed from the same factorization.  Returns (u, p, the number of PCG
     iterations).
     """
     npres = B.shape[0]
-    solve_a, solve_m, BT, s_mv = _schur(A, B, M, mean, tol)
+    solve_a, solve_m, BT, s_mv = _schur(A, B, M, tol)
     if npres == 0:
         return solve_a(f), np.zeros(0), 0
     scale = max(1.0, np.linalg.norm(f))
@@ -232,7 +236,7 @@ def saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
     for _ in range(SCHUR_MAXIT):
         if np.linalg.norm(r) <= SCHUR_MARGIN * tol * scale:
             break
-        Sd = B @ solve_a(BT @ d)
+        Sd = s_mv(d)
         dSd = float(d @ Sd)
         if dSd <= 0.0:
             break
@@ -250,7 +254,7 @@ def saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
     if not (np.isfinite(u).all() and np.isfinite(p).all()) \
             or r1 > tol * scale or r2 > tol * scale:
         try:
-            c_h = _smallest_eig(s_mv, solve_m, npres, tol)
+            c_h = _smallest_eig(s_mv, solve_m, npres, tol, mean)
             diagnosis = f"inf-sup constant of the pair: {c_h:.6g}"
         except SolverError:
             diagnosis = "inf-sup constant could not be computed"
@@ -270,14 +274,14 @@ def infsup_constant(B, A, Mp, tol: float = 1e-10, mean=None) -> float:
     pressure Gram (diagonal, positive); B pairs the pressure basis with the
     component-major velocity basis, as assembled.  When the pressures are
     the mean-zero subspace of a space holding the constants, mean is the
-    mean functional m and the constant mode is deflated (see _schur).  A
-    smallest eigenvalue at or below tol reports 0: the pair is unstable.
+    mean functional m and the constant mode is deflated (_smallest_eig).
+    A smallest eigenvalue at or below tol reports 0: the pair is unstable.
     """
     B = sp.csr_matrix(B)
     if B.shape[0] == 0:
         raise ValueError("empty pressure space")
-    _, solve_m, _, s_mv = _schur(A, B, Mp, mean, tol)
-    return _smallest_eig(s_mv, solve_m, B.shape[0], tol)
+    _, solve_m, _, s_mv = _schur(A, B, Mp, tol)
+    return _smallest_eig(s_mv, solve_m, B.shape[0], tol, mean)
 
 
 def _negative_pivots(H: np.ndarray) -> int:

@@ -7,7 +7,8 @@ arrays built once per mesh:
      shape_s: one (nloc, nshape) matrix shared by every cell;
   P  the sparse cell-to-global operator of shape (ncells * nloc, ndof): row
      c * nloc + l expresses DOF l of cell c in the global DOFs, with all of
-     its cell geometry (a normal DOF also reads its edge's vertex values).
+     its cell geometry: a normal DOF also reads its edge's vertex values,
+     by closed-form weights (_normal_rows), with no per-cell inverse.
 
 A vector space is its one-component space (Space.component) twice, numbered
 component-major, so its Gram is blockdiag(K, K) for the component Gram K.
@@ -47,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .elements import (REFERENCE_EXACT, dof_matrix, element_catalog,
+from .elements import (NODAL_SIGMA_TOL, REFERENCE_EXACT, element_catalog,
                        nodal_coefficients)
 from .mesh import Mesh
 from .polynomials import EDGE_LEGENDRE, BaryPoly, poly1d_eval
@@ -311,13 +312,39 @@ def build_space(mesh: Mesh, kind: str) -> Space:
 
 
 @lru_cache(maxsize=None)
-def _shared_transform(name: str) -> np.ndarray:
-    """An element's nodal transform on the reference cell, shared by every
-    cell (normal-DOF geometry is folded into P) and computed once."""
+def _shared_transform(name: str):
+    """An element's nodal transform A on the reference cell, shared by every
+    cell (normal-DOF geometry is folded into P), and its condition number,
+    that of the reference DOF matrix; both computed once."""
     A = nodal_coefficients(element_catalog(name),
                            [REFERENCE_EXACT.grad_lambda])[0].T
     A.setflags(write=False)
-    return A
+    return A, np.linalg.cond(A)
+
+
+def _normal_rows(elem, gl: np.ndarray, cond_ref: float) -> dict:
+    """{normal DOF l: {local DOF k: weight per cell}}: the normal rows of
+    W_c^-1 for M_c = W_c M_ref on a grad_lambda stack (Kirby 2018).  As the
+    grad lam_j sum to 0, the normal mean on edge e is alpha (the reference
+    one + b (value at vertex e+2 - value at e+1)), alpha^2 = g_ee / gref_ee.
+    kappa(M_c) <= |W_c|_F |W_c^-1|_F kappa(M_ref): only cells where that
+    bound reaches 1 / NODAL_SIGMA_TOL take nodal_coefficients' SVD test."""
+    g = np.einsum("cid,cjd->cij", gl, gl)
+    gr = np.asarray(REFERENCE_EXACT.gram, dtype=float)
+    e, nxt = np.arange(3), (np.arange(3) + 2) % 3
+    a2 = g[:, e, e] / gr[e, e]
+    b = (gr[nxt, e] - g[:, nxt, e] / a2) / np.sqrt(gr[e, e])
+    b2, n = 2 * b ** 2, len(elem.dofs) - 3
+    bound = cond_ref * np.sqrt((n + (a2 * (1 + b2)).sum(1))
+                               * (n + (1 / a2 + b2).sum(1)))
+    flagged = ~(bound < 1 / NODAL_SIGMA_TOL)
+    if flagged.any():
+        nodal_coefficients(elem, gl[flagged])
+    vert = {d.entity: k for k, d in enumerate(elem.dofs) if d.kind == "vertex"}
+    return {l: {l: 1 / np.sqrt(a2[:, i]), vert[(i + 2) % 3]: -b[:, i],
+                vert[(i + 1) % 3]: b[:, i]}
+            for l, d in enumerate(elem.dofs) if d.kind == "edge_normal"
+            for i in [d.entity]}
 
 
 def _build_layout(mesh: Mesh, kind: str, element: str, ncomp: int,
@@ -345,17 +372,13 @@ def _build_layout(mesh: Mesh, kind: str, element: str, ncomp: int,
         for (fs, fw), (rs, rw) in zip(fwd, rev):
             terms.append((l, tables[etype][ent, np.where(orient, fs, rs)],
                           np.where(orient, fw, rw)))
+    A, cond_ref = _shared_transform(element)
     if ("normal",) in lay.slots["edge"]:
-        # P <- blockdiag(V_c^-1) P, V_c = M_c M_ref^-1 (Kirby 2018): V_c^-1 is
-        # I but in the normal rows, which also read their edge's vertex values
-        V = dof_matrix(elem, REFERENCE_EXACT) @ nodal_coefficients(
-            elem, mesh.geometry_arrays()[0])
-        dofs = elem.dofs
-        nrm = [l for l, d in enumerate(dofs) if d.kind == "edge_normal"]
-        terms = [t for t in terms if t[0] not in nrm] + [
-            (l, g, w * V[:, l, k]) for l in nrm for k, g, w in terms if k == l
-            or dofs[k].kind == "vertex" and dofs[k].entity != dofs[l].entity]
-    A = _shared_transform(element)
+        # P <- blockdiag(W_c^-1) P: normal rows also read two vertex values
+        rows = _normal_rows(elem, mesh.geometry_arrays()[0], cond_ref)
+        terms = [t for t in terms if t[0] not in rows] + [
+            (l, g, w * row[k]) for l, row in rows.items()
+            for k, g, w in terms if k in row]
     if bubble:
         A = np.block([[A, np.zeros((len(A), 1))], [np.zeros((1, len(A))), 1.0]])
     meta = {f"{etype}_dofs": tables[etype] for etype in ENTITIES}

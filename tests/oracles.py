@@ -7,6 +7,9 @@ symbolically.  It shares no code with the library's array evaluation
 other.  The whole-mesh load and error norms evaluate every callback once on
 all (cell, point) pairs, the reference for the library's blocked walk.
 exact_det is the exact-rational determinant of the golden DOF matrices.
+inverse_path_operator is the cell-to-global operator of a normal-DOF space
+by the per-cell inverse of its DOF matrix, the reference for the library's
+closed-form normal rows.
 """
 
 from fractions import Fraction
@@ -14,8 +17,9 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from biharmfem.elements import (DofFunctional, _affine_rows,
-                                _interior_weights, nodal_coefficients)
+from biharmfem.elements import (REFERENCE_EXACT, DofFunctional,
+                                _affine_rows, _interior_weights, dof_matrix,
+                                nodal_coefficients)
 from biharmfem.polynomials import EDGE_LEGENDRE, BaryPoly, poly1d_eval
 from biharmfem.quadrature import edge_rule, tri_rule
 from biharmfem.spaces import _derivative, reference_tables, shape_set
@@ -345,3 +349,44 @@ def nodal_basis(elem, geom):
     """Nodal basis polynomials (scalar: BaryPoly, vector: (px, py))."""
     Minv = nodal_coefficients(elem, [geom.grad_lambda])[0]
     return [combination(elem, Minv[:, j], geom) for j in range(elem.dim)]
+
+
+# -- cell-to-global operators -------------------------------------------------
+
+def entity_operator(space, c: int) -> np.ndarray:
+    """The geometry-free rows of cell c: each element DOF as its layout
+    weights on the global slots of its entity, under the cell's edge
+    orientation (eliminated slots left out)."""
+    mesh = space.mesh
+    incident = {"vertex": mesh.cells[c], "edge": mesh.cell_edges[c],
+                "cell": [c]}
+    Q = np.zeros((space.nloc, space.ndof))
+    for l, (etype, i, fwd, rev) in enumerate(space.meta["layout"].local):
+        reverse = etype == "edge" and mesh.cell_edge_signs[c, i] == -1
+        for slot, w in rev if reverse else fwd:
+            g = space.meta[f"{etype}_dofs"][incident[etype][i], slot]
+            if g >= 0:
+                Q[l, g] += w
+    return Q
+
+
+def inverse_path_operator(space, elem) -> np.ndarray:
+    """Dense P of a space on an element with edge-normal DOFs, by inverting
+    every cell's DOF matrix.  V_c = M_ref M_c^-1 (the reference DOF matrix
+    times nodal_coefficients on the cell) is I but in the normal rows, where
+    the entries on the row's own DOF and on its edge's two vertex values
+    replace the cell's geometry-free row by their combination; the other
+    entries of V_c are round-off and are left out."""
+    gl = space.mesh.geometry_arrays()[0]
+    V = dof_matrix(elem, REFERENCE_EXACT) @ nodal_coefficients(elem, gl)
+    dofs = elem.dofs
+    blocks = []
+    for c in range(space.mesh.n_cells):
+        Q = entity_operator(space, c)
+        for l, d in enumerate(dofs):
+            if d.kind == "edge_normal":
+                ks = [k for k, v in enumerate(dofs) if k == l or v.kind
+                      == "vertex" and v.entity != d.entity]
+                Q[l] = V[c, l, ks] @ Q[ks]
+        blocks.append(Q)
+    return np.vstack(blocks)

@@ -135,6 +135,37 @@ def test_saddle_projects_the_mean(monkeypatch):
     assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
 
 
+def test_saddle_rejects_a_bad_factor(monkeypatch):
+    # the PCG loop solves with the factor unchecked; a factor of a perturbed
+    # Gram still ends in a SolverError, from the checked solves at its ends
+    A, B, M, m = _stokes(generate_structured(4), ("G2_0", "DG1"))
+    splu = la._splu
+    monkeypatch.setattr(la, "_splu", lambda K: splu(
+        (K + 1e-3 * abs(K).max() * sp.identity(K.shape[0])).tocsc()))
+    f = np.random.default_rng(11).standard_normal(B.shape[1])
+    with pytest.raises(SolverError):
+        saddle_solve(A, B, f, M, mean=m)
+
+
+def test_saddle_checks_a_fixed_number_of_products(monkeypatch):
+    # residual checks apply A at the ends of the solve only, so their count
+    # does not grow with the PCG iterations
+    A, B, M, m = _stokes(generate_structured(4), ("G3_0", "DG2"))
+    f = np.random.default_rng(11).standard_normal(B.shape[1])
+    products = []
+    dot = sp.csr_matrix.dot
+    monkeypatch.setattr(sp.csr_matrix, "dot",
+                        lambda self, x: products.append(1) or dot(self, x))
+    counts = {}
+    for tol in (1e-2, 1e-10):
+        products.clear()
+        iterations = saddle_solve(A, B, f, M, mean=m, tol=tol)[2]
+        counts[iterations] = len(products)
+    few, many = sorted(counts)
+    assert few >= 5 and many >= 25
+    assert counts[few] == counts[many]
+
+
 def test_eigensolver_failure_is_a_solver_error(monkeypatch):
     A, B, M, m = _stokes(generate_structured(4), ("G2_0", "DG1"))
     assert B.shape[0] > DENSE_MAX
@@ -207,7 +238,7 @@ def test_transposed_factor_solves_a_not_its_transpose():
     x = la.spd_solver(A)(b[:n])
     assert np.linalg.norm(A @ x - b[:n]) <= 1e-10 * bnorm
     solve_a = la._schur(A, sp.csr_matrix((1, 2 * n)), sp.identity(1),
-                        None, 1e-10)[0]
+                        1e-10)[0]
     u = solve_a(b).reshape(2, n)
     assert np.linalg.norm(A @ u.T - b.reshape(2, n).T) <= \
         1e-10 * np.linalg.norm(b)
@@ -227,7 +258,7 @@ def test_solves_factor_the_callers_csr_without_a_copy(monkeypatch):
     infsup_constant(B, A, M, mean=m)
     assert len(factored) == 3
     assert all(np.shares_memory(F.data, A.data) for F in factored)
-    BT = la._schur(A, B, M, m, 1e-10)[2]
+    BT = la._schur(A, B, M, 1e-10)[2]
     assert np.shares_memory(BT.data, B.data)
 
 

@@ -7,7 +7,8 @@ import scipy.sparse as sp
 
 import biharmfem.spaces as spaces
 from biharmfem.biharmonic import manufactured
-from biharmfem.elements import element_catalog, eval_dof
+from biharmfem.elements import (dof_matrices, element_catalog, eval_dof,
+                                nodal_coefficients)
 from biharmfem.linalg import _pin_mmap_threshold, saddle_solve
 from biharmfem.mesh import Mesh, generate_structured, refine_uniform
 from biharmfem.polynomials import EDGE_LEGENDRE, BaryPoly, poly1d_eval
@@ -17,9 +18,10 @@ from biharmfem.spaces import (LAYOUT_KINDS, ROUNDOFF_RTOL, FieldFunction,
                               error_norms, eval_field, interpolate,
                               _pressure_modes, interpolate_vector,
                               locate_cells)
-from oracles import (cell_poly, edge_jump_moments, field_at, is_symmetric,
-                     poly_gradient, poly_hessian, quadrature_points,
-                     whole_mesh_error_norms, whole_mesh_load)
+from oracles import (cell_poly, edge_jump_moments, entity_operator, field_at,
+                     inverse_path_operator, is_symmetric, poly_gradient,
+                     poly_hessian, quadrature_points, whole_mesh_error_norms,
+                     whole_mesh_load)
 
 
 def counts(mesh):
@@ -588,30 +590,13 @@ def test_transform_is_shared_by_every_mesh(jittered4, kind):
     assert np.array_equal(build_space(jittered4, kind).A, space.A)
 
 
-def _entity_operator(space, c):
-    """The geometry-free rows of cell c: each element DOF as its layout
-    weights on the global slots of its entity, under the cell's edge
-    orientation (eliminated slots left out)."""
-    mesh = space.mesh
-    incident = {"vertex": mesh.cells[c], "edge": mesh.cell_edges[c],
-                "cell": [c]}
-    Q = np.zeros((space.nloc, space.ndof))
-    for l, (etype, i, fwd, rev) in enumerate(space.meta["layout"].local):
-        reverse = etype == "edge" and mesh.cell_edge_signs[c, i] == -1
-        for slot, w in rev if reverse else fwd:
-            g = space.meta[f"{etype}_dofs"][incident[etype][i], slot]
-            if g >= 0:
-                Q[l, g] += w
-    return Q
-
-
 @pytest.mark.parametrize("mesh_name", ORACLE_MESHES)
 @pytest.mark.parametrize("kind,name", [("A4_0", "nsq"),
                                        ("Morley_0", "morley")])
 def test_batched_transform_matches_per_cell(request, mesh_name, kind, name):
     # per-cell oracle: on cell c the global basis in the shape basis,
     # A^T P_c, is the inverse of the DOF matrix built entry by entry applied
-    # to the geometry-free rows of the cell (_entity_operator)
+    # to the geometry-free rows of the cell (entity_operator)
     mesh = _oracle_mesh(request, mesh_name)
     space = build_space(mesh, kind)
     elem = element_catalog(name)
@@ -620,7 +605,7 @@ def test_batched_transform_matches_per_cell(request, mesh_name, kind, name):
         geom = mesh.geometry(c)
         M = np.array([[eval_dof(d, s, geom) for s in elem.shapes]
                       for d in elem.dofs])
-        want = np.linalg.solve(M, _entity_operator(space, c))
+        want = np.linalg.solve(M, entity_operator(space, c))
         got = space.A.T @ P[c * space.nloc:(c + 1) * space.nloc]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -633,6 +618,79 @@ def test_batched_transform_rejects_near_degenerate_cell(kind, height):
     with pytest.raises(ValueError, match="unisolvence failure .* "
                                          "sigma_min/sigma_max = "):
         build_space(sliver, kind)
+
+
+@pytest.mark.parametrize("mesh_name", ("criss8",) + ORACLE_MESHES)
+@pytest.mark.parametrize("kind,name", [("A4_0", "nsq"),
+                                       ("Morley_0", "morley")])
+def test_closed_form_normal_rows_match_inverse_path(request, monkeypatch,
+                                                    mesh_name, kind, name):
+    # the closed-form normal rows give the P of the per-cell inverse path,
+    # with no SVD or inverse on a shape-regular mesh once the reference
+    # transform is cached
+    mesh = (generate_structured(8) if mesh_name == "criss8"
+            else _oracle_mesh(request, mesh_name))
+    build_space(generate_structured(1), kind)
+    calls = []
+    for fn in ("svd", "inv"):
+        monkeypatch.setattr(np.linalg, fn,
+                            lambda *a, fn=fn, **k: calls.append(fn))
+    space = build_space(mesh, kind)
+    monkeypatch.undo()
+    assert calls == []
+    want = inverse_path_operator(space, element_catalog(name))
+    assert np.abs(space.P.toarray() - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind,name,height", [("A4_0", "nsq", 1e-11),
+                                              ("Morley_0", "morley", 1e-13)])
+def test_normal_row_guard_flags_only_the_sliver(monkeypatch, kind, name,
+                                                height):
+    # a healthy cell below a sliver: the SVD test sees the sliver alone and
+    # fails with the message of the whole-mesh test
+    mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, height],
+                          [0.5, -1.0]]), np.array([[0, 1, 2], [0, 3, 1]]))
+    with pytest.raises(ValueError, match="unisolvence failure") as full:
+        nodal_coefficients(element_catalog(name), mesh.geometry_arrays()[0])
+    build_space(generate_structured(1), kind)
+    seen = []
+    svd = np.linalg.svd
+
+    def recording(M, *args, **kwargs):
+        seen.append(np.shape(M))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    with pytest.raises(ValueError) as got:
+        build_space(mesh, kind)
+    assert str(got.value) == str(full.value)
+    nloc = len(element_catalog(name).dofs)
+    assert seen == [(1, nloc, nloc)]
+
+
+@pytest.mark.parametrize("kind,name", [("A4_0", "nsq"),
+                                       ("Morley_0", "morley")])
+def test_normal_row_guard_bound_holds(monkeypatch, kind, name):
+    # the guard's bound never falls below the condition number of a cell's
+    # DOF matrix: with the threshold at that number, every cell is flagged,
+    # from shape-regular ones to slivers, small and large, in any rotation
+    rng = np.random.default_rng(17)
+    build_space(generate_structured(1), kind)
+    flagged = []
+    monkeypatch.setattr(spaces, "nodal_coefficients",
+                        lambda elem, gl: flagged.append(len(gl)))
+    for height in np.logspace(-7, 0, 36):
+        turn = rng.uniform(0, 2 * np.pi)
+        rot = np.array([[np.cos(turn), -np.sin(turn)],
+                        [np.sin(turn), np.cos(turn)]])
+        verts = 10 ** rng.uniform(-3, 1) * np.array(
+            [[0.0, 0.0], [1.0, 0.0], [rng.uniform(-1, 2), height]]) @ rot.T
+        mesh = Mesh(verts, np.array([[0, 1, 2]]))
+        M = dof_matrices(element_catalog(name), mesh.geometry_arrays()[0])
+        monkeypatch.setattr(spaces, "NODAL_SIGMA_TOL", 1 / np.linalg.cond(M))
+        flagged.clear()
+        build_space(mesh, kind)
+        assert flagged == [1]
 
 
 def test_locate_cells_independent_of_point_order():
