@@ -9,14 +9,14 @@ are L2-orthogonal), so its inverse is a division.  saddle_solve checks its
 ends, not its PCG loop, projects the pressure mean out and, when it fails,
 names the inf-sup constant of the pair computed from that same factor, by
 standard-form Lanczos on M^-1/2 S M^-1/2.
-kernel_dimension counts small Gram eigenvalues by inertia: one Lanczos
-estimate of the largest and one Bunch-Kaufman LDL^T of the shifted Gram,
-instead of the whole spectrum.  Matrices are scipy CSR and are not copied:
-SuperLU factors the CSC view A^T and solves A by trans="T", and B^T is a
-view.  Everything is deterministic for fixed inputs (a fixed eigensolver
-start vector, no randomized pivoting options).  On glibc, importing this
-module fixes the process's malloc mmap threshold, so that the large buffers
-of a solve go back to the system when freed (see _pin_mmap_threshold).
+kernel_dimension counts small Gram eigenvalues by inertia: the negative
+pivots of one sparse symmetric-mode LU of the Gram shifted by tol times its
+largest absolute row sum, with no dense matrix.  Matrices are scipy CSR and
+are not copied: SuperLU factors the CSC view A^T and solves A by trans="T",
+and B^T is a view.  Everything is deterministic for fixed inputs (a fixed
+eigensolver start vector, no randomized pivoting options).  On glibc,
+importing this module fixes the process's malloc mmap threshold, so that a
+solve's large buffers go back to the system when freed (_pin_mmap_threshold).
 """
 
 from __future__ import annotations
@@ -68,10 +68,11 @@ class SolverError(RuntimeError):
 
 
 def _splu(A):
-    """LU of an SPD matrix in SuperLU's symmetric mode: a minimum-degree
+    """LU of a symmetric matrix in SuperLU's symmetric mode: a minimum-degree
     ordering of A + A^T and diagonal pivots (off-diagonal only where a pivot
     is exactly zero), so the ordering, the pivots and the structure of the
-    factors depend on the sparsity pattern alone, not on round-off.  Panels
+    factors depend on the sparsity pattern alone, not on round-off.  The
+    solves factor SPD matrices, kernel_dimension an indefinite one.  Panels
     of one column factor a third faster than the default, at the same fill.
     Given the CSC view A^T of a CSR A, the factor solves A by trans="T"."""
     try:
@@ -118,20 +119,9 @@ SCHUR_MAXIT = 500
 #: pressure, whose error the weaker quartic pair amplifies, keeps a relative
 #: error near 1e-10 or below.
 SCHUR_MARGIN = 1e-3
-#: Up to this many rows an eigenvalue query takes the dense spectrum; above,
-#: Lanczos (ARPACK) from a fixed start vector.
+#: Up to this many pressure DoFs the inf-sup eigenvalue comes from the dense
+#: spectrum; above, from Lanczos (ARPACK) from a fixed start vector.
 DENSE_MAX = 40
-#: Relative accuracy of the Lanczos estimate of the largest Gram eigenvalue
-#: in kernel_dimension: it moves the threshold tol * lambda_max by this share
-#: at most, and rot's nonzero Gram eigenvalues sit at 1e-4 of lambda_max or
-#: above, its kernel ones near 1e-16.
-LANCZOS_TOL = 1e-6
-
-
-def _start_vector(n: int) -> np.ndarray:
-    """The fixed Lanczos start vector: a symmetric one can miss the extreme
-    mode on the symmetric criss mesh."""
-    return np.random.default_rng(0).standard_normal(n)
 
 
 def _schur(A, B, M, tol):
@@ -191,8 +181,11 @@ def _smallest_eig(s_mv, solve_m, npres, tol, mean=None) -> float:
     else:
         op = spla.LinearOperator((npres, npres),
                                  matvec=lambda x: scale * s_mv(scale * x))
+        # a fixed start vector: a symmetric one can miss the extreme mode
+        # on the symmetric criss mesh
+        v0 = np.random.default_rng(0).standard_normal(npres)
         try:
-            lam = spla.eigsh(op, k=1, which="SA", v0=_start_vector(npres),
+            lam = spla.eigsh(op, k=1, which="SA", v0=v0,
                              tol=max(tol, 1e-12), return_eigenvectors=False)[0]
         except spla.ArpackError as exc:
             raise SolverError(f"inf-sup eigensolve failed: {exc}") from exc
@@ -284,58 +277,36 @@ def infsup_constant(B, A, Mp, tol: float = 1e-10, mean=None) -> float:
     return _smallest_eig(s_mv, solve_m, B.shape[0], tol, mean)
 
 
-def _negative_pivots(H: np.ndarray) -> int:
-    """The number of negative eigenvalues of the symmetric matrix H, by
-    Sylvester's law of inertia: those of the block diagonal D of its
-    Bunch-Kaufman factorization P U D U^T P^T (LAPACK dsytrf, upper storage,
-    default workspace: on rot's Grams the unblocked code was about twice as
-    fast as the blocked one).  A 1x1 pivot counts when negative.  A 2x2
-    block [[a, b], [b, c]] (ipiv < 0 on both of its rows; its rows pair up
-    in order) has a negative eigenvalue when its determinant or its trace
-    is negative, and a second one when its determinant is positive and its
-    trace negative.  H is overwritten."""
-    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(H.T, overwrite_a=True)
-    diag = np.diagonal(ldu)
-    i = np.flatnonzero(ipiv < 0)[::2]
-    a, b, c = diag[i], ldu[i, i + 1], diag[i + 1]
-    det, trace = a * c - b * b, a + c
-    return int(np.count_nonzero(diag[ipiv > 0] < 0.0)
-               + np.count_nonzero((det < 0.0) | (trace < 0.0))
-               + np.count_nonzero((det > 0.0) & (trace < 0.0)))
-
-
 def kernel_dimension(A, tol: float = 1e-8) -> int:
     """Dimension of the kernel of A (columns = domain).
 
     Counts the eigenvalues of the smaller Gram matrix G, A A^T or A^T A,
-    below tol * lambda_max, and the columns beyond the rows.  A tolerance
-    tol on the Gram eigenvalues is one of sqrt(tol) * sigma_max on the
-    singular values of A.  Up to DENSE_MAX rows of G from its spectrum;
-    above, lambda_max from Lanczos and the count from the inertia of
-    G - tol * lambda_max I (_negative_pivots).
+    below tol * ||G||_inf, and the columns beyond the rows: about the
+    singular values below sqrt(tol) * sigma_max.  ||G||_inf, the largest
+    absolute row sum, bounds lambda_max from above (1.12-1.55 lambda_max on
+    rot's Grams on criss meshes, n = 2 to 32, whose kernel eigenvalues sit
+    near 1e-16 lambda_max and the others at 1e-4 lambda_max or above).
+    The count is that of negative diagonal entries of U in the _splu factor
+    of G - tol * ||G||_inf I: with diagonal pivots (perm_r == perm_c) the
+    factor is a congruence, so Sylvester's law of inertia makes the count
+    exact; an off-diagonal pivot raises SolverError.
     """
-    A = sp.csr_matrix(A, dtype=float) if sp.issparse(A) \
-        else np.asarray(A, dtype=float)
+    A = sp.csr_matrix(A, dtype=float)
     ncols = A.shape[1]
     if min(A.shape) == 0:
         return ncols
     G = A @ A.T if A.shape[0] <= ncols else A.T @ A
-    H = G.toarray() if sp.issparse(G) else G
-    n = len(H)
-    if not H.any():
+    norm = spla.norm(G, np.inf)
+    if norm == 0.0:
         return ncols
-    if n <= DENSE_MAX:
-        lam = scipy.linalg.eigvalsh(H)
-        return ncols - int(np.count_nonzero(lam >= tol * lam[-1]))
-    try:
-        lam_max = spla.eigsh(G, k=1, which="LA", v0=_start_vector(n),
-                             tol=LANCZOS_TOL, return_eigenvectors=False)[0]
-    except spla.ArpackError as exc:
-        raise SolverError(f"Gram eigensolve failed: {exc}") from exc
-    H[np.diag_indices(n)] -= tol * lam_max
-    return ncols - n + _negative_pivots(H)
+    lu = _splu(sp.csc_matrix(G - tol * norm * sp.identity(G.shape[0])))
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError("shifted Gram factor pivoted off the diagonal; its "
+                          "pivots give no inertia count")
+    return ncols - G.shape[0] + int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 def matrix_rank(A, tol: float = 1e-8) -> int:
-    """Number of columns less the kernel dimension (see kernel_dimension)."""
+    """Number of columns less the kernel dimension: the Gram eigenvalues at
+    or above tol * ||G||_inf (see kernel_dimension)."""
     return np.shape(A)[1] - kernel_dimension(A, tol)

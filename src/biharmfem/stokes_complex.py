@@ -5,8 +5,9 @@ adds quadratic bubbles so that the broken rot vanishes pointwise, inverts the
 broken gradient, and verifies exactness of the discrete complexes by rank
 computations.
 
-Every step works on all basis functions and all cells at once, and passes
-plain sparse matrices with the mesh or space they live on.  G2 coefficient
+Every step works on all cells at once and on all basis functions (in
+blocks of BLOCK_FLOATS where an array is dense in both), and passes plain
+sparse matrices with the mesh or space they live on.  G2 coefficient
 vectors are the columns of one sparse matrix, and piecewise polynomials are
 sparse (function x cell * shape) matrices over one fixed shape set per
 degree, the monomials in the reference coordinates (lam_1, lam_2):
@@ -59,6 +60,10 @@ NGRAD, NCUBIC = 12, 10
 MEAN_TOL, ROT_TOL, CONSISTENCY_TOL, SNAP_TOL = 1e-10, 1e-10, 1e-9, 1e-12
 #: quadrature degree of the edge moments in b3_membership_violation
 MEMBERSHIP_QUAD_DEGREE = 10
+#: floats per dense (corner x field) array: grad_inverse and
+#: _vertex_violation walk the fields in blocks of this size (2 MiB,
+#: _corner_blocks), as spaces.BLOCK_POINTS bounds the quadrature blocks
+BLOCK_FLOATS = 1 << 18
 
 
 def _ref_coeffs(p: BaryPoly, shapes: str) -> np.ndarray:
@@ -138,12 +143,20 @@ def _rot_at_vertices(gl: np.ndarray, cells: np.ndarray,
             - np.einsum("sij,bi,bs->bj", R, g[:, :, 1], gx))
 
 
-def _at_corners(ncells: int, nfields: int, f, cells, W) -> np.ndarray:
-    """(3 * ncells, nfields): the cubic blocks W of fields f on cells at the
-    cell corners, row 3 * cell + corner; zero off the blocks."""
-    out = np.zeros((3 * ncells, nfields))
-    out[3 * cells[:, None] + np.arange(3), f[:, None]] = W @ _reference().vertex
-    return out
+def _corner_blocks(ncells: int, nfields: int, f, cells, W):
+    """The cubic blocks W of fields f on cells at the cell corners, by field
+    ranges lo:hi of at most BLOCK_FLOATS values (at least one field; one
+    empty range when there are no fields): lo, hi, the slice s of the
+    blocks in the range (f is sorted) and the (3 * ncells, hi - lo) values,
+    row 3 * cell + corner, zero off the blocks."""
+    step = max(1, BLOCK_FLOATS // (3 * ncells))
+    for lo in range(0, max(nfields, 1), step):
+        hi = min(lo + step, nfields)
+        s = slice(*np.searchsorted(f, [lo, hi]))
+        values = np.zeros((3 * ncells, hi - lo))
+        values[3 * cells[s, None] + np.arange(3), f[s, None] - lo] = \
+            W[s] @ _reference().vertex
+        yield lo, hi, s, values
 
 
 def _colmax(M) -> np.ndarray:
@@ -269,8 +282,10 @@ def grad_inverse(mesh: Mesh, grad) -> sp.csr_matrix:
     Returns the cubics as an (nfields, ncells * 10) CSR matrix: row f, cell
     c at columns c * 10 ... c * 10 + 9 in CUBIC_SHAPES.  Integration
     constants are matched breadth-first over edge-adjacent cells through
-    shared vertex values; the global constant is fixed by zero boundary
-    vertex values.  Inconsistencies beyond tolerance abort.
+    shared vertex values, one level of the search at a time; the global
+    constant is fixed by zero boundary vertex values.  The fields go in
+    blocks (_corner_blocks), and inconsistencies beyond tolerance abort after
+    all of them, naming the first edge (then field) or field at fault.
     """
     from scipy.sparse.csgraph import breadth_first_order  # lazy: 1 MB RSS
     G = sp.csr_matrix(grad if sp.issparse(grad)
@@ -279,7 +294,6 @@ def grad_inverse(mesh: Mesh, grad) -> sp.csr_matrix:
     if G.shape[1] != nc * NGRAD:
         raise ValueError(f"grad has {G.shape[1]} columns, expected "
                          f"{nc * NGRAD}")
-    ref = _reference()
     gl, _, verts = mesh.geometry_arrays()
     scale = np.maximum(1.0, abs(G).max(axis=1).toarray().ravel())
     f, cells, g = _cell_blocks(G, NGRAD)
@@ -291,8 +305,7 @@ def grad_inverse(mesh: Mesh, grad) -> sp.csr_matrix:
     # (d/dxi, d/deta) = J^T (d/dx, d/dy) with J = [v1 - v0, v2 - v0]
     J = verts[cells, 1:] - verts[cells, :1]
     g_ref = np.einsum("bkd,bds->bks", J, g.reshape(-1, 2, 6))
-    W = g_ref.reshape(-1, NGRAD) @ ref.antider.T
-    values = _at_corners(nc, nf, f, cells, W)    # before the constants
+    W = g_ref.reshape(-1, NGRAD) @ _reference().antider.T
     # constants, breadth-first from the lowest-index boundary cell
     interior = mesh.interior_edges()
     c0, c1 = mesh.edge_cells[interior].T
@@ -305,49 +318,63 @@ def grad_inverse(mesh: Mesh, grad) -> sp.csr_matrix:
         raise ComplexError("mesh cells are not edge-connected")
     child = order[1:]
     parent = pred[child]
-    edge = np.asarray((adj + adj.T)[parent, child]).ravel() - 1
-    va = mesh.edges[edge, 0]
+    va = mesh.edges[np.asarray((adj + adj.T)[parent, child]).ravel() - 1, 0]
+    # order lists the levels one after another, and the parents' positions
+    # in it never decrease: child[ends[k]:ends[k + 1]] is level k + 1
+    position = np.empty(nc, dtype=np.int64)
+    position[order] = np.arange(nc)
+    ends = [0]
+    while ends[-1] < nc - 1:
+        ends.append(int(np.searchsorted(position[parent], ends[-1] + 1)))
 
     def corner_of(c, a):
         return 3 * c + np.argmax(mesh.cells[c] == a[:, None], axis=1)
 
-    delta = values[corner_of(parent, va)] - values[corner_of(child, va)]
-    const = np.zeros((nc, nf))
-    for c, p, d in zip(child.tolist(), parent.tolist(), delta):
-        const[c] = const[p] + d
-    values += np.repeat(const, 3, axis=0)
-    ends = mesh.edges[interior]
-    mismatch = np.zeros((interior.size, nf))
-    for side in range(2):
-        a = ends[:, side]
-        mismatch = np.maximum(mismatch, np.abs(values[corner_of(c0, a)]
-                                               - values[corner_of(c1, a)]))
-    bad = np.argwhere(mismatch > CONSISTENCY_TOL * scale)
-    if bad.size:
-        k, j = bad[0]
-        raise ComplexError(
-            f"constant mismatch {mismatch[k, j]:.2e} across edge "
-            f"{interior[k]}; input is not a broken gradient")
+    into, out_of = corner_of(parent, va), corner_of(child, va)
+    sides = [(corner_of(c0, a), corner_of(c1, a))
+             for a in mesh.edges[interior].T]
     on_boundary = np.flatnonzero(mesh.vertex_is_boundary[mesh.cells].ravel())
-    shift = values[on_boundary[0]]
-    worst = np.abs(values[on_boundary] - shift).max(axis=0)
-    bad = np.flatnonzero(worst > CONSISTENCY_TOL * scale)
-    if bad.size:
+    parts, mismatches, spreads = [], [], []
+    for lo, hi, s, values in _corner_blocks(nc, nf, f, cells, W):
+        delta = values[into] - values[out_of]
+        const = np.zeros((nc, hi - lo))
+        for a, b in zip(ends[:-1], ends[1:]):
+            const[child[a:b]] = const[parent[a:b]] + delta[a:b]
+        values.reshape(nc, 3, hi - lo)[...] += const[:, None]
+        mismatch = np.zeros((interior.size, hi - lo))
+        for k0, k1 in sides:
+            mismatch = np.maximum(mismatch, np.abs(values[k0] - values[k1]))
+        bad = np.argwhere(mismatch > CONSISTENCY_TOL * scale[lo:hi])
+        if bad.size:
+            k, j = bad[0]
+            mismatches.append((k, lo + j, mismatch[k, j]))
+        shift = values[on_boundary[0]]
+        worst = np.abs(values[on_boundary] - shift).max(axis=0)
+        spreads.extend(worst[worst > CONSISTENCY_TOL * scale[lo:hi]][:1])
+        # cubic = antiderivative + constant (shape 0); cubics below SNAP_TOL
+        # (the zero-gradient cells, up to round-off) are dropped
+        offset = const - shift
+        keys_in = f[s] * nc + cells[s]
+        extra = lo * nc + np.flatnonzero(
+            (np.abs(offset) > SNAP_TOL * scale[lo:hi]).T.ravel())
+        keys = np.union1d(keys_in, extra)
+        rows, cols = keys // nc, keys % nc
+        vals = np.zeros((keys.size, NCUBIC))
+        vals[np.searchsorted(keys, keys_in)] = W[s]
+        vals[:, 0] += offset[cols, rows - lo]
+        keep = np.abs(vals).max(axis=1) > SNAP_TOL * scale[rows]
+        parts.append((rows[keep], cols[keep], vals[keep]))
+    if mismatches:     # the first edge, then the first field on it
+        k, _, value = min(mismatches)
+        raise ComplexError(
+            f"constant mismatch {value:.2e} across edge "
+            f"{interior[k]}; input is not a broken gradient")
+    if spreads:
         raise ComplexError(f"boundary vertex values spread "
-                           f"{worst[bad[0]]:.2e}; input is not in the "
+                           f"{spreads[0]:.2e}; input is not in the "
                            "discrete gradient space")
-    # cubic = antiderivative + constant (shape 0); cells whose cubic is
-    # below SNAP_TOL (the zero-gradient cells, up to round-off) are dropped
-    offset = const - shift
-    keys_in = f * nc + cells
-    extra = np.flatnonzero((np.abs(offset) > SNAP_TOL * scale).T.ravel())
-    keys = np.union1d(keys_in, extra)
-    rows, cols = keys // nc, keys % nc
-    vals = np.zeros((keys.size, NCUBIC))
-    vals[np.searchsorted(keys, keys_in)] = W
-    vals[:, 0] += offset[cols, rows]
-    keep = np.abs(vals).max(axis=1) > SNAP_TOL * scale[rows]
-    return _from_blocks(rows[keep], cols[keep], vals[keep], (nf, nc * NCUBIC))
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return _from_blocks(rows, cols, vals, (nf, nc * NCUBIC))
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +460,18 @@ def _vertex_violation(mesh: Mesh, coeffs) -> float:
     """Largest spread, over all fields and vertices, of the values on the
     cells around an interior vertex (max - min), or largest |value| at a
     boundary vertex; cells where a field is zero count with value 0."""
-    values = _at_corners(mesh.n_cells, coeffs.shape[0],
-                         *_cell_blocks(coeffs, NCUBIC))
     vertex = mesh.cells.ravel()
     order = np.argsort(vertex, kind="stable")
     starts = np.searchsorted(vertex[order], np.arange(mesh.n_vertices))
-    hi = np.maximum.reduceat(values[order], starts)
-    lo = np.minimum.reduceat(values[order], starts)
-    spread = np.where(mesh.vertex_is_boundary[:, None], np.maximum(hi, -lo),
-                      hi - lo)
-    return float(spread.max(initial=0.0))
+    worst = 0.0
+    for *_, values in _corner_blocks(mesh.n_cells, coeffs.shape[0],
+                                     *_cell_blocks(coeffs, NCUBIC)):
+        top = np.maximum.reduceat(values[order], starts)
+        low = np.minimum.reduceat(values[order], starts)
+        spread = np.where(mesh.vertex_is_boundary[:, None],
+                          np.maximum(top, -low), top - low)
+        worst = max(worst, float(spread.max(initial=0.0)))
+    return worst
 
 
 def b3_membership_violation(mesh: Mesh, coeffs) -> float:

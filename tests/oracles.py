@@ -9,12 +9,15 @@ all (cell, point) pairs, the reference for the library's blocked walk.
 exact_det is the exact-rational determinant of the golden DOF matrices.
 inverse_path_operator is the cell-to-global operator of a normal-DOF space
 by the per-cell inverse of its DOF matrix, the reference for the library's
-closed-form normal rows.
+closed-form normal rows.  _negative_pivots counts the negative eigenvalues
+of a dense symmetric matrix by a Bunch-Kaufman factorization, the reference
+for the library's sparse inertia count in kernel_dimension.
 """
 
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from biharmfem.elements import (REFERENCE_EXACT, DofFunctional,
@@ -293,6 +296,28 @@ def poly2d_mul(p: dict, q: dict) -> dict:
             k = (i1 + i2, j1 + j2)
             out[k] = out.get(k, 0.0) + c1 * c2
     return out
+
+
+# -- dense inertia ------------------------------------------------------------
+
+def _negative_pivots(H: np.ndarray) -> int:
+    """The number of negative eigenvalues of the symmetric matrix H, by
+    Sylvester's law of inertia: those of the block diagonal D of its
+    Bunch-Kaufman factorization P U D U^T P^T (LAPACK dsytrf, upper storage,
+    default workspace: on rot's Grams the unblocked code was about twice as
+    fast as the blocked one).  A 1x1 pivot counts when negative.  A 2x2
+    block [[a, b], [b, c]] (ipiv < 0 on both of its rows; its rows pair up
+    in order) has a negative eigenvalue when its determinant or its trace
+    is negative, and a second one when its determinant is positive and its
+    trace negative.  H is overwritten."""
+    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(H.T, overwrite_a=True)
+    diag = np.diagonal(ldu)
+    i = np.flatnonzero(ipiv < 0)[::2]
+    a, b, c = diag[i], ldu[i, i + 1], diag[i + 1]
+    det, trace = a * c - b * b, a + c
+    return int(np.count_nonzero(diag[ipiv > 0] < 0.0)
+               + np.count_nonzero((det < 0.0) | (trace < 0.0))
+               + np.count_nonzero((det > 0.0) & (trace < 0.0)))
 
 
 # -- exact determinants -------------------------------------------------------

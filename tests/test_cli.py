@@ -120,6 +120,15 @@ def test_verify_complex_output():
     assert "rank 23, kernel 11, exact: PASS" in out
 
 
+def test_verify_complex_quartic_n32():
+    # 12288 pressure DoFs: the kernel count needs no dense Gram
+    code, out, _ = run_cli(["verify", "complex", "--order", "quartic",
+                            "--n", "32"])
+    assert code == 0
+    assert "kernel dimension: derived 9857, closed form 9857, measured " \
+           "9857" in out
+
+
 @pytest.mark.parametrize("order,levels,code", [("quartic", "1", 2),
                                                ("cubic", "2,4", 0)])
 def test_verify_complex_exit_code(tmp_path, order, levels, code):

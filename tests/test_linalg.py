@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,12 +13,14 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, strategies as st
 
 import biharmfem.linalg as la
-from biharmfem.linalg import (DENSE_MAX, SolverError, _negative_pivots,
-                              _pin_mmap_threshold, _splu, infsup_constant,
-                              kernel_dimension, matrix_rank, saddle_solve)
-from biharmfem.mesh import generate_structured
+from biharmfem.linalg import (DENSE_MAX, SolverError, _pin_mmap_threshold,
+                              _splu, infsup_constant, kernel_dimension,
+                              matrix_rank, saddle_solve)
+from biharmfem.mesh import generate_structured, refine_uniform
+from biharmfem.schemes import DECOMPOSED, PAIRS, SCHEMES
 from biharmfem.spaces import assemble_bilinear, build_space
-from oracles import is_symmetric
+from biharmfem.stokes_complex import weak_rotfree_basis
+from oracles import _negative_pivots, is_symmetric
 
 
 def test_saddle_empty_pressure_reduces_to_spd_solve():
@@ -176,14 +180,27 @@ def test_eigensolver_failure_is_a_solver_error(monkeypatch):
     monkeypatch.setattr(la.spla, "eigsh", failing)
     with pytest.raises(SolverError, match="inf-sup eigensolve failed"):
         infsup_constant(B, A, M, mean=m)
-    with pytest.raises(SolverError, match="Gram eigensolve failed"):
-        kernel_dimension(B)
     # a failed Stokes solve reports that the diagnosis failed too
     monkeypatch.setattr(la, "SCHUR_MAXIT", 1)
     f = np.random.default_rng(11).standard_normal(B.shape[1])
     with pytest.raises(SolverError, match="inf-sup constant could not be "
                                           "computed"):
         saddle_solve(A, B, f, M, mean=m)
+
+
+def test_off_diagonal_pivot_is_a_solver_error(monkeypatch):
+    # the negative pivots of an LU with perm_r != perm_c are no inertia
+    B = _stokes(generate_structured(4), ("G2_0", "DG1"))[1]
+    splu = la._splu
+
+    def pivoting(H):
+        lu = splu(H)
+        return SimpleNamespace(perm_r=np.roll(lu.perm_r, 1),
+                               perm_c=lu.perm_c, U=lu.U)
+
+    monkeypatch.setattr(la, "_splu", pivoting)
+    with pytest.raises(SolverError, match="pivoted off the diagonal"):
+        kernel_dimension(B)
 
 
 def test_nondiagonal_pressure_gram_rejected():
@@ -390,12 +407,62 @@ def test_negative_pivots_reads_runs_of_2x2_blocks():
 
 def test_kernel_dimension_quartic_n16():
     # the smallest nonzero Gram eigenvalue is about 1e-4 of the largest: a
-    # threshold of 1e-16 (the square of the singular-value one) miscounts
+    # threshold of 1e-16 (the square of the singular-value one) miscounts.
+    # One sparse factor of the shifted Gram peaks at 3.7 MiB; the dense Gram
+    # and its Bunch-Kaufman factor peaked at 73.8 MiB
     mesh = generate_structured(16)
     B = assemble_bilinear(build_space(mesh, "G3_0"), build_space(mesh, "DG2"),
                           "rot_pressure")
-    assert kernel_dimension(B, tol=1e-8) == 4 * mesh.n_interior_vertices \
+    tracemalloc.start()
+    try:
+        kernel = kernel_dimension(B, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel == 4 * mesh.n_interior_vertices \
         + 2 * mesh.n_interior_edges - 3
+    assert peak <= 12 * 2**20
+
+
+def _dense_kernel(A, tol: float) -> int:
+    """kernel_dimension's count from the dense Bunch-Kaufman inertia of the
+    same shifted Gram."""
+    A = sp.csr_matrix(A)
+    G = (A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A).toarray()
+    shift = tol * np.abs(G).sum(axis=1).max()
+    return A.shape[1] - len(G) + _negative_pivots(G - shift * np.eye(len(G)))
+
+
+def _oracle_mesh(request, name):
+    if name.startswith("criss"):
+        return generate_structured(int(name[5:]))
+    if name == "refined2":
+        return refine_uniform(generate_structured(2))
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("order", DECOMPOSED)
+@pytest.mark.parametrize("mesh_name", ["criss2", "criss4", "criss8",
+                                       "jittered4", "relabeled4", "refined2",
+                                       "lshape8", "holed8"])
+def test_sparse_inertia_matches_dense_oracle(request, mesh_name, order):
+    # rot's Gram: the sparse count is the dense one and the derived kernel,
+    # which on the holed mesh holds the discrete harmonic field too
+    mesh = _oracle_mesh(request, mesh_name)
+    vel, pres = (build_space(mesh, kind) for kind in PAIRS[SCHEMES[order][1]])
+    B = assemble_bilinear(vel, pres, "rot_pressure")
+    kernel = kernel_dimension(B, tol=1e-8)
+    assert kernel == _dense_kernel(B, 1e-8) == vel.ndof - pres.ndof + 1
+    if mesh_name == "holed8":
+        assert kernel == {"cubic": 193, "quartic": 337}[order]
+
+
+@pytest.mark.parametrize("mesh_name", ["criss8", "jittered4", "relabeled4"])
+def test_sparse_inertia_matches_dense_oracle_on_candidates(request,
+                                                           mesh_name):
+    # weak_rotfree_basis checks its candidate functions by this rank
+    M = weak_rotfree_basis(_oracle_mesh(request, mesh_name)).matrix
+    assert kernel_dimension(M, tol=1e-10) == _dense_kernel(M, 1e-10) == 0
 
 
 def test_infsup_one_dimensional_case():

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -441,3 +442,79 @@ def test_grad_inverse_rejects_boundary_spread(mesh2, grad_array):
 
     with pytest.raises(ComplexError, match="boundary vertex values spread"):
         grad_inverse(mesh2, grad_array(mesh2, cellvec))
+
+
+# -- fields in blocks ----------------------------------------------------------
+
+def _b3_gradients(mesh):
+    """grad_inverse's input for the B3 basis of mesh, as b3_basis forms it."""
+    base = weak_rotfree_basis(mesh)
+    C = bubble_correct(base.space, base.matrix)
+    return (sc._gradient_operator(base.space) @ C).T
+
+
+def test_grad_inverse_peak_memory():
+    # criss n=16: the dense (corner x field) arrays of all 1411 fields would
+    # hold 8 times BLOCK_FLOATS; in blocks of fields one call peaked at
+    # 11.1 MiB, against 53.1 MiB for the arrays of all fields at once
+    mesh = generate_structured(16)
+    grad = _b3_gradients(mesh)
+    assert grad.shape[0] * 3 * mesh.n_cells >= 3 * sc.BLOCK_FLOATS
+    tracemalloc.start()
+    try:
+        grad_inverse(mesh, grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * sc.BLOCK_FLOATS     # 16 MiB
+
+
+def _failure_fields(mesh, grad_array):
+    """The inputs of the three failure tests above (rot, constant mismatch,
+    boundary spread), and hat(c, i, s), the field s grad(lam_i) on cell c
+    and zero elsewhere, whose antiderivative jumps at the edges around
+    vertex i of c."""
+    consts = np.random.default_rng(8).uniform(1.0, 2.0, mesh.n_cells)
+
+    def hat(c, i, s):
+        return grad_array(mesh, lambda k: poly_gradient(
+            BaryPoly.lam(i, exact=False) * (s * (k == c)),
+            mesh.geometry(k).grad_lambda))
+
+    fields = [grad_array(mesh, v) for v in (
+        lambda c: (BaryPoly.lam(1, exact=False), BaryPoly()),
+        lambda c: poly_gradient(BaryPoly({(1, 0, 0): consts[c]}),
+                                mesh.geometry(c).grad_lambda),
+        lambda c: (BaryPoly.const(1.0), BaryPoly()))]
+    return (*fields, hat)
+
+
+def test_one_field_per_block_changes_nothing(mesh2, grad_array, monkeypatch):
+    # the default budget holds every field of these inputs in one block;
+    # one field per block must give the same cubics bitwise and, in stacks
+    # of failing fields, the same first error: the lowest edge over all
+    # fields (hat(6, 0, 2) fails first at edge 10, hat(0, 0, 3) at edge 2),
+    # and a mismatch in a later block before a spread in an earlier one
+    mesh4 = generate_structured(4)
+    rot, mismatch, spread, hat = _failure_fields(mesh2, grad_array)
+    zero = np.zeros_like(spread)
+    stacks = [[rot], [mismatch], [spread], [hat(6, 0, 2), hat(0, 0, 3)],
+              [spread, zero, hat(6, 0, 2)], [zero, spread, spread]]
+
+    def outcomes():
+        messages = []
+        for stack in stacks:
+            with pytest.raises(ComplexError) as err:
+                grad_inverse(mesh2, np.vstack(stack))
+            messages.append(str(err.value))
+        return b3_basis(mesh4).coeffs, messages
+
+    one, messages = outcomes()
+    monkeypatch.setattr(sc, "BLOCK_FLOATS", 1)
+    blocked, blocked_messages = outcomes()
+    assert blocked_messages == messages
+    assert "3.00e+00 across edge 2;" in messages[3]
+    assert "across edge 10;" in messages[4]
+    for a, b in ((one.data, blocked.data), (one.indices, blocked.indices),
+                 (one.indptr, blocked.indptr)):
+        assert a.tobytes() == b.tobytes()
