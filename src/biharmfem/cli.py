@@ -8,6 +8,7 @@ All numeric output uses 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .biharmonic import (_decomposed_solve, convergence_study, infsup_study,
@@ -44,6 +45,18 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
+def _positive(kind):
+    """An argparse type: a positive finite kind (float or int)."""
+    def parse(text: str):
+        value = kind(text)  # ValueError: "invalid <kind> value: '<text>'"
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a positive finite {kind.__name__}, got '{text}'")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="biharmfem",
                 description="Nonconforming finite element schemes for the "
@@ -59,7 +72,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--problem", choices=("poly8", "sin2", "zero"),
                     default="poly8")
-    ps.add_argument("--tol", type=float, default=1e-10)
+    ps.add_argument("--tol", type=_positive(float), default=1e-10)
     ps.add_argument("--out", help="write a field sample CSV here")
 
     pt = sub.add_parser("study", help="convergence-rate study")
@@ -67,7 +80,7 @@ def build_parser() -> _Parser:
     pt.add_argument("--levels", type=_parse_n_list, required=True,
                     help="comma-separated mesh sizes, each double the last")
     pt.add_argument("--problem", choices=("poly8", "sin2"), default="poly8")
-    pt.add_argument("--tol", type=float, default=1e-10)
+    pt.add_argument("--tol", type=_positive(float), default=1e-10)
     pt.add_argument("--out", help="write the rate table CSV here")
 
     pv = sub.add_parser("verify", help="verification reports")
@@ -75,9 +88,9 @@ def build_parser() -> _Parser:
     pv.add_argument("--order", choices=DECOMPOSED, default="cubic")
     pv.add_argument("--n", type=_parse_n_list, default=[2])
     pv.add_argument("--pair", choices=tuple(PAIRS), default="g2p1")
-    pv.add_argument("--trials", type=int, default=100)
+    pv.add_argument("--trials", type=_positive(int), default=100)
     pv.add_argument("--seed", type=int, default=1234)
-    pv.add_argument("--tol", type=float, default=1e-10)
+    pv.add_argument("--tol", type=_positive(float), default=1e-10)
     pv.add_argument("--out", help="write a CSV report here")
     return p
 

@@ -135,7 +135,8 @@ def _schur(A, B, M, tol):
     its PCG returns)."""
     M = sp.csr_matrix(M)
     d = M.diagonal()
-    if (M - sp.diags(d)).count_nonzero() or not (d > 0).all():
+    # with d > 0, M is diagonal when its only nonzeros are those of d
+    if not (d > 0).all() or M.count_nonzero() != d.size:
         raise ValueError("the pressure Gram must be diagonal with a positive "
                          "diagonal (L2-orthogonal pressure modes)")
     A = sp.csr_matrix(A)

@@ -5,10 +5,10 @@ arrays built once per mesh:
 
   A  the reference nodal basis in the shape basis, local_l = sum_s A[l, s]
      shape_s: one (nloc, nshape) matrix shared by every cell;
-  P  the sparse cell-to-global operator of shape (ncells * nloc, ndof): row
-     c * nloc + l expresses DOF l of cell c in the global DOFs, with all of
-     its cell geometry: a normal DOF also reads its edge's vertex values,
-     by closed-form weights (_normal_rows), with no per-cell inverse.
+  P  the sparse cell-to-global operator of shape (ncells * nloc, ndof),
+     built directly in CSR: row c * nloc + l expresses DOF l of cell c in
+     the global DOFs, with all of its cell geometry: a normal DOF also reads
+     its edge's vertex values, by closed-form weights (_normal_rows).
 
 A vector space is its one-component space (Space.component) twice, numbered
 component-major, so its Gram is blockdiag(K, K) for the component Gram K.
@@ -19,9 +19,10 @@ process-wide; field evaluation (eval_field, sample_field_csv) tabulates at
 the located points.  Physical derivatives follow by one chain rule through
 grad_lambda, shared by evaluation, error norms and the Galerkin residual.
 Loads and error norms walk the points in heap-sized blocks (_point_blocks).
-Assembly folds A into geometry-free tensors R_k, M_c = sum_k G[c, k] R_k with
-per-cell grad_lambda/Gram factors G, and forms P_test^T blockdiag(M_c) P_trial
-or applies it from R and G with no per-cell stack (_form_operator).
+Assembly folds A into geometry-free tensors R_k, computed once per process,
+M_c = sum_k G[c, k] R_k with per-cell grad_lambda/Gram factors G, and forms
+P_test^T blockdiag(M_c) P_trial (a broken space's identity P left out) or
+applies it from R and G with no per-cell stack (_form_operator).
 Inter-cell identification of edge moments goes through canonical-edge
 Legendre moments; orientation flips, normal signs and scales live in P.
 
@@ -178,24 +179,21 @@ def _numbering(free: np.ndarray, start: int, per: int = 1):
 
 
 def _operator(mesh: Mesh, nloc: int, ndof: int, terms) -> sp.csr_matrix:
-    """P from (local DOF, global DOF per cell, weight per cell) terms.
-
-    Terms on global index -1 (eliminated boundary DOFs) are left out; terms
-    on the same entry add up.
-    """
-    nc = mesh.n_cells
-    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], \
-        [np.zeros(0)]
-    for l, g, w in terms:
-        g = np.broadcast_to(g, (nc,))
-        w = np.broadcast_to(np.asarray(w, dtype=float), (nc,))
-        keep = g >= 0
-        rows.append(np.flatnonzero(keep) * nloc + l)
-        cols.append(g[keep])
-        vals.append(w[keep])
-    return sp.csr_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(nc * nloc, ndof))
+    """P straight into CSR from (local DOF l, global DOF per cell, weight per
+    cell) terms: row c * nloc + l takes cell c's terms of l, on distinct
+    DOFs, by increasing DOF (sorted, duplicate-free rows).  Terms on global
+    index -1 (eliminated boundary DOFs) are left out."""
+    nc, local = mesh.n_cells, [t[0] for t in terms]
+    g, w = (np.array([t[j] for t in terms]) for j in (1, 2))  # (nterms, nc)
+    k = [local[:i].count(l) for i, l in enumerate(local)]  # slot within l
+    cols = np.full((nc, nloc, max(k) + 1), ndof)     # ndof: no term here
+    vals = np.zeros(cols.shape)
+    cols[:, local, k], vals[:, local, k] = np.where(g < 0, ndof, g).T, w.T
+    by_col = np.argsort(cols, axis=2)
+    cols, vals = (np.take_along_axis(a, by_col, 2) for a in (cols, vals))
+    keep = cols < ndof
+    return sp.csr_matrix((vals[keep], cols[keep], np.concatenate(
+        [[0], np.cumsum(keep.sum(2))])), shape=(nc * nloc, ndof))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +366,7 @@ def _build_layout(mesh: Mesh, kind: str, element: str, ncomp: int,
     terms = []
     for l, (etype, i, fwd, rev) in enumerate(lay.local):
         ent = incident[etype][:, i]
-        orient = forward[:, i] if etype == "edge" else True
+        orient = forward[:, i] if etype == "edge" else np.ones(len(ent), bool)
         for (fs, fw), (rs, rw) in zip(fwd, rev):
             terms.append((l, tables[etype][ent, np.where(orient, fs, rs)],
                           np.where(orient, fw, rw)))
@@ -398,11 +396,16 @@ def _two_components(comp: Space) -> Space:
         S = comp.meta[f"{etype}_dofs"]
         meta[f"{etype}_dofs"] = np.hstack([S, np.where(S >= 0, S + comp.ndof,
                                                        -1)])
-    rows = np.arange(comp.P.shape[0]).reshape(-1, comp.nloc)
-    P = comp.P[np.hstack([rows, rows]).ravel()]   # (cell, component, local)
-    shift = comp.ndof * (np.arange(P.shape[0]) // comp.nloc % 2)
-    P = sp.csr_matrix((P.data, P.indices + np.repeat(shift, np.diff(P.indptr)),
-                       P.indptr), shape=(P.shape[0], 2 * comp.ndof))
+    # each cell's CSR entries of comp twice, the second time shifted by n
+    Pc, n = comp.P, comp.ndof
+    cell = np.repeat(np.arange(comp.mesh.n_cells),
+                     np.diff(Pc.indptr[::comp.nloc]))
+    at = np.argsort(np.concatenate([2 * cell, 2 * cell + 1]), kind="stable")
+    rows = np.tile(np.diff(Pc.indptr).reshape(-1, comp.nloc), 2)
+    P = sp.csr_matrix((np.tile(Pc.data, 2)[at],
+                       np.concatenate([Pc.indices, Pc.indices + n])[at],
+                       np.concatenate([[0], np.cumsum(rows)])),
+                      shape=(2 * Pc.shape[0], 2 * n))
     space = Space(comp.mesh, comp.kind, True, 2 * comp.ndof, comp.shapes,
                   np.kron(np.eye(2), comp.A), P, comp.poly_degree, meta)
     space.component = comp
@@ -414,11 +417,11 @@ _LAYOUT_BY_KEY = {row[0].lower(): row for row in LAYOUT_KINDS}
 
 def _broken_space(mesh: Mesh, kind: str, shapes: str, degree: int) -> Space:
     """A discontinuous space whose DoFs are each cell's coefficients in a
-    shape set, numbered cell by cell (A = I, P = I)."""
+    shape set, numbered cell by cell (A = I, P = I: meta "broken")."""
     nloc = len(shape_set(shapes))
     ndof = mesh.n_cells * nloc
     return Space(mesh, kind, False, ndof, shapes, np.eye(nloc),
-                 sp.identity(ndof, format="csr"), degree, {})
+                 sp.identity(ndof, format="csr"), degree, {"broken": True})
 
 
 _DG_KINDS = {f"dg{k}": k for k in range(3)}
@@ -440,19 +443,17 @@ FORMS = ("mass", "grad_grad", "hess_hess", "rot_pressure", "vecfield_grad")
 ROUNDOFF_RTOL = 1e-12
 
 
-def _form_tensor(trial: Space, test: Space, form: str, degree=None):
-    """(R, G) of a form: cell c's matrix in the nodal bases is sum_k G[c, k]
-    R[k], R (k, test nloc, trial nloc) geometry-free with A folded in."""
-    if trial.mesh is not test.mesh:
-        raise ValueError("trial and test spaces live on different meshes")
-    if degree is None:
-        degree = max(trial.poly_degree + test.poly_degree, 2)
+#: The read-only reference tensors of _form_tensor, computed once per process
+_REFERENCE_TENSORS: dict = {}
+
+
+def _form_reference(trial: Space, test: Space, form: str, degree: int):
+    """The geometry-free tensor R (k, test nloc, trial nloc) of a form, with
+    both nodal transforms A folded in, read-only."""
     w = tri_rule(degree).weights
     vt, d1t, d2t = reference_tables(test.shapes, degree)
     vr, d1r, d2r = reference_tables(trial.shapes, degree)
-    gl, area, _ = trial.mesh.geometry_arrays()
-    nc, na, nb = len(area), len(vt), len(vr)
-    gram = np.einsum("cid,cjd->cij", gl, gl)
+    na, nb = len(vt), len(vr)
     if form in ("rot_pressure", "vecfield_grad"):
         if not trial.vector or test.vector:
             raise ValueError(f"{form} needs vector trial, scalar test")
@@ -468,25 +469,47 @@ def _form_tensor(trial: Space, test: Space, form: str, degree=None):
             R1 = np.einsum("ajq,q,bq->abj", d1t, w, vr)
             R[:, 0, :, :, 0] = R1
             R[:, 1, :, :, 1] = R1
-        R, G = R.reshape(na, 2 * nb, 6), area[:, None] * gl.reshape(nc, 6)
+        R = R.reshape(na, 2 * nb, 6)
     elif trial.vector != test.vector:
         raise ValueError(f"{form} needs trial and test of the same kind")
     elif form == "mass":
         R = np.einsum("aq,q,bq->ab", vt, w, vr)[..., None]
-        G = area[:, None]
     elif form == "grad_grad":
         R = np.einsum("aiq,q,bjq->abij", d1t, w, d1r).reshape(na, nb, 9)
-        G = area[:, None] * gram.reshape(nc, 9)
     elif form == "hess_hess":
         # H(u):H(v) = sum gram[i, k] gram[j, l] u_ij v_kl, u_ij = d2u/dlam_i dlam_j
         R = np.einsum("aijq,q,bklq->abikjl", d2t, w, d2r).reshape(na, nb, 81)
-        G = area[:, None] * np.einsum("cik,cjl->cikjl", gram,
-                                      gram).reshape(nc, 81)
     else:
         raise ValueError(f"unknown form '{form}'")
     if test.vector:
         R = np.einsum("xy,abk->xaybk", np.eye(2), R).reshape(2 * na, 2 * nb, -1)
-    return test.A @ np.moveaxis(R, 2, 0) @ trial.A.T, G
+    R = test.A @ np.moveaxis(R, 2, 0) @ trial.A.T
+    R.setflags(write=False)
+    return R
+
+
+def _form_tensor(trial: Space, test: Space, form: str, degree=None):
+    """(R, G) of a form: cell c's matrix in the nodal bases is sum_k G[c, k]
+    R[k], R cached on what _form_reference computes it from (a space's kind
+    fixes its A) and G (ncells, k) the per-cell area-weighted factors."""
+    if trial.mesh is not test.mesh:
+        raise ValueError("trial and test spaces live on different meshes")
+    if degree is None:
+        degree = max(trial.poly_degree + test.poly_degree, 2)
+    key = (trial.kind, trial.shapes, trial.vector, test.kind, test.shapes,
+           test.vector, form, degree)
+    if key not in _REFERENCE_TENSORS:
+        _REFERENCE_TENSORS[key] = _form_reference(trial, test, form, degree)
+    gl, area, _ = trial.mesh.geometry_arrays()
+    if form in ("rot_pressure", "vecfield_grad"):
+        G = gl
+    elif form == "mass":
+        G = np.ones(len(area))
+    else:
+        G = np.einsum("cid,cjd->cij", gl, gl)
+        if form == "hess_hess":
+            G = np.einsum("cik,cjl->cikjl", G, G)
+    return _REFERENCE_TENSORS[key], area[:, None] * G.reshape(len(area), -1)
 
 
 def block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
@@ -506,8 +529,10 @@ def _cell_matrices(trial: Space, test: Space, form: str,
 
 def assemble_bilinear(trial: Space, test: Space, form: str,
                       quad_degree: int | None = None) -> sp.csr_matrix:
-    local = _cell_matrices(trial, test, form, quad_degree)
-    out = test.P.T.tocsr() @ (block_diagonal(local) @ trial.P)
+    # no product with the identity P of a _broken_space
+    out = block_diagonal(_cell_matrices(trial, test, form, quad_degree))
+    out = out if trial.meta.get("broken") else out @ trial.P
+    out = out if test.meta.get("broken") else test.P.T.tocsr() @ out
     mag = np.abs(out.data)
     if mag.size:
         out.data[mag <= ROUNDOFF_RTOL * mag.max()] = 0.0

@@ -19,6 +19,21 @@ settings.register_profile("ci", max_examples=50, derandomize=True, deadline=None
 settings.load_profile("ci")
 
 
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name for the rest of the test (or up to monkeypatch.undo)
+    so that every call appends its (args, kwargs) to the returned list,
+    then runs the original.  On a class, args starts with the instance."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def _jitter(n, seed, amp=0.2):
     """Criss n mesh, each interior vertex coordinate moved by a seeded
     uniform draw of up to amp * h."""

@@ -9,7 +9,9 @@ all (cell, point) pairs, the reference for the library's blocked walk.
 exact_det is the exact-rational determinant of the golden DOF matrices.
 inverse_path_operator is the cell-to-global operator of a normal-DOF space
 by the per-cell inverse of its DOF matrix, the reference for the library's
-closed-form normal rows.  _negative_pivots counts the negative eigenvalues
+closed-form normal rows, and coo_operator builds P from the layout terms
+by a COO scatter and a COO -> CSR conversion, the reference for the
+library's direct CSR build.  _negative_pivots counts the negative eigenvalues
 of a dense symmetric matrix by a Bunch-Kaufman factorization, the reference
 for the library's sparse inertia count in kernel_dimension.
 """
@@ -377,6 +379,25 @@ def nodal_basis(elem, geom):
 
 
 # -- cell-to-global operators -------------------------------------------------
+
+def coo_operator(mesh, nloc: int, ndof: int, terms) -> sp.csr_matrix:
+    """P from (local DOF, global DOF per cell, weight per cell) terms by a
+    COO scatter: terms on global index -1 are left out, terms on the same
+    entry add up."""
+    nc = mesh.n_cells
+    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], \
+        [np.zeros(0)]
+    for l, g, w in terms:
+        g = np.broadcast_to(g, (nc,))
+        w = np.broadcast_to(np.asarray(w, dtype=float), (nc,))
+        keep = g >= 0
+        rows.append(np.flatnonzero(keep) * nloc + l)
+        cols.append(g[keep])
+        vals.append(w[keep])
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(nc * nloc, ndof))
+
 
 def entity_operator(space, c: int) -> np.ndarray:
     """The geometry-free rows of cell c: each element DOF as its layout

@@ -2,19 +2,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse._base import _spbase
 
 import biharmfem.biharmonic as bh
 import biharmfem.linalg as la
 import biharmfem.spaces as spaces
 from biharmfem.linalg import SolverError
 from biharmfem.mesh import generate_structured, refine_uniform
-from biharmfem.biharmonic import (convergence_study, galerkin_residual,
-                                  infsup_study, manufactured, solve_cubic,
-                                  solve_morley, solve_quartic, solve_scheme)
-from biharmfem.schemes import PAIRS, SCHEMES
-from biharmfem.spaces import (_form_operator, assemble_bilinear, build_space,
-                              error_norms, locate_cells)
-from biharmfem.stokes_complex import NCUBIC, b3_basis
+from biharmfem.biharmonic import (RESIDUAL_QUAD_DEGREE, convergence_study,
+                                  galerkin_residual, infsup_study,
+                                  manufactured, solve_cubic, solve_morley,
+                                  solve_quartic, solve_scheme)
+from biharmfem.schemes import DECOMPOSED, PAIRS, SCHEMES
+from biharmfem.spaces import (FORMS, _broken_space, _form_operator,
+                              assemble_bilinear, build_space, error_norms,
+                              locate_cells)
+from biharmfem.stokes_complex import (CUBIC_SHAPES, NCUBIC, b3_basis,
+                                      exactness_report)
+from conftest import count_calls
 from oracles import cell_poly, cubic_poly, poly_hessian, xy_to_bary
 
 
@@ -163,9 +168,7 @@ def test_applied_coupling_matches_assembled(monkeypatch, jittered4, relabeled4,
                                             vel_kind, pot_kind):
     # applied channel by channel, in blocks of a few cells and a partial
     # last one, without the stack of cell matrices
-    stack, calls = spaces._cell_matrices, []
-    monkeypatch.setattr(spaces, "_cell_matrices",
-                        lambda *args: calls.append(args) or stack(*args))
+    calls = count_calls(monkeypatch, spaces, "_cell_matrices")
     monkeypatch.setattr(spaces, "BLOCK_POINTS", 1000)
     rng = np.random.default_rng(12)
     for mesh in (generate_structured(4), jittered4, relabeled4,
@@ -179,6 +182,57 @@ def test_applied_coupling_matches_assembled(monkeypatch, jittered4, relabeled4,
         for got, want in ((applied @ phi, D @ phi), (applied.T @ r, D.T @ r)):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert not calls
+
+
+def test_cached_reference_tensors_match_fresh(monkeypatch):
+    # every (trial, test, form, degree) the library assembles, W's
+    # hess_hess at RESIDUAL_QUAD_DEGREE and a vector space beside its
+    # component, of the same shape set: the cached R is the fresh one, so
+    # no two of them share a key
+    calls = count_calls(monkeypatch, spaces, "_form_tensor")
+    mesh, f = generate_structured(2), manufactured("sin2").f
+    galerkin_residual(solve_cubic(mesh, f), f, b3_basis(mesh))
+    solve_quartic(mesh, f)
+    solve_morley(mesh, f)
+    for order in DECOMPOSED:
+        exactness_report(mesh, order)
+    for pair in PAIRS:
+        infsup_study(pair, [2])
+    W = _broken_space(mesh, CUBIC_SHAPES, CUBIC_SHAPES, 3)
+    spaces._form_tensor(W, W, "hess_hess", RESIDUAL_QUAD_DEGREE)
+    vel = build_space(mesh, "G2")
+    for space in (vel, vel.component):
+        assemble_bilinear(space, space, "grad_grad")
+    monkeypatch.undo()
+    for args, kwargs in calls:
+        cached = spaces._form_tensor(*args, **kwargs)[0]
+        monkeypatch.setattr(spaces, "_REFERENCE_TENSORS", {})
+        fresh = spaces._form_tensor(*args, **kwargs)[0]
+        monkeypatch.undo()
+        assert fresh is not cached and np.array_equal(cached, fresh)
+    assert {args[2] for args, _ in calls} == set(FORMS)
+
+
+def _is_identity(M) -> bool:
+    return (hasattr(M, "nnz") and M.shape[0] == M.shape[1] == M.nnz
+            and bool((M.diagonal() == 1.0).all()))
+
+
+def test_second_solve_pays_no_fixed_cost_again(monkeypatch, relabeled4):
+    # a solve on a new mesh computes no reference tensor, and the identity P
+    # of its DG pressure space enters no sparse product: Mp is the block
+    # diagonal of the cell matrices, B one product
+    f = manufactured("sin2").f
+    solve_quartic(generate_structured(2), f)
+    computed = count_calls(monkeypatch, spaces, "_form_reference")
+    products = [count_calls(monkeypatch, _spbase, name)
+                for name in ("_matmul_dispatch", "_rmatmul_dispatch")]
+    solve_quartic(relabeled4, f)
+    monkeypatch.undo()
+    assert computed == []
+    operands = [M for calls in products for args, _ in calls for M in args]
+    assert len(operands) >= 100
+    assert not any(_is_identity(M) for M in operands)
 
 
 def test_solve_assembles_no_coupling(monkeypatch, mesh2):

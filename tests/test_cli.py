@@ -167,3 +167,31 @@ def test_verify_infsup_singular_pair_exits_2():
     code, out, _ = run_cli(["verify", "infsup", "--pair", "g3p2", "--n", "1"])
     assert code == 2
     assert out == "n=1: C_h = 0\npair unstable: nonpositive constant\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--scheme", "cubic", "--n", "4", "--tol", "0"],
+    ["solve", "--scheme", "cubic", "--n", "4", "--tol", "-1"],
+    ["study", "--scheme", "cubic", "--levels", "2", "--tol", "inf"],
+    ["verify", "infsup", "--pair", "g3p2", "--n", "2", "--tol", "nan"],
+])
+def test_tol_must_be_positive_and_finite(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert ("error: argument --tol: expected a positive finite float, got "
+            f"'{argv[-1]}'") in err
+
+
+def test_tol_must_be_a_number():
+    code, out, err = run_cli(["verify", "complex", "--tol", "1e-10x"])
+    assert code == 1 and out == ""
+    assert "error: argument --tol: invalid float value: '1e-10x'" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_verify_elements_needs_a_trial(trials):
+    # zero trials check nothing, so they cannot report PASS
+    code, out, err = run_cli(["verify", "elements", "--trials", trials])
+    assert code == 1 and out == ""
+    assert ("error: argument --trials: expected a positive finite int, got "
+            f"'{trials}'") in err

@@ -20,6 +20,7 @@ from biharmfem.mesh import generate_structured, refine_uniform
 from biharmfem.schemes import DECOMPOSED, PAIRS, SCHEMES
 from biharmfem.spaces import assemble_bilinear, build_space
 from biharmfem.stokes_complex import weak_rotfree_basis
+from conftest import count_calls
 from oracles import _negative_pivots, is_symmetric
 
 
@@ -156,10 +157,7 @@ def test_saddle_checks_a_fixed_number_of_products(monkeypatch):
     # does not grow with the PCG iterations
     A, B, M, m = _stokes(generate_structured(4), ("G3_0", "DG2"))
     f = np.random.default_rng(11).standard_normal(B.shape[1])
-    products = []
-    dot = sp.csr_matrix.dot
-    monkeypatch.setattr(sp.csr_matrix, "dot",
-                        lambda self, x: products.append(1) or dot(self, x))
+    products = count_calls(monkeypatch, sp.csr_matrix, "dot")
     counts = {}
     for tol in (1e-2, 1e-10):
         products.clear()

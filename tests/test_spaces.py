@@ -18,9 +18,11 @@ from biharmfem.spaces import (LAYOUT_KINDS, ROUNDOFF_RTOL, FieldFunction,
                               error_norms, eval_field, interpolate,
                               _pressure_modes, interpolate_vector,
                               locate_cells)
-from oracles import (cell_poly, edge_jump_moments, entity_operator, field_at,
-                     inverse_path_operator, is_symmetric, poly_gradient,
-                     poly_hessian, quadrature_points, whole_mesh_error_norms,
+from conftest import count_calls
+from oracles import (cell_poly, coo_operator, edge_jump_moments,
+                     entity_operator, field_at, inverse_path_operator,
+                     is_symmetric, poly_gradient, poly_hessian,
+                     quadrature_points, whole_mesh_error_norms,
                      whole_mesh_load)
 
 
@@ -631,13 +633,10 @@ def test_closed_form_normal_rows_match_inverse_path(request, monkeypatch,
     mesh = (generate_structured(8) if mesh_name == "criss8"
             else _oracle_mesh(request, mesh_name))
     build_space(generate_structured(1), kind)
-    calls = []
-    for fn in ("svd", "inv"):
-        monkeypatch.setattr(np.linalg, fn,
-                            lambda *a, fn=fn, **k: calls.append(fn))
+    calls = [count_calls(monkeypatch, np.linalg, fn) for fn in ("svd", "inv")]
     space = build_space(mesh, kind)
     monkeypatch.undo()
-    assert calls == []
+    assert calls == [[], []]
     want = inverse_path_operator(space, element_catalog(name))
     assert np.abs(space.P.toarray() - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -766,3 +765,42 @@ def test_vector_space_is_its_component_twice(request, name, kind):
     assert iterations == it_ref
     assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
     assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+
+
+@pytest.mark.parametrize("mesh_name", ("criss4", "holed8") + ORACLE_MESHES)
+@pytest.mark.parametrize("kind", [row[0] for row in LAYOUT_KINDS])
+def test_direct_csr_operator_matches_coo_oracle(request, monkeypatch,
+                                                mesh_name, kind):
+    # P, built straight into CSR, is the COO scatter of its layout terms
+    # entry for entry (a vector space's: its component's terms twice), in
+    # canonical format: cell_poly, bubble_correct and the oracles read its
+    # rows directly
+    mesh = (generate_structured(4) if mesh_name == "criss4"
+            else _oracle_mesh(request, mesh_name))
+    calls = count_calls(monkeypatch, spaces, "_operator")
+    space = build_space(mesh, kind)
+    (args, _), = calls
+    _, nloc, ndof, terms = args
+    if space.vector:
+        terms = terms + [(l + nloc, np.where(g >= 0, g + ndof, -1), w)
+                         for l, g, w in terms]
+        nloc, ndof = 2 * nloc, 2 * ndof
+    want = coo_operator(mesh, nloc, ndof, terms)
+    assert space.P.has_canonical_format
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(space.P, attr), getattr(want, attr))
+
+
+def test_reference_tensor_is_cached_read_only(jittered4):
+    # one geometry-free R per key for the process: the same read-only
+    # object on two meshes
+    got = []
+    for mesh in (generate_structured(4), jittered4):
+        pot, vel = build_space(mesh, "A4_0"), build_space(mesh, "G3_0")
+        got.append([spaces._form_tensor(pot, pot, "grad_grad")[0],
+                    spaces._form_tensor(vel, pot, "vecfield_grad")[0]])
+    for first, second in zip(*got):
+        assert first is second
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0, 0] = 1.0
