@@ -5,10 +5,10 @@ saddle_solve and infsup_constant share one set-up (_schur) that factors the
 Gram A of one velocity component once and solves every component with it
 (the velocity Gram is I_k (x) A, as spaces numbers a vector space
 component-major); the pressure Gram must be diagonal (the DG pressure modes
-are L2-orthogonal), so its inverse is a division.  saddle_solve checks its
-ends, not its PCG loop, projects the pressure mean out and, when it fails,
-names the inf-sup constant of the pair computed from that same factor, by
-standard-form Lanczos on M^-1/2 S M^-1/2.
+are L2-orthogonal), so its inverse is a division.  saddle_solve runs SciPy's
+cg on the Schur complement and checks its ends, not its iterations, projects
+the pressure mean out and, when it fails, names the inf-sup constant of the
+pair computed from that same factor, by ARPACK's Lanczos on M^-1/2 S M^-1/2.
 kernel_dimension counts small Gram eigenvalues by inertia: the negative
 pivots of one sparse symmetric-mode LU of the Gram shifted by tol times its
 largest absolute row sum, with no dense matrix.  Matrices are scipy CSR and
@@ -26,7 +26,6 @@ import os
 from functools import partial
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -83,13 +82,15 @@ def _splu(A):
 
 
 def _checked(apply, lu_solve, tol):
-    """lu_solve with the residual of every solve (by apply) checked."""
+    """lu_solve with every b checked finite and its residual (by apply)."""
     def solve(b):
         b = np.asarray(b, dtype=float)
+        if not np.isfinite(b).all():
+            raise SolverError("direct solve right-hand side is not finite")
         x = lu_solve(b)
         bnorm = np.linalg.norm(b)
         res = np.linalg.norm(apply(x) - b)
-        if bnorm > 0 and res > tol * bnorm:
+        if bnorm > 0 and not res <= tol * bnorm:
             raise SolverError(f"direct solve residual {res / bnorm:.3e} > tol",
                               residual=res / bnorm)
         return x
@@ -110,18 +111,15 @@ def _per_component(op, n: int, x: np.ndarray) -> np.ndarray:
     return op(x.reshape(-1, n).T).T.ravel()
 
 
-#: Iteration cap of the Schur-complement PCG.  For an inf-sup stable pair the
+#: Iteration cap of the Schur-complement cg.  For an inf-sup stable pair the
 #: preconditioned count does not grow under refinement (17-23 for the cubic
 #: pair and 25-37 for the quartic one on meshes with n = 4 to 32).
 SCHUR_MAXIT = 500
-#: The PCG stops once its recurrence residual is this share of tol * scale:
+#: cg stops once its recurrence residual is this share of tol * scale:
 #: the final check on the true residual keeps room for rounding, and the
 #: pressure, whose error the weaker quartic pair amplifies, keeps a relative
 #: error near 1e-10 or below.
 SCHUR_MARGIN = 1e-3
-#: Up to this many pressure DoFs the inf-sup eigenvalue comes from the dense
-#: spectrum; above, from Lanczos (ARPACK) from a fixed start vector.
-DENSE_MAX = 40
 
 
 def _schur(A, B, M, tol):
@@ -130,9 +128,9 @@ def _schur(A, B, M, tol):
     must be diagonal.  Returns (solve_a, solve_m, BT, s_mv): solve_a solves
     with I_k (x) A by one multi-column solve and checks its residual as
     spd_solver's does, solve_m divides by the diagonal of M, BT is the view
-    B^T, and s_mv applies S with the factor solve unchecked: the PCG and
-    the eigensolver call it once per iteration (saddle_solve checks what
-    its PCG returns)."""
+    B^T, and s_mv applies S with the factor solve unchecked: cg and the
+    eigensolver call it once per iteration (saddle_solve checks what cg
+    returns)."""
     M = sp.csr_matrix(M)
     d = M.diagonal()
     # with d > 0, M is diagonal when its only nonzeros are those of d
@@ -162,11 +160,10 @@ def _smallest_eig(s_mv, solve_m, npres, tol, mean=None) -> float:
     the mean functional m (m @ q the integral of the pressure q, in a space
     holding the constants), S gets the shift m m^T / (m^T M^-1 m): S
     vanishes on the constant, the shift moves it to eigenvalue 1 and leaves
-    the mean-zero eigenpairs as they are.  Up to DENSE_MAX pressure DoFs
-    from its dense matrix; above, from Lanczos (ARPACK).  An eigenvalue at
-    or below tol reads 0: it is the round-off of a singular S (2e-16 for
-    g3p2 at n=1), as the mean shift puts the top of the spectrum at 1 or
-    above."""
+    the mean-zero eigenpairs as they are.  From Lanczos (ARPACK), or for
+    one pressure DoF its Rayleigh quotient.  An eigenvalue at or below tol
+    reads 0: it is the round-off of a singular S (2e-16 for g3p2 at n=1),
+    as the mean shift puts the top of the spectrum at 1 or above."""
     if mean is not None:
         mean = np.asarray(mean, dtype=float)
         mMm = float(mean @ solve_m(mean))
@@ -176,11 +173,10 @@ def _smallest_eig(s_mv, solve_m, npres, tol, mean=None) -> float:
             return unshifted(q) + mean * ((mean @ q) / mMm)
 
     scale = np.sqrt(solve_m(np.ones(npres)))
-    if npres <= DENSE_MAX:
-        S = np.column_stack([s_mv(e) for e in np.diag(scale)])
-        lam = scipy.linalg.eigvalsh(scale[:, None] * S)[0]
+    if npres == 1:      # ARPACK needs k < n: the Rayleigh quotient
+        lam = (scale * s_mv(scale))[0]
     else:
-        op = spla.LinearOperator((npres, npres),
+        op = spla.LinearOperator((npres, npres), dtype=float,
                                  matvec=lambda x: scale * s_mv(scale * x))
         # a fixed start vector: a symmetric one can miss the extreme mode
         # on the symmetric criss mesh
@@ -194,59 +190,46 @@ def _smallest_eig(s_mv, solve_m, npres, tol, mean=None) -> float:
 
 
 def saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
-    """Solve [[I_k (x) A, B^T], [B, 0]] [u; p] = [f; 0] by PCG on the
-    pressure Schur complement.
+    """Solve [[I_k (x) A, B^T], [B, 0]] [u; p] = [f; 0] by SciPy's cg on
+    the pressure Schur complement.
 
     A is the SPD Gram of one velocity component, factored once for all
     k = B.shape[1] / A.shape[0] components of u and f, component-major as
     assembled (ValueError if k is not whole).  S = B A^-1 B^T is
     preconditioned by the pressure Gram M, which is spectrally equivalent
     to S for an inf-sup stable pair (Benzi, Golub and Liesen, Acta Numerica
-    2005).  M must be diagonal, so its inverse is a division by its
-    diagonal.  PCG runs from p = 0 on S p = B A^-1 f, then
-    u = A^-1 (f - B^T p).  These two solves are checked (spd_solver); the
-    loop applies S unchecked (s_mv), as p only feeds the last solve, and
-    both block residuals of the returned (u, p) are checked with A itself,
-    so a bad factor fails a check instead of returning a wrong pair.  The
-    PCG applies S without the mean shift of _smallest_eig: B^T vanishes on
-    the constant, so its residuals are orthogonal to it up to round-off.
+    2005); M must be diagonal, and its inverse is a division.  cg runs from
+    p = 0 on S p = B A^-1 f, then u = A^-1 (f - B^T p).  These two solves
+    are checked (spd_solver); cg applies S unchecked (s_mv), as p only
+    feeds the last solve, and both block residuals of the returned (u, p)
+    are checked with A itself, so a bad factor or a breakdown
+    (p^T S p <= 0) fails a check instead of returning a wrong pair.  S has
+    no mean shift here: B^T vanishes on the constant, so cg's residuals are
+    orthogonal to it up to round-off.
     With the mean functional m the returned p is M-orthogonal to the constant:
     p -= (m @ p) / (m @ z) z with z = M^-1 m.  If the check fails, the
     SolverError names the inf-sup constant of the pair (shift included),
-    computed from the same factorization.  Returns (u, p, the number of PCG
-    iterations).
+    computed from the same factorization.  Returns (u, p, cg's iterations).
     """
     npres = B.shape[0]
     solve_a, solve_m, BT, s_mv = _schur(A, B, M, tol)
     if npres == 0:
         return solve_a(f), np.zeros(0), 0
     scale = max(1.0, np.linalg.norm(f))
-    p = np.zeros(npres)
-    r = B @ solve_a(f)
-    z = solve_m(r)
-    d = z.copy()
-    rz = float(r @ z)
-    iterations = 0
-    for _ in range(SCHUR_MAXIT):
-        if np.linalg.norm(r) <= SCHUR_MARGIN * tol * scale:
-            break
-        Sd = s_mv(d)
-        dSd = float(d @ Sd)
-        if dSd <= 0.0:
-            break
-        iterations += 1
-        alpha = rz / dSd
-        p += alpha * d
-        r -= alpha * Sd
-        z = solve_m(r)
-        rz_new = float(r @ z)
-        d = z + (rz_new / rz) * d
-        rz = rz_new
-    u = solve_a(f - BT @ p)
-    r1 = np.linalg.norm(_per_component(A.dot, A.shape[0], u) + BT @ p - f)
-    r2 = np.linalg.norm(B @ u)
-    if not (np.isfinite(u).all() and np.isfinite(p).all()) \
-            or r1 > tol * scale or r2 > tol * scale:
+    steps = []
+    S, Minv = (spla.LinearOperator((npres, npres), matvec=mv, dtype=float)
+               for mv in (s_mv, solve_m))
+    # a breakdown turns p non-finite or wrong: the checks below catch it
+    with np.errstate(all="ignore"):
+        p = spla.cg(S, B @ solve_a(f), rtol=0.0,
+                    atol=SCHUR_MARGIN * tol * scale, maxiter=SCHUR_MAXIT,
+                    M=Minv, callback=steps.append)[0]
+    r1 = r2 = np.inf
+    if np.isfinite(p).all():
+        u = solve_a(f - BT @ p)
+        r1 = np.linalg.norm(_per_component(A.dot, A.shape[0], u) + BT @ p - f)
+        r2 = np.linalg.norm(B @ u)
+    if not (r1 <= tol * scale and r2 <= tol * scale):
         try:
             c_h = _smallest_eig(s_mv, solve_m, npres, tol, mean)
             diagnosis = f"inf-sup constant of the pair: {c_h:.6g}"
@@ -258,7 +241,7 @@ def saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
     if mean is not None:
         z = solve_m(mean)
         p -= (mean @ p) / (mean @ z) * z
-    return u, p, iterations
+    return u, p, len(steps)
 
 
 def infsup_constant(B, A, Mp, tol: float = 1e-10, mean=None) -> float:

@@ -146,9 +146,17 @@ class Space:
     def nloc(self) -> int:
         return self.A.shape[0]
 
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """P @ x, with a broken space's identity P left out."""
+        return x if self.meta.get("broken") else self.P @ x
+
+    def gather(self, y: np.ndarray) -> np.ndarray:
+        """P^T @ y, with a broken space's identity P left out."""
+        return y if self.meta.get("broken") else self.P.T @ y
+
     def shape_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
         """(ncells, nshape) shape-basis coefficients of a global vector."""
-        return (self.P @ coeffs).reshape(self.mesh.n_cells, self.nloc) @ self.A
+        return self.scatter(coeffs).reshape(-1, self.nloc) @ self.A
 
 
 @dataclass
@@ -520,17 +528,15 @@ def block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
                           np.arange(n * r + 1) * k), shape=(n * r, n * k))
 
 
-def _cell_matrices(trial: Space, test: Space, form: str,
-                   quad_degree: int | None = None) -> np.ndarray:
+def _cell_matrices(trial: Space, test: Space, form: str) -> np.ndarray:
     """The (ncells, test nloc, trial nloc) stack of a form's cell matrices."""
-    R, G = _form_tensor(trial, test, form, quad_degree)
+    R, G = _form_tensor(trial, test, form)
     return (G @ R.reshape(len(R), -1)).reshape(len(G), *R.shape[1:])
 
 
-def assemble_bilinear(trial: Space, test: Space, form: str,
-                      quad_degree: int | None = None) -> sp.csr_matrix:
+def assemble_bilinear(trial: Space, test: Space, form: str) -> sp.csr_matrix:
     # no product with the identity P of a _broken_space
-    out = block_diagonal(_cell_matrices(trial, test, form, quad_degree))
+    out = block_diagonal(_cell_matrices(trial, test, form))
     out = out if trial.meta.get("broken") else out @ trial.P
     out = out if test.meta.get("broken") else test.P.T.tocsr() @ out
     mag = np.abs(out.data)
@@ -545,7 +551,7 @@ def _form_operator(trial: Space, test: Space, form: str):
     """P_test^T blockdiag(M_c) P_trial as an operator, never assembled: the
     M_c are applied from (R, G), one matmul per block of cells (at most
     BLOCK_POINTS floats) and a G-weighted sum, never stacked."""
-    (R, G), P, Q = _form_tensor(trial, test, form), trial.P, test.P
+    R, G = _form_tensor(trial, test, form)
 
     def apply(R, x):  # M_c x_c for the rows x_c of x, by channels R_k x_c
         k, nout, nin = R.shape
@@ -560,8 +566,9 @@ def _form_operator(trial: Space, test: Space, form: str):
 
     return spla.LinearOperator(
         (test.ndof, trial.ndof), dtype=float,
-        matvec=lambda u: Q.T @ apply(R, P @ u),
-        rmatvec=lambda v: P.T @ apply(R.transpose(0, 2, 1), Q @ v))
+        matvec=lambda u: test.gather(apply(R, trial.scatter(u))),
+        rmatvec=lambda v: trial.gather(apply(R.transpose(0, 2, 1),
+                                             test.scatter(v))))
 
 
 def _at(values, x: np.ndarray) -> np.ndarray:
@@ -595,7 +602,7 @@ def assemble_load(space: Space, f, quad_degree: int = 12) -> np.ndarray:
     for blk, x, y in _point_blocks(space.mesh, quad_degree):
         fv = _at(f(x, y), x).reshape(-1, len(w))
         shape_load[blk] = area[blk, None] * ((fv * w) @ val.T)
-    return space.P.T @ (shape_load @ space.A.T).ravel()
+    return space.gather((shape_load @ space.A.T).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -184,8 +184,6 @@ def weak_rotfree_basis(mesh: Mesh) -> WeakRotFreeBasis:
     """Columns: (vx, vy) per interior vertex, the unit normal mean per
     interior edge, then per interior vertex the patch function with unit
     tangential edge integrals away from it."""
-    if mesh.n_interior_vertices < 1:
-        raise ComplexError("mesh must have at least one interior vertex")
     # the cubic scheme's velocity space, whose vertex and edge DOFs are S2_0's
     g2 = build_space(mesh, PAIRS[SCHEMES["cubic"][1]][0])
     vdofs = g2.meta["vertex_dofs"]
@@ -318,7 +316,9 @@ def grad_inverse(mesh: Mesh, grad) -> sp.csr_matrix:
         raise ComplexError("mesh cells are not edge-connected")
     child = order[1:]
     parent = pred[child]
-    va = mesh.edges[np.asarray((adj + adj.T)[parent, child]).ravel() - 1, 0]
+    # (k, 1) index arrays give a (k, 1) sparse result, also for k = 0
+    va = mesh.edges[(adj + adj.T)[parent[:, None], child[:, None]]
+                    .toarray().ravel() - 1, 0]
     # order lists the levels one after another, and the parents' positions
     # in it never decrease: child[ends[k]:ends[k + 1]] is level k + 1
     position = np.empty(nc, dtype=np.int64)
@@ -402,7 +402,7 @@ def b3_basis(mesh: Mesh) -> B3Basis:
     C = bubble_correct(g2, base.matrix)
     w = grad_inverse(mesh, (_gradient_operator(g2) @ C).T)
     f, cells, _ = _cell_blocks(w, NCUBIC)
-    grown = np.asarray(base.cells[f, cells]).ravel() == 0
+    grown = base.cells[f[:, None], cells[:, None]].toarray().ravel() == 0
     if grown.any():
         k = f[grown][0]
         raise ComplexError(f"support of {base.labels[k]} grew: "
@@ -588,7 +588,7 @@ def exactness_report(mesh: Mesh, order: str = "cubic",
         basis = b3_basis(mesh)
         C = basis.gradient_coeffs
         res = _colmax(B @ C) / (abs(B).max() * np.maximum(1.0, _colmax(C)))
-        rep.basis_kernel_residual = float(res.max())
+        rep.basis_kernel_residual = float(res.max(initial=0.0))
         rep.basis_membership_violation = b3_membership_violation(
             mesh, basis.coeffs)
         rep.basis_count = len(basis)

@@ -14,6 +14,8 @@ by a COO scatter and a COO -> CSR conversion, the reference for the
 library's direct CSR build.  _negative_pivots counts the negative eigenvalues
 of a dense symmetric matrix by a Bunch-Kaufman factorization, the reference
 for the library's sparse inertia count in kernel_dimension.
+pcg_saddle_solve is a hand-written Schur-complement PCG, the reference for
+saddle_solve's SciPy cg.
 """
 
 from fractions import Fraction
@@ -22,6 +24,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from biharmfem import linalg
 from biharmfem.elements import (REFERENCE_EXACT, DofFunctional,
                                 _affine_rows, _interior_weights, dof_matrix,
                                 nodal_coefficients)
@@ -320,6 +323,43 @@ def _negative_pivots(H: np.ndarray) -> int:
     return int(np.count_nonzero(diag[ipiv > 0] < 0.0)
                + np.count_nonzero((det < 0.0) | (trace < 0.0))
                + np.count_nonzero((det > 0.0) & (trace < 0.0)))
+
+
+# -- Schur-complement PCG -----------------------------------------------------
+
+def pcg_saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
+    """(u, p, iterations) of saddle_solve by preconditioned CG on the
+    pressure Schur complement from p = 0, stopping once the recurrence
+    residual is at most SCHUR_MARGIN * tol * max(1, |f|) or p^T S p <= 0,
+    with the factor and the solves of linalg._schur and no residual checks."""
+    solve_a, solve_m, BT, s_mv = linalg._schur(A, B, M, tol)
+    scale = max(1.0, np.linalg.norm(f))
+    p = np.zeros(B.shape[0])
+    r = B @ solve_a(f)
+    z = solve_m(r)
+    d = z.copy()
+    rz = float(r @ z)
+    iterations = 0
+    for _ in range(linalg.SCHUR_MAXIT):
+        if np.linalg.norm(r) <= linalg.SCHUR_MARGIN * tol * scale:
+            break
+        Sd = s_mv(d)
+        dSd = float(d @ Sd)
+        if dSd <= 0.0:
+            break
+        iterations += 1
+        alpha = rz / dSd
+        p += alpha * d
+        r -= alpha * Sd
+        z = solve_m(r)
+        rz_new = float(r @ z)
+        d = z + (rz_new / rz) * d
+        rz = rz_new
+    u = solve_a(f - BT @ p)
+    if mean is not None:
+        z = solve_m(mean)
+        p -= (mean @ p) / (mean @ z) * z
+    return u, p, iterations
 
 
 # -- exact determinants -------------------------------------------------------

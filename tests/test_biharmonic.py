@@ -221,13 +221,19 @@ def _is_identity(M) -> bool:
 def test_second_solve_pays_no_fixed_cost_again(monkeypatch, relabeled4):
     # a solve on a new mesh computes no reference tensor, and the identity P
     # of its DG pressure space enters no sparse product: Mp is the block
-    # diagonal of the cell matrices, B one product
+    # diagonal of the cell matrices, B one product.  Nor does the identity P
+    # of galerkin_residual's broken space W, in its applied operator, load
+    # and norm.
     f = manufactured("sin2").f
-    solve_quartic(generate_structured(2), f)
+    mesh = generate_structured(2)
+    solve_quartic(mesh, f)
+    galerkin_residual(solve_cubic(mesh, f), f, b3_basis(mesh))
+    result, basis = solve_cubic(relabeled4, f), b3_basis(relabeled4)
     computed = count_calls(monkeypatch, spaces, "_form_reference")
     products = [count_calls(monkeypatch, _spbase, name)
                 for name in ("_matmul_dispatch", "_rmatmul_dispatch")]
     solve_quartic(relabeled4, f)
+    galerkin_residual(result, f, basis)
     monkeypatch.undo()
     assert computed == []
     operands = [M for calls in products for args, _ in calls for M in args]
@@ -267,6 +273,19 @@ def test_stage2_failure_reports_infsup_constant(monkeypatch, mesh2, poly8):
     assert "inf-sup constant of the pair" in str(err.value)
     assert len(calls) == 2
     assert calls[1][0] == build_space(mesh2, "G2_0").ndof // 2
+
+
+@pytest.mark.parametrize("solve", [solve_morley, solve_cubic],
+                         ids=["morley", "cubic"])
+def test_non_finite_load_fails_the_first_solve(solve):
+    # a NaN load fails the first checked solve, not the Stokes stage
+    def f(x, y):
+        return np.where(x > 0.5, np.nan, 1.0)
+
+    with pytest.raises(SolverError, match="right-hand side is not finite") \
+            as err:
+        solve(generate_structured(4), f)
+    assert "Stokes" not in str(err.value)
 
 
 @pytest.mark.parametrize("mesh_name", ["mesh2", "jittered4", "relabeled4"])

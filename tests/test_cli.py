@@ -130,6 +130,7 @@ def test_verify_complex_quartic_n32():
 
 
 @pytest.mark.parametrize("order,levels,code", [("quartic", "1", 2),
+                                               ("cubic", "1", 0),
                                                ("cubic", "2,4", 0)])
 def test_verify_complex_exit_code(tmp_path, order, levels, code):
     # a report that is not exact is a numerical failure; the report and

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,15 +14,15 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, strategies as st
 
 import biharmfem.linalg as la
-from biharmfem.linalg import (DENSE_MAX, SolverError, _pin_mmap_threshold,
-                              _splu, infsup_constant, kernel_dimension,
-                              matrix_rank, saddle_solve)
+from biharmfem.linalg import (SolverError, _pin_mmap_threshold, _splu,
+                              infsup_constant, kernel_dimension, matrix_rank,
+                              saddle_solve)
 from biharmfem.mesh import generate_structured, refine_uniform
 from biharmfem.schemes import DECOMPOSED, PAIRS, SCHEMES
 from biharmfem.spaces import assemble_bilinear, build_space
 from biharmfem.stokes_complex import weak_rotfree_basis
 from conftest import count_calls
-from oracles import _negative_pivots, is_symmetric
+from oracles import _negative_pivots, is_symmetric, pcg_saddle_solve
 
 
 def test_saddle_empty_pressure_reduces_to_spd_solve():
@@ -74,6 +75,58 @@ def test_saddle_schur_pcg_matches_monolithic_lu(request, pair, jittered):
     assert abs(m @ p) <= 1e-14 * np.linalg.norm(m) * np.linalg.norm(p)
     assert np.linalg.norm(u - u_ref) <= 1e-8 * np.linalg.norm(u_ref)
     assert np.linalg.norm(p - p_ref) <= 1e-8 * np.linalg.norm(p_ref)
+
+
+@pytest.mark.parametrize("mesh_name", ["criss8", "jittered4", "relabeled4"])
+@pytest.mark.parametrize("pair", ["g2p1", "g3p2"])
+def test_saddle_cg_matches_hand_written_pcg(request, mesh_name, pair):
+    # SciPy's cg is the same recurrence in the same floating-point order
+    mesh = _oracle_mesh(request, mesh_name)
+    vel = build_space(mesh, PAIRS[pair][0])
+    A, B, M, m = _stokes(mesh, PAIRS[pair])
+    K = assemble_bilinear(vel.component, vel.component, "grad_grad")
+    f = np.random.default_rng(13).standard_normal(B.shape[1])
+    u, p, iterations = saddle_solve(K, B, f, M, mean=m)
+    u_ref, p_ref, it_ref = pcg_saddle_solve(K, B, f, M, mean=m)
+    assert iterations == it_ref > 0
+    assert np.array_equal(u, u_ref) and np.array_equal(p, p_ref)
+
+
+def test_saddle_breakdown_is_a_solver_error(monkeypatch):
+    # p^T S p = 0 at the first step: cg divides by zero, and the checks at
+    # the ends reject its non-finite p without letting a warning out
+    A, B, M, m = _stokes(generate_structured(4), ("G2_0", "DG1"))
+    schur = la._schur
+
+    def broken(*args):
+        solve_a, solve_m, BT, s_mv = schur(*args)
+        return solve_a, solve_m, BT, lambda q: np.zeros_like(q)
+
+    monkeypatch.setattr(la, "_schur", broken)
+    f = np.random.default_rng(11).standard_normal(B.shape[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="did not reach tolerance"):
+            saddle_solve(A, B, f, M, mean=m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_infsup_matches_dense_shifted_schur(pair, n):
+    # the generalized eigenproblem of the explicitly formed S, shifted by
+    # m m^T / (m^T Mp^-1 m), against Lanczos (and the Rayleigh quotient of
+    # a one-DoF pressure space)
+    A, B, M, m = _stokes(generate_structured(n), PAIRS[pair])
+    Bd, Md = B.toarray(), M.toarray()
+    k = B.shape[1] // A.shape[0]
+    S = Bd @ np.linalg.solve(np.kron(np.eye(k), A.toarray()), Bd.T)
+    S += np.outer(m, m) / (m @ np.linalg.solve(Md, m))
+    lam = sla.eigh(S, Md, eigvals_only=True)[0]
+    got = infsup_constant(B, A, M, mean=m)
+    if pair == "g3p2" and n == 1:
+        assert got == 0.0 and abs(lam) <= 1e-10
+    else:
+        assert got == pytest.approx(np.sqrt(lam), rel=1e-12)
 
 
 @pytest.mark.parametrize("pair,jittered", [(("G2_0", "DG1"), False),
@@ -170,7 +223,6 @@ def test_saddle_checks_a_fixed_number_of_products(monkeypatch):
 
 def test_eigensolver_failure_is_a_solver_error(monkeypatch):
     A, B, M, m = _stokes(generate_structured(4), ("G2_0", "DG1"))
-    assert B.shape[0] > DENSE_MAX
 
     def failing(*args, **kwargs):
         raise spla.ArpackError(-9999)
@@ -259,6 +311,25 @@ def test_transposed_factor_solves_a_not_its_transpose():
         1e-10 * np.linalg.norm(b)
 
 
+def test_non_finite_right_hand_side_is_a_solver_error():
+    # checked before the solve: no NaN residual, no warning
+    solve = la.spd_solver(sp.identity(3, format="csr"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in ([np.inf, 1.0, 1.0], [np.nan, 0.0, 0.0]):
+            with pytest.raises(SolverError, match="not finite"):
+                solve(np.array(b))
+
+
+def test_non_finite_residual_is_a_solver_error():
+    def solve_to_nan(b):
+        return np.full_like(b, np.nan)
+
+    solve = la._checked(lambda x: x, solve_to_nan, 1e-10)
+    with pytest.raises(SolverError, match="residual nan"):
+        solve(np.ones(3))
+
+
 def test_solves_factor_the_callers_csr_without_a_copy(monkeypatch):
     A, B, M, m = _stokes(generate_structured(4), ("G2_0", "DG1"))
     factored, splu = [], la._splu
@@ -303,6 +374,10 @@ def test_freed_large_buffers_leave_no_resident_heap():
                          text=True, check=True, env={**os.environ,
                          "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
     assert int(out) < 1 << 20
+
+
+#: a matrix size of the kernel-dimension tests
+DENSE_MAX = 40
 
 
 def test_kernel_dimension_zero_and_identity():

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import biharmfem.stokes_complex as sc
-from biharmfem.mesh import generate_structured, refine_uniform
+from biharmfem.mesh import Mesh, generate_structured, refine_uniform
 from biharmfem.polynomials import BaryPoly
 from biharmfem.quadrature import tri_rule
 from biharmfem.spaces import assemble_bilinear, build_space
@@ -248,6 +248,23 @@ def test_exactness_cubic_n2(mesh2):
     assert rep.basis_kernel_residual < 1e-12
     assert rep.basis_membership_violation < 1e-10
     assert "rank 23, kernel 11, exact: PASS" in rep.to_text()
+
+
+@pytest.mark.parametrize("cells,count", [(2, 1), (1, 0)],
+                         ids=["criss1", "one-cell"])
+def test_cubic_complex_without_interior_vertex(cells, count):
+    # criss n=1 has one interior edge and its one basis function; a single
+    # cell has no interior edge, so the breadth-first search has no
+    # parent-child pair and the basis is empty
+    mesh = generate_structured(1)
+    if cells == 1:
+        mesh = Mesh(mesh.vertices[:3], [[0, 1, 2]])
+    rep = exactness_report(mesh, "cubic")
+    assert rep.exact and rep.kernel == rep.kernel_dim_formula == count
+    assert rep.basis_count == count and rep.basis_kernel_residual < 1e-12
+    assert rep.basis_membership_violation < 1e-10
+    w = grad_inverse(mesh, np.zeros((1, cells * sc.NGRAD)))
+    assert w.shape == (1, cells * NCUBIC) and w.nnz == 0
 
 
 def test_exactness_cubic_n4():
