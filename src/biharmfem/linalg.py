@@ -219,11 +219,20 @@ def saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
     steps = []
     S, Minv = (spla.LinearOperator((npres, npres), matvec=mv, dtype=float)
                for mv in (s_mv, solve_m))
+
+    def step(p):    # cg goes on after a breakdown, on NaN: stop it there
+        if not np.isfinite(p).all():
+            raise FloatingPointError
+        steps.append(None)
+
     # a breakdown turns p non-finite or wrong: the checks below catch it
     with np.errstate(all="ignore"):
-        p = spla.cg(S, B @ solve_a(f), rtol=0.0,
-                    atol=SCHUR_MARGIN * tol * scale, maxiter=SCHUR_MAXIT,
-                    M=Minv, callback=steps.append)[0]
+        try:
+            p = spla.cg(S, B @ solve_a(f), rtol=0.0,
+                        atol=SCHUR_MARGIN * tol * scale, maxiter=SCHUR_MAXIT,
+                        M=Minv, callback=step)[0]
+        except FloatingPointError:
+            p = np.full(npres, np.nan)
     r1 = r2 = np.inf
     if np.isfinite(p).all():
         u = solve_a(f - BT @ p)

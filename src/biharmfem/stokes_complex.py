@@ -5,9 +5,9 @@ adds quadratic bubbles so that the broken rot vanishes pointwise, inverts the
 broken gradient, and verifies exactness of the discrete complexes by rank
 computations.
 
-Every step works on all cells at once and on all basis functions (in
-blocks of BLOCK_FLOATS where an array is dense in both), and passes plain
-sparse matrices with the mesh or space they live on.  G2 coefficient
+Every step works on all basis functions at once, touching only the
+(function, cell) blocks of their supports, and passes plain sparse
+matrices with the mesh or space they live on.  G2 coefficient
 vectors are the columns of one sparse matrix, and piecewise polynomials are
 sparse (function x cell * shape) matrices over one fixed shape set per
 degree, the monomials in the reference coordinates (lam_1, lam_2):
@@ -15,8 +15,9 @@ GRADIENT_SHAPES for the two components of a gradient (12 columns per cell)
 and CUBIC_SHAPES for the cubics (10 columns per cell).
 Differentiation, antidifferentiation, vertex values and edge moments are
 linear maps tabulated once on the reference cell and composed with each
-cell's grad_lambda.  Integration constants are matched along one
-breadth-first order of the cell adjacency.
+cell's grad_lambda.  Integration constants are matched on each
+function's support, with the function 0 off it, along one breadth-first
+order of the support blocks' edge adjacency.
 
 The piecewise-cubic functions produced this way span the nonconforming
 biharmonic space; each is supported in one vertex or edge patch.  b3_basis
@@ -31,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .linalg import kernel_dimension, matrix_rank
 from .mesh import Mesh
@@ -60,10 +62,6 @@ NGRAD, NCUBIC = 12, 10
 MEAN_TOL, ROT_TOL, CONSISTENCY_TOL, SNAP_TOL = 1e-10, 1e-10, 1e-9, 1e-12
 #: quadrature degree of the edge moments in b3_membership_violation
 MEMBERSHIP_QUAD_DEGREE = 10
-#: floats per dense (corner x field) array: grad_inverse and
-#: _vertex_violation walk the fields in blocks of this size (2 MiB,
-#: _corner_blocks), as spaces.BLOCK_POINTS bounds the quadrature blocks
-BLOCK_FLOATS = 1 << 18
 
 
 def _ref_coeffs(p: BaryPoly, shapes: str) -> np.ndarray:
@@ -116,13 +114,6 @@ def _cell_blocks(M, width: int):
     return keys // ncells, keys % ncells, vals
 
 
-def _from_blocks(rows, cells, vals, shape) -> sp.csr_matrix:
-    width = vals.shape[1]
-    cols = cells[:, None] * width + np.arange(width)
-    return sp.csr_matrix((vals.ravel(), (np.repeat(rows, width), cols.ravel())),
-                         shape=shape)
-
-
 def _gradient_operator(space: Space) -> sp.csr_matrix:
     """(ncells * 12, ndof): coefficients of a vector space -> each cell's
     (x, y) components in GRADIENT_SHAPES."""
@@ -141,22 +132,6 @@ def _rot_at_vertices(gl: np.ndarray, cells: np.ndarray,
     gx, gy = grad[:, :6], grad[:, 6:]
     return (np.einsum("sij,bi,bs->bj", R, g[:, :, 0], gy)
             - np.einsum("sij,bi,bs->bj", R, g[:, :, 1], gx))
-
-
-def _corner_blocks(ncells: int, nfields: int, f, cells, W):
-    """The cubic blocks W of fields f on cells at the cell corners, by field
-    ranges lo:hi of at most BLOCK_FLOATS values (at least one field; one
-    empty range when there are no fields): lo, hi, the slice s of the
-    blocks in the range (f is sorted) and the (3 * ncells, hi - lo) values,
-    row 3 * cell + corner, zero off the blocks."""
-    step = max(1, BLOCK_FLOATS // (3 * ncells))
-    for lo in range(0, max(nfields, 1), step):
-        hi = min(lo + step, nfields)
-        s = slice(*np.searchsorted(f, [lo, hi]))
-        values = np.zeros((3 * ncells, hi - lo))
-        values[3 * cells[s, None] + np.arange(3), f[s, None] - lo] = \
-            W[s] @ _reference().vertex
-        yield lo, hi, s, values
 
 
 def _colmax(M) -> np.ndarray:
@@ -271,6 +246,78 @@ def bubble_correct(g2: Space, coeffs):
 # the gradient inverse
 # ---------------------------------------------------------------------------
 
+def _constants(mesh: Mesh, f, cells, W, scale) -> np.ndarray:
+    """The integration constants of the cubic blocks W of fields f on
+    cells, each field 0 off its blocks (grad_inverse).  Each edge-connected
+    part of a field's blocks is seeded with 0 at the first end of its first
+    edge that leads to the boundary or off them; the constants follow
+    breadth-first through shared vertex values, for all parts at once.
+    Every interior edge is checked against its other side, and every
+    boundary vertex against 0."""
+    from scipy.sparse.csgraph import (breadth_first_order,  # lazy: 1 MB RSS
+                                      connected_components)
+    nb, nc = f.size, mesh.n_cells
+    # local edge i runs from corner i + 1 to corner i + 2: ends holds a
+    # block's values there, and across those of the same field's block nbr
+    # on the other side, or 0 (nbr -1: boundary or off the field's blocks)
+    V = W @ _reference().vertex
+    ring = [[1, 2], [2, 0], [0, 1]]
+    ends, at = V[:, ring], mesh.cells[cells][:, ring]
+    pair = mesh.edge_cells[mesh.cell_edges[cells]]
+    other = np.where(pair[..., 0] == cells[:, None], pair[..., 1], pair[..., 0])
+    key, want = f * nc + cells, f[:, None] * nc + other
+    nbr = np.minimum(np.searchsorted(key, want), max(nb - 1, 0))
+    nbr = np.where((other >= 0) & (key[nbr] == want), nbr, -1)
+    corner = np.argmax(mesh.cells[other][:, :, None] == at[..., None], axis=-1)
+    across = np.where(nbr[..., None] >= 0,
+                      np.take_along_axis(V[nbr], corner, axis=-1), 0.0)
+    # a root, block nb, joined to one seed per part: the part's first exit
+    rows, cols = np.nonzero(nbr >= 0)[0], nbr[nbr >= 0]
+    part = connected_components(sp.csr_matrix(
+        (np.ones(rows.size), (rows, cols)), shape=(nb, nb)), directed=False)[1]
+    exit_b = np.nonzero(nbr < 0)[0]
+    seed = exit_b[np.unique(part[exit_b], return_index=True)[1]]
+    order, pred = breadth_first_order(sp.csr_matrix(
+        (np.ones(rows.size + seed.size), (np.append(rows, [nb] * seed.size),
+                                          np.append(cols, seed))),
+        shape=(nb + 1, nb + 1)), nb, directed=False, return_predecessors=True)
+    # const[child] = const[parent] + the parent's value less the child's at
+    # the first end of the child's edge to it; a seed's parent is the root,
+    # whose value on the seed's first exit and const are 0.  One unit lower
+    # triangular solve in breadth-first order; const[nb] = const[-1] = 0,
+    # the root's, is what const[nbr] reads off the field's blocks.
+    child, parent = order[1:], pred[order[1:]]
+    k = np.argmax(nbr[child] == np.where(parent < nb, parent, -1)[:, None],
+                  axis=1)
+    position = np.empty(nb + 1, dtype=np.int64)
+    position[order] = np.arange(nb + 1)
+    const = spla.spsolve_triangular(
+        sp.csr_matrix((-np.ones(nb), (np.arange(1, nb + 1), position[parent])),
+                      shape=(nb + 1, nb + 1)),
+        np.append(0.0, across[child, k, 0] - ends[child, k, 0]),
+        unit_diagonal=True)[position]
+    values = ends + const[:nb, None, None]
+    mismatch = np.where(other >= 0, np.abs(
+        values - across - const[nbr, None]).max(axis=2), 0.0)
+    bad_b, bad_i = np.nonzero(mismatch > CONSISTENCY_TOL * scale[f, None])
+    if bad_b.size:     # the first edge, then the first field on it
+        edge = mesh.cell_edges[cells[bad_b], bad_i]
+        k = np.lexsort((f[bad_b], edge))[0]
+        raise ComplexError(
+            f"constant mismatch {mismatch[bad_b[k], bad_i[k]]:.2e} across "
+            f"edge {edge[k]}; input is not a broken gradient, or its "
+            "antiderivative is a nonzero constant on cells that its support "
+            "encloses")
+    spread = np.where(mesh.vertex_is_boundary[at], np.abs(values),
+                      0.0).max(axis=(1, 2))
+    bad = np.flatnonzero(spread > CONSISTENCY_TOL * scale[f])
+    if bad.size:
+        raise ComplexError(f"boundary vertex values spread "
+                           f"{spread[f == f[bad[0]]].max():.2e}; input is "
+                           "not in the discrete gradient space")
+    return const[:nb]
+
+
 def grad_inverse(mesh: Mesh, grad) -> sp.csr_matrix:
     """Cell-wise antiderivatives of pointwise rot-free piecewise P2 fields.
 
@@ -278,23 +325,23 @@ def grad_inverse(mesh: Mesh, grad) -> sp.csr_matrix:
     or one field as an (ncells * 12,) vector: on cell c, columns
     c * 12 + 6 * k + s hold component k (x, then y) in GRADIENT_SHAPES.
     Returns the cubics as an (nfields, ncells * 10) CSR matrix: row f, cell
-    c at columns c * 10 ... c * 10 + 9 in CUBIC_SHAPES.  Integration
-    constants are matched breadth-first over edge-adjacent cells through
-    shared vertex values, one level of the search at a time; the global
-    constant is fixed by zero boundary vertex values.  The fields go in
-    blocks (_corner_blocks), and inconsistencies beyond tolerance abort after
-    all of them, naming the first edge (then field) or field at fault.
+    c at columns c * 10 ... c * 10 + 9 in CUBIC_SHAPES.  A field's cubic is
+    taken to be 0 off its support, the cells where it has stored values,
+    and at the boundary, so the work touches the support blocks only
+    (_constants).  Inconsistencies beyond tolerance abort, naming the first
+    edge (then field) or field at fault; a cubic that is a nonzero constant
+    on cells its support encloses fails as a mismatch.
     """
-    from scipy.sparse.csgraph import breadth_first_order  # lazy: 1 MB RSS
-    G = sp.csr_matrix(grad if sp.issparse(grad)
-                      else np.atleast_2d(np.asarray(grad, dtype=float)))
+    G = grad if sp.issparse(grad) else np.atleast_2d(
+        np.asarray(grad, dtype=float))
     nf, nc = G.shape[0], mesh.n_cells
     if G.shape[1] != nc * NGRAD:
         raise ValueError(f"grad has {G.shape[1]} columns, expected "
                          f"{nc * NGRAD}")
     gl, _, verts = mesh.geometry_arrays()
-    scale = np.maximum(1.0, abs(G).max(axis=1).toarray().ravel())
     f, cells, g = _cell_blocks(G, NGRAD)
+    scale = np.ones(nf)
+    np.maximum.at(scale, f, np.abs(g).max(axis=1))
     rot = np.abs(_rot_at_vertices(gl, cells, g)).max(axis=1)
     bad = np.flatnonzero(rot > ROT_TOL * scale[f])
     if bad.size:
@@ -302,79 +349,18 @@ def grad_inverse(mesh: Mesh, grad) -> sp.csr_matrix:
                            "rot-free")
     # (d/dxi, d/deta) = J^T (d/dx, d/dy) with J = [v1 - v0, v2 - v0]
     J = verts[cells, 1:] - verts[cells, :1]
-    g_ref = np.einsum("bkd,bds->bks", J, g.reshape(-1, 2, 6))
-    W = g_ref.reshape(-1, NGRAD) @ _reference().antider.T
-    # constants, breadth-first from the lowest-index boundary cell
-    interior = mesh.interior_edges()
-    c0, c1 = mesh.edge_cells[interior].T
-    adj = sp.csr_matrix((interior + 1, (c0, c1)), shape=(nc, nc))
-    start = int(np.flatnonzero(mesh.edge_is_boundary[mesh.cell_edges]
-                               .any(axis=1))[0])
-    order, pred = breadth_first_order(adj, start, directed=False,
-                                      return_predecessors=True)
-    if order.size < nc:
-        raise ComplexError("mesh cells are not edge-connected")
-    child = order[1:]
-    parent = pred[child]
-    # (k, 1) index arrays give a (k, 1) sparse result, also for k = 0
-    va = mesh.edges[(adj + adj.T)[parent[:, None], child[:, None]]
-                    .toarray().ravel() - 1, 0]
-    # order lists the levels one after another, and the parents' positions
-    # in it never decrease: child[ends[k]:ends[k + 1]] is level k + 1
-    position = np.empty(nc, dtype=np.int64)
-    position[order] = np.arange(nc)
-    ends = [0]
-    while ends[-1] < nc - 1:
-        ends.append(int(np.searchsorted(position[parent], ends[-1] + 1)))
-
-    def corner_of(c, a):
-        return 3 * c + np.argmax(mesh.cells[c] == a[:, None], axis=1)
-
-    into, out_of = corner_of(parent, va), corner_of(child, va)
-    sides = [(corner_of(c0, a), corner_of(c1, a))
-             for a in mesh.edges[interior].T]
-    on_boundary = np.flatnonzero(mesh.vertex_is_boundary[mesh.cells].ravel())
-    parts, mismatches, spreads = [], [], []
-    for lo, hi, s, values in _corner_blocks(nc, nf, f, cells, W):
-        delta = values[into] - values[out_of]
-        const = np.zeros((nc, hi - lo))
-        for a, b in zip(ends[:-1], ends[1:]):
-            const[child[a:b]] = const[parent[a:b]] + delta[a:b]
-        values.reshape(nc, 3, hi - lo)[...] += const[:, None]
-        mismatch = np.zeros((interior.size, hi - lo))
-        for k0, k1 in sides:
-            mismatch = np.maximum(mismatch, np.abs(values[k0] - values[k1]))
-        bad = np.argwhere(mismatch > CONSISTENCY_TOL * scale[lo:hi])
-        if bad.size:
-            k, j = bad[0]
-            mismatches.append((k, lo + j, mismatch[k, j]))
-        shift = values[on_boundary[0]]
-        worst = np.abs(values[on_boundary] - shift).max(axis=0)
-        spreads.extend(worst[worst > CONSISTENCY_TOL * scale[lo:hi]][:1])
-        # cubic = antiderivative + constant (shape 0); cubics below SNAP_TOL
-        # (the zero-gradient cells, up to round-off) are dropped
-        offset = const - shift
-        keys_in = f[s] * nc + cells[s]
-        extra = lo * nc + np.flatnonzero(
-            (np.abs(offset) > SNAP_TOL * scale[lo:hi]).T.ravel())
-        keys = np.union1d(keys_in, extra)
-        rows, cols = keys // nc, keys % nc
-        vals = np.zeros((keys.size, NCUBIC))
-        vals[np.searchsorted(keys, keys_in)] = W[s]
-        vals[:, 0] += offset[cols, rows - lo]
-        keep = np.abs(vals).max(axis=1) > SNAP_TOL * scale[rows]
-        parts.append((rows[keep], cols[keep], vals[keep]))
-    if mismatches:     # the first edge, then the first field on it
-        k, _, value = min(mismatches)
-        raise ComplexError(
-            f"constant mismatch {value:.2e} across edge "
-            f"{interior[k]}; input is not a broken gradient")
-    if spreads:
-        raise ComplexError(f"boundary vertex values spread "
-                           f"{spreads[0]:.2e}; input is not in the "
-                           "discrete gradient space")
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    return _from_blocks(rows, cols, vals, (nf, nc * NCUBIC))
+    W = np.einsum("bkd,bds->bks", J, g.reshape(-1, 2, 6)).reshape(
+        -1, NGRAD) @ _reference().antider.T
+    # cubic = antiderivative + constant (shape 0); cubics below SNAP_TOL
+    # (the zero-gradient cells, up to round-off) are dropped
+    W[:, 0] += _constants(mesh, f, cells, W, scale)
+    keep = np.abs(W).max(axis=1) > SNAP_TOL * scale[f]
+    f, cells, W = f[keep], cells[keep], W[keep]
+    # the blocks come in (field, cell) order, that of CSR rows
+    return sp.csr_matrix(
+        (W.ravel(), (cells[:, None] * NCUBIC + np.arange(NCUBIC)).ravel(),
+         np.searchsorted(f, np.arange(nf + 1)) * NCUBIC),
+        shape=(nf, nc * NCUBIC))
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +445,23 @@ def _edge_jump_violation(mesh: Mesh, coeffs, degree: int) -> float:
 def _vertex_violation(mesh: Mesh, coeffs) -> float:
     """Largest spread, over all fields and vertices, of the values on the
     cells around an interior vertex (max - min), or largest |value| at a
-    boundary vertex; cells where a field is zero count with value 0."""
-    vertex = mesh.cells.ravel()
-    order = np.argsort(vertex, kind="stable")
-    starts = np.searchsorted(vertex[order], np.arange(mesh.n_vertices))
-    worst = 0.0
-    for *_, values in _corner_blocks(mesh.n_cells, coeffs.shape[0],
-                                     *_cell_blocks(coeffs, NCUBIC)):
-        top = np.maximum.reduceat(values[order], starts)
-        low = np.minimum.reduceat(values[order], starts)
-        spread = np.where(mesh.vertex_is_boundary[:, None],
-                          np.maximum(top, -low), top - low)
-        worst = max(worst, float(spread.max(initial=0.0)))
-    return worst
+    boundary vertex; cells where a field is zero count with value 0: a
+    (field, vertex) key with fewer blocks than the vertex has cells."""
+    f, cells, W = _cell_blocks(coeffs, NCUBIC)
+    nv = mesh.n_vertices
+    key = np.repeat(f, 3) * nv + mesh.cells[cells].ravel()
+    order = np.argsort(key)
+    key, starts, count = np.unique(key[order], return_index=True,
+                                   return_counts=True)
+    values = (W @ _reference().vertex).ravel()[order]
+    top = np.maximum.reduceat(values, starts)
+    low = np.minimum.reduceat(values, starts)
+    implied = count < np.bincount(mesh.cells.ravel(), minlength=nv)[key % nv]
+    np.maximum(top, 0.0, out=top, where=implied)
+    np.minimum(low, 0.0, out=low, where=implied)
+    spread = np.where(mesh.vertex_is_boundary[key % nv],
+                      np.maximum(top, -low), top - low)
+    return float(spread.max(initial=0.0))
 
 
 def b3_membership_violation(mesh: Mesh, coeffs) -> float:

@@ -93,14 +93,21 @@ def test_saddle_cg_matches_hand_written_pcg(request, mesh_name, pair):
 
 
 def test_saddle_breakdown_is_a_solver_error(monkeypatch):
-    # p^T S p = 0 at the first step: cg divides by zero, and the checks at
-    # the ends reject its non-finite p without letting a warning out
+    # p^T S p = 0 at the first step: cg divides by zero, stops at its first
+    # non-finite iterate instead of going on for SCHUR_MAXIT steps, and the
+    # checks at the ends reject it without letting a warning out
     A, B, M, m = _stokes(generate_structured(4), ("G2_0", "DG1"))
     schur = la._schur
+    calls = []
 
     def broken(*args):
         solve_a, solve_m, BT, s_mv = schur(*args)
-        return solve_a, solve_m, BT, lambda q: np.zeros_like(q)
+
+        def zero(q):
+            calls.append(None)
+            return np.zeros_like(q)
+
+        return solve_a, solve_m, BT, zero
 
     monkeypatch.setattr(la, "_schur", broken)
     f = np.random.default_rng(11).standard_normal(B.shape[1])
@@ -108,6 +115,7 @@ def test_saddle_breakdown_is_a_solver_error(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="did not reach tolerance"):
             saddle_solve(A, B, f, M, mean=m)
+    assert len(calls) < 50
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -461,7 +461,7 @@ def test_grad_inverse_rejects_boundary_spread(mesh2, grad_array):
         grad_inverse(mesh2, grad_array(mesh2, cellvec))
 
 
-# -- fields in blocks ----------------------------------------------------------
+# -- support-local inversion ---------------------------------------------------
 
 def _b3_gradients(mesh):
     """grad_inverse's input for the B3 basis of mesh, as b3_basis forms it."""
@@ -471,19 +471,18 @@ def _b3_gradients(mesh):
 
 
 def test_grad_inverse_peak_memory():
-    # criss n=16: the dense (corner x field) arrays of all 1411 fields would
-    # hold 8 times BLOCK_FLOATS; in blocks of fields one call peaked at
-    # 11.1 MiB, against 53.1 MiB for the arrays of all fields at once
+    # criss n=16, 1411 fields: the work stays on their support blocks, and
+    # one call peaked at 5.1 MiB; (corner x field) arrays over the whole
+    # mesh would hold 53.1 MiB for all fields at once
     mesh = generate_structured(16)
     grad = _b3_gradients(mesh)
-    assert grad.shape[0] * 3 * mesh.n_cells >= 3 * sc.BLOCK_FLOATS
     tracemalloc.start()
     try:
         grad_inverse(mesh, grad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * sc.BLOCK_FLOATS     # 16 MiB
+    assert peak <= 16 << 20
 
 
 def _failure_fields(mesh, grad_array):
@@ -506,32 +505,77 @@ def _failure_fields(mesh, grad_array):
     return (*fields, hat)
 
 
-def test_one_field_per_block_changes_nothing(mesh2, grad_array, monkeypatch):
-    # the default budget holds every field of these inputs in one block;
-    # one field per block must give the same cubics bitwise and, in stacks
-    # of failing fields, the same first error: the lowest edge over all
-    # fields (hat(6, 0, 2) fails first at edge 10, hat(0, 0, 3) at edge 2),
-    # and a mismatch in a later block before a spread in an earlier one
-    mesh4 = generate_structured(4)
+def test_stacked_failures_name_the_first_edge_then_field(mesh2, grad_array):
+    # in stacks of failing fields, the first error is the lowest edge over
+    # all fields (hat(6, 0, 2) fails first at edge 10, hat(0, 0, 3) at edge
+    # 2), and a mismatch in a later field comes before a spread in an
+    # earlier one
     rot, mismatch, spread, hat = _failure_fields(mesh2, grad_array)
     zero = np.zeros_like(spread)
     stacks = [[rot], [mismatch], [spread], [hat(6, 0, 2), hat(0, 0, 3)],
               [spread, zero, hat(6, 0, 2)], [zero, spread, spread]]
-
-    def outcomes():
-        messages = []
-        for stack in stacks:
-            with pytest.raises(ComplexError) as err:
-                grad_inverse(mesh2, np.vstack(stack))
-            messages.append(str(err.value))
-        return b3_basis(mesh4).coeffs, messages
-
-    one, messages = outcomes()
-    monkeypatch.setattr(sc, "BLOCK_FLOATS", 1)
-    blocked, blocked_messages = outcomes()
-    assert blocked_messages == messages
+    messages = []
+    for stack in stacks:
+        with pytest.raises(ComplexError) as err:
+            grad_inverse(mesh2, np.vstack(stack))
+        messages.append(str(err.value))
+    assert "not pointwise rot-free" in messages[0]
+    assert "across edge 2;" in messages[1]
     assert "3.00e+00 across edge 2;" in messages[3]
     assert "across edge 10;" in messages[4]
-    for a, b in ((one.data, blocked.data), (one.indices, blocked.indices),
-                 (one.indptr, blocked.indptr)):
-        assert a.tobytes() == b.tobytes()
+    for k in (2, 5):     # the largest |value| of the field at the boundary
+        assert messages[k].startswith("boundary vertex values spread "
+                                      "1.00e+00;")
+
+
+def test_support_in_two_parts_inverts_to_the_sum():
+    # two B3 basis functions with disjoint supports: the support of their
+    # sum has two edge-connected parts, each seeded on its own
+    mesh = generate_structured(8)
+    basis = b3_basis(mesh)
+    grad = _b3_gradients(mesh)
+    vertex = {tuple(mesh.vertices[a]): a for a in range(mesh.n_vertices)}
+    k1, k2 = (basis.labels.index(("vx", vertex[x])) for x in
+              ((0.25, 0.25), (0.75, 0.75)))
+    cells = _cell_blocks(basis.coeffs[[k1, k2]], NCUBIC)[1]
+    assert np.unique(cells).size == cells.size     # disjoint supports
+    w = grad_inverse(mesh, grad[[k1]] + grad[[k2]])
+    expected = basis.coeffs[[k1]] + basis.coeffs[[k2]]
+    assert abs(w - expected).max() <= 1e-14 * abs(expected).max()
+
+
+def test_round_off_part_of_a_support_is_dropped():
+    # a round-off gradient on a cell off the support adds a part of its own,
+    # whose cubic is below SNAP_TOL: no block of it is stored
+    mesh = generate_structured(4)
+    grad = _b3_gradients(mesh)[[0]]
+    cells = _cell_blocks(grad, sc.NGRAD)[1]
+    c = min(set(range(mesh.n_cells)) - set(cells.tolist()))
+    noisy = grad.toarray()
+    noisy[0, c * sc.NGRAD] = 1e-20
+    w, expected = grad_inverse(mesh, noisy), grad_inverse(mesh, grad)
+    assert np.array_equal(w.indices, expected.indices)
+    assert np.array_equal(w.data, expected.data)
+
+
+def test_grad_inverse_rejects_an_enclosed_constant(grad_array):
+    # the P1 hats at the vertices in [1/4, 3/4]^2 sum to 1 on the 32 cells
+    # inside, where their gradient is 0: off its support the antiderivative
+    # is a nonzero constant there, not the 0 that grad_inverse assumes
+    mesh = generate_structured(8)
+    inside = (np.abs(mesh.vertices - 0.5) <= 0.25).all(axis=1)
+    assert inside[mesh.cells].all(axis=1).sum() == 32
+
+    def cellvec(c):
+        corners = [i for i in range(3) if inside[mesh.cells[c, i]]]
+        if len(corners) == 3:
+            return BaryPoly(), BaryPoly()
+        hats = sum((BaryPoly.lam(i, exact=False) for i in corners),
+                   BaryPoly())
+        return poly_gradient(hats, mesh.geometry(c).grad_lambda)
+
+    with pytest.raises(ComplexError, match=(
+            "constant mismatch .* across edge .*; input is not a broken "
+            "gradient, or its antiderivative is a nonzero constant on cells "
+            "that its support encloses")):
+        grad_inverse(mesh, grad_array(mesh, cellvec))
