@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: mesh, solve, study, verify {complex, elements, infsup}.
-Exit codes: 0 success, 1 usage error, 2 numerical failure.
+Exit codes: 0 success, 1 usage error or unwritable --out, 2 numerical failure.
 All numeric output uses 12 significant digits.
 """
 
@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     except (SolverError, ComplexError, MeshError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:    # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     return USAGE_EXIT

@@ -16,8 +16,9 @@ Shape polynomials are evaluated at float points in one place, tabulate(),
 which gives values and lambda-derivatives up to order 2 at any barycentric
 points.  The reference tables are tabulate at the tri_rule points, cached
 process-wide; field evaluation (eval_field, sample_field_csv) tabulates at
-the located points.  Physical derivatives follow by one chain rule through
-grad_lambda, shared by evaluation, error norms and the Galerkin residual.
+the points as located by locate_cells, in chunks in the caller's order.
+Physical derivatives follow by one chain rule through grad_lambda, shared
+by evaluation, error norms and the Galerkin residual.
 Loads and error norms walk the points in heap-sized blocks (_point_blocks).
 Assembly folds A into geometry-free tensors R_k, computed once per process,
 M_c = sum_k G[c, k] R_k with per-cell grad_lambda/Gram factors G, and forms
@@ -609,40 +610,21 @@ def assemble_load(space: Space, f, quad_degree: int = 12) -> np.ndarray:
 # field evaluation / error norms
 # ---------------------------------------------------------------------------
 
-#: bits per axis of the Morton key that orders points before chunking
-MORTON_BITS = 10
-
-
-def _morton_order(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Order of the points along the Morton (Z) curve on a 2^MORTON_BITS
-    grid over the box [lo, hi]."""
-    span = np.where(hi > lo, hi - lo, 1.0)
-    q = np.clip((pts - lo) / span * (1 << MORTON_BITS), 0,
-                (1 << MORTON_BITS) - 1).astype(np.int64)
-    key = np.zeros(len(pts), dtype=np.int64)
-    for b in range(MORTON_BITS):
-        key |= ((q[:, 0] >> b) & 1) << (2 * b)
-        key |= ((q[:, 1] >> b) & 1) << (2 * b + 1)
-    return np.argsort(key, kind="stable")
-
-
 def locate_cells(mesh: Mesh, points):
     """Deterministic point location: for each point the lowest index of a
     cell containing it (barycentric coordinates >= -1e-12), and its
-    barycentric coordinates there.  The points are taken in Morton order, in
-    chunks; only cells whose bounding box, padded far beyond that slack,
-    meets a chunk's bounding box are tested."""
+    barycentric coordinates there.  The points are taken in chunks, in the
+    caller's order; only cells whose bounding box, padded far beyond that
+    slack, meets a chunk's bounding box are tested."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     gl, _, verts = mesh.geometry_arrays()
     pad = 1e-9 * np.ptp(verts, axis=1).max(axis=1, keepdims=True)
     lo, hi = verts.min(axis=1) - pad, verts.max(axis=1) + pad
     cells = np.empty(len(pts), dtype=np.int64)
     lam = np.empty((len(pts), 3))
-    order = _morton_order(pts, lo.min(axis=0), hi.max(axis=0))
     step = max(1, (1 << 16) // mesh.n_cells)     # (step, ncells, 3, 2) chunks
     for k in range(0, len(pts), step):
-        idx = order[k:k + step]
-        p = pts[idx]
+        p = pts[k:k + step]
         near = np.flatnonzero(((lo <= p.max(axis=0))
                                & (hi >= p.min(axis=0))).all(axis=1))
         chunk = np.einsum("cid,pcid->pci", gl[near],
@@ -651,10 +633,10 @@ def locate_cells(mesh: Mesh, points):
                            np.ones((len(p), 1), bool), axis=1)
         first = np.argmax(inside, axis=1)
         if (first == near.size).any():
-            bad = idx[first == near.size].min()
-            raise ValueError(f"point {tuple(pts[bad])} outside the mesh")
-        cells[idx] = near[first]
-        lam[idx] = chunk[np.arange(len(p)), first]
+            x, y = p[np.argmax(first == near.size)]
+            raise ValueError(f"point ({x:.12g}, {y:.12g}) outside the mesh")
+        cells[k:k + step] = near[first]
+        lam[k:k + step] = chunk[np.arange(len(p)), first]
     return cells, lam
 
 

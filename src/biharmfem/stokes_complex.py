@@ -9,8 +9,9 @@ Every step works on all basis functions at once, touching only the
 (function, cell) blocks of their supports, and passes plain sparse
 matrices with the mesh or space they live on.  G2 coefficient
 vectors are the columns of one sparse matrix, and piecewise polynomials are
-sparse (function x cell * shape) matrices over one fixed shape set per
-degree, the monomials in the reference coordinates (lam_1, lam_2):
+sparse (function x cell * shape) matrices, whose (function, cell) blocks are
+read in SciPy's BSR form, over one fixed shape set per degree, the
+monomials in the reference coordinates (lam_1, lam_2):
 GRADIENT_SHAPES for the two components of a gradient (12 columns per cell)
 and CUBIC_SHAPES for the cubics (10 columns per cell).
 Differentiation, antidifferentiation, vertex values and edge moments are
@@ -103,15 +104,16 @@ def _reference() -> _Reference:
 def _cell_blocks(M, width: int):
     """The nonzero blocks of an (nrows, ncells * width) matrix whose columns
     c * width ... c * width + width - 1 belong to cell c: row and cell index
-    of each block, in (row, cell) order, and its (nblocks, width) values."""
-    M = sp.coo_matrix(M)
-    M.sum_duplicates()
-    ncells = M.shape[1] // width
-    key = M.row.astype(np.int64) * ncells + M.col // width
-    keys, inv = np.unique(key, return_inverse=True)
-    vals = np.zeros((keys.size, width))
-    vals[inv, M.col % width] = M.data
-    return keys // ncells, keys % ncells, vals
+    of each block, in (row, cell) order, and its (nblocks, width) values.
+    The blocks are read from M in BSR form with (1, width) blocks, after M
+    is brought to canonical CSR (on a copy: sum_duplicates sorts in place)."""
+    M = sp.csr_matrix(M)
+    if not M.has_canonical_format:
+        M = M.copy()
+        M.sum_duplicates()
+    B = M.tobsr(blocksize=(1, width))
+    return (np.repeat(np.arange(M.shape[0]), np.diff(B.indptr)),
+            B.indices.astype(np.int64), B.data.reshape(-1, width))
 
 
 def _gradient_operator(space: Space) -> sp.csr_matrix:
@@ -127,11 +129,11 @@ def _rot_at_vertices(gl: np.ndarray, cells: np.ndarray,
                      grad: np.ndarray) -> np.ndarray:
     """Rot of (nblocks, 12) P2 pairs on the given cells, at the vertices:
     rot v = d(v_y)/dx - d(v_x)/dy is linear on each cell."""
-    R = _reference().rot
+    d = (grad.reshape(-1, 2, 6) @ _reference().rot.reshape(6, 9)).reshape(
+        -1, 2, 3, 3)                        # (block, x|y, i, j)
     g = gl[cells]
-    gx, gy = grad[:, :6], grad[:, 6:]
-    return (np.einsum("sij,bi,bs->bj", R, g[:, :, 0], gy)
-            - np.einsum("sij,bi,bs->bj", R, g[:, :, 1], gx))
+    return (np.einsum("bij,bi->bj", d[:, 1], g[:, :, 0])
+            - np.einsum("bij,bi->bj", d[:, 0], g[:, :, 1]))
 
 
 def _colmax(M) -> np.ndarray:
@@ -356,11 +358,9 @@ def grad_inverse(mesh: Mesh, grad) -> sp.csr_matrix:
     W[:, 0] += _constants(mesh, f, cells, W, scale)
     keep = np.abs(W).max(axis=1) > SNAP_TOL * scale[f]
     f, cells, W = f[keep], cells[keep], W[keep]
-    # the blocks come in (field, cell) order, that of CSR rows
-    return sp.csr_matrix(
-        (W.ravel(), (cells[:, None] * NCUBIC + np.arange(NCUBIC)).ravel(),
-         np.searchsorted(f, np.arange(nf + 1)) * NCUBIC),
-        shape=(nf, nc * NCUBIC))
+    # the blocks come in (field, cell) order, that of BSR block rows
+    return sp.bsr_matrix((W[:, None], cells, np.searchsorted(
+        f, np.arange(nf + 1))), shape=(nf, nc * NCUBIC)).tocsr()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ library's direct CSR build.  _negative_pivots counts the negative eigenvalues
 of a dense symmetric matrix by a Bunch-Kaufman factorization, the reference
 for the library's sparse inertia count in kernel_dimension.
 pcg_saddle_solve is a hand-written Schur-complement PCG, the reference for
-saddle_solve's SciPy cg.
+saddle_solve's SciPy cg.  coo_cell_blocks finds the (row, cell) blocks of a
+matrix by a COO round trip and np.unique, the reference for the BSR read of
+stokes_complex._cell_blocks.
 """
 
 from fractions import Fraction
@@ -360,6 +362,21 @@ def pcg_saddle_solve(A, B, f, M, mean=None, tol: float = 1e-10):
         z = solve_m(mean)
         p -= (mean @ p) / (mean @ z) * z
     return u, p, iterations
+
+
+# -- cell blocks --------------------------------------------------------------
+
+def coo_cell_blocks(M, width: int):
+    """(rows, cells, values) of the nonzero (1, width) blocks of M, in
+    (row, cell) order, by (row, cell) keys of the COO entries."""
+    M = sp.coo_matrix(M)
+    M.sum_duplicates()
+    ncells = M.shape[1] // width
+    key = M.row.astype(np.int64) * ncells + M.col // width
+    keys, inv = np.unique(key, return_inverse=True)
+    vals = np.zeros((keys.size, width))
+    vals[inv, M.col % width] = M.data
+    return keys // ncells, keys % ncells, vals
 
 
 # -- exact determinants -------------------------------------------------------

@@ -196,3 +196,18 @@ def test_verify_elements_needs_a_trial(trials):
     assert code == 1 and out == ""
     assert ("error: argument --trials: expected a positive finite int, got "
             f"'{trials}'") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--n", "1"],
+    ["solve", "--scheme", "cubic", "--n", "2"],
+    ["study", "--scheme", "cubic", "--levels", "2,4"],
+    ["verify", "complex", "--n", "1"],
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, argv):
+    path = tmp_path / "missing" / "x"
+    code, out, err = run_cli(argv + ["--out", str(path)])
+    assert code == 1
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    # what was printed before the write stays; study prints after it
+    assert (out == "") == (argv[0] in ("mesh", "study"))

@@ -703,8 +703,22 @@ def test_locate_cells_independent_of_point_order():
     cells_s, lam_s = locate_cells(mesh, pts[perm])
     assert np.array_equal(cells_s, cells[perm])
     assert np.array_equal(lam_s, lam[perm])
-    with pytest.raises(ValueError, match="outside the mesh"):
+    with pytest.raises(ValueError, match=r"point \(1\.5, 0\.5\) outside "):
         locate_cells(mesh, np.vstack([pts[perm], [[1.5, 0.5]]]))
+
+
+def test_locate_cells_names_the_first_outside_point():
+    # the first outside point in the order given, though (-0.5, 0.5) lies
+    # nearer the origin; after the grid, or beside it in one chunk
+    mesh = generate_structured(8)
+    x, y = (a.ravel() for a in np.meshgrid(np.linspace(0.0, 1.0, 50),
+                                           np.linspace(0.0, 1.0, 50)))
+    grid = np.column_stack([x, y])
+    for pts in (np.vstack([[1.5, 0.5], grid, [-0.5, 0.5]]),
+                np.vstack([[1.5, 0.5], [-0.5, 0.5], grid])):
+        with pytest.raises(ValueError) as info:
+            locate_cells(mesh, pts)
+        assert str(info.value) == "point (1.5, 0.5) outside the mesh"
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -16,8 +16,8 @@ from biharmfem.stokes_complex import (NCUBIC, ComplexError, b3_basis,
                                       grad_inverse, weak_rotfree_basis,
                                       _cell_blocks, _edge_jump_violation,
                                       _vertex_violation)
-from oracles import (cell_poly, cubic_poly, edge_jump_moments, poly_gradient,
-                     poly_hessian)
+from oracles import (cell_poly, coo_cell_blocks, cubic_poly,
+                     edge_jump_moments, poly_gradient, poly_hessian)
 
 
 @pytest.fixture(scope="module")
@@ -579,3 +579,45 @@ def test_grad_inverse_rejects_an_enclosed_constant(grad_array):
             "gradient, or its antiderivative is a nonzero constant on cells "
             "that its support encloses")):
         grad_inverse(mesh, grad_array(mesh, cellvec))
+
+
+def _unsorted_csr(rows, cols, vals, shape):
+    """A CSR matrix with the entries in the given order within each row,
+    neither sorted nor summed."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(shape[0] + 1))
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
+
+
+def _block_inputs():
+    rng = np.random.default_rng(28)
+    dense = rng.standard_normal((5, 12))
+    dense[rng.random((5, 12)) < 0.6] = 0.0
+    # every duplicate is a pair, so its sum does not depend on the order
+    rows, cols = np.divmod(rng.choice(60, 9, replace=False), 12)
+    rows, cols = np.append(rows, rows[:4]), np.append(cols, cols[:4])
+    perm = rng.permutation(rows.size)
+    dup = _unsorted_csr(rows[perm], cols[perm],
+                        rng.standard_normal(rows.size), (5, 12))
+    assert not dup.has_canonical_format
+    # explicit zeros beside a value in cell 1, and alone in cell 3
+    zeros = sp.csr_matrix((np.array([0.0, 2.5, 0.0, 0.0]),
+                           np.array([3, 4, 9, 11]), np.array([0, 0, 4])),
+                          shape=(2, 12))
+    return {"dense": dense, "unsorted-duplicates": dup,
+            "csc": sp.csc_matrix(dense), "explicit-zeros": zeros,
+            "no-rows": sp.csr_matrix((0, 12))}
+
+
+@pytest.mark.parametrize("name", list(_block_inputs()))
+def test_cell_blocks_match_the_coo_oracle(name):
+    M = _block_inputs()[name]
+    before = (M.indices.copy(), M.data.copy()) if sp.issparse(M) else None
+    got, want = _cell_blocks(M, 3), coo_cell_blocks(M, 3)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    if name == "explicit-zeros":
+        assert got[1].tolist() == [1, 3] and not got[2][1].any()
+    if before is not None:     # the caller's matrix is left alone
+        assert np.array_equal(M.indices, before[0])
+        assert np.array_equal(M.data, before[1])
