@@ -20,9 +20,9 @@ from functools import lru_cache
 import numpy as np
 
 from .mesh import cell_geometry
-from .polynomials import (BaryPoly, poly1d_average01, poly1d_mul,
-                          poly_directional)
+from .polynomials import BaryPoly, poly_directional
 from .quadrature import tri_rule
+from .schemes import lookup
 
 L = [BaryPoly.lam(0), BaryPoly.lam(1), BaryPoly.lam(2)]
 LAM = L[0] * L[1] * L[2]
@@ -122,50 +122,43 @@ REFERENCE_EXACT = ExactGeometry.from_vertices([(0, 0), (1, 0), (0, 1)])
 
 
 def _edge_average(poly: BaryPoly, i: int, weight: BaryPoly | None):
-    restricted = poly.restrict_edge(i)
-    if weight is not None:
-        restricted = poly1d_mul(weight.restrict_edge(i), restricted)
-    return poly1d_average01(restricted)
+    return (poly if weight is None else weight * poly).edge_average(i)
 
 
 def eval_dof(dof: DofFunctional, shape: ShapeFunction, geom, exact: bool = False):
     """Apply one DOF functional to one shape function.
 
-    With exact=True, geom must be an ExactGeometry and normal moments return
-    the coefficient of ||grad(lam_k)|| (exact rational); otherwise the true
-    float value is returned.
+    The functional is computed in the arithmetic of geom and the shape and
+    converted to float once, at the end.  With exact=True, geom must be an
+    ExactGeometry and normal moments return the coefficient of
+    ||grad(lam_k)|| (exact rational); otherwise the true float value is
+    returned.
     """
-    gram = geom.gram
+    k = dof.entity
+    p = None if dof.kind == "cell_vec" else shape.component(dof.component, geom)
     if dof.kind == "cell_vec":
         wx, wy = dof.vec_weight
-        total = (wx * shape.component(0, geom)).cell_average() + \
-                (wy * shape.component(1, geom)).cell_average()
-        return total if exact else float(total)
-    p = shape.component(dof.component, geom)
-    if dof.kind == "vertex":
-        unit = [Fraction(0)] * 3
-        unit[dof.entity] = Fraction(1)
-        val = p.eval_exact(tuple(unit))
-        return val if exact else float(val)
-    if dof.kind == "point":
+        val = (wx * shape.component(0, geom)).cell_average() + \
+            (wy * shape.component(1, geom)).cell_average()
+    elif dof.kind == "vertex":
+        val = p.eval_exact(tuple(Fraction(int(j == k)) for j in range(3)))
+    elif dof.kind == "point":
         val = p.eval_exact(dof.point)
-        return val if exact else float(val)
-    if dof.kind == "cell":
-        val = (dof.weight * p).cell_average() if dof.weight is not None \
-            else p.cell_average()
-        return val if exact else float(val)
-    if dof.kind == "edge":
-        val = _edge_average(p, dof.entity, dof.weight)
-        return val if exact else float(val)
-    if dof.kind == "edge_normal":
-        k = dof.entity
+    elif dof.kind == "cell":
+        val = (p if dof.weight is None else dof.weight * p).cell_average()
+    elif dof.kind == "edge":
+        val = _edge_average(p, k, dof.weight)
+    elif dof.kind == "edge_normal":
         # d_n p = -(grad p . grad lam_k)/||grad lam_k||
-        directional = poly_directional(p, [gram[j][k] for j in range(3)])
-        raw = -_edge_average(directional, k, dof.weight)
+        g = geom.gram
+        val = -_edge_average(poly_directional(p, [g[j][k] for j in range(3)]),
+                             k, dof.weight)
         if exact:
-            return raw / gram[k][k]          # coefficient of ||grad lam_k||
-        return float(raw) / float(np.sqrt(float(gram[k][k])))
-    raise ValueError(f"unknown dof kind {dof.kind}")
+            return val / g[k][k]            # coefficient of ||grad lam_k||
+        return float(val) / float(np.sqrt(float(g[k][k])))
+    else:
+        raise ValueError(f"unknown dof kind {dof.kind}")
+    return val if exact else float(val)
 
 
 @lru_cache(maxsize=None)
@@ -461,8 +454,6 @@ _CATALOG_BUILDERS = {
     "p3": lambda: _make_lagrange(3), "p4": lambda: _make_lagrange(4),
 }
 
-_CATALOG_CACHE: dict[str, ElementDef] = {}
-
 #: the named elements whose well-definedness the verification report covers
 VERIFIED_ELEMENTS = ("nsc", "nsq", "ec", "eq", "veq", "vec",
                      "morley", "cr", "fs", "cf")
@@ -473,17 +464,11 @@ ELEMENT_DIMS = {"nsc": 10, "nsq": 15, "ec": 12, "eq": 18, "veq": 14, "vec": 23,
                 "p1": 3, "p2": 6, "p3": 10, "p4": 15}
 
 
+@lru_cache(maxsize=None)
 def element_catalog(name: str) -> ElementDef:
-    try:
-        builder = _CATALOG_BUILDERS[name]
-    except KeyError:
-        raise KeyError(f"unknown element '{name}'; known: "
-                       f"{sorted(_CATALOG_BUILDERS)}") from None
-    if name not in _CATALOG_CACHE:
-        elem = builder()
-        assert elem.dim == ELEMENT_DIMS[name], (name, elem.dim)
-        _CATALOG_CACHE[name] = elem
-    return _CATALOG_CACHE[name]
+    elem = lookup(_CATALOG_BUILDERS, name, "element")()
+    assert elem.dim == ELEMENT_DIMS[name], (name, elem.dim)
+    return elem
 
 
 # The determinant of the FE_veq dof matrix, derived in closed form from the

@@ -25,8 +25,9 @@ class MeshError(Exception):
 class Mesh:
     """Immutable triangulation with derived edge incidence and cell geometry.
 
-    Rejects vertex indices out of range, vertices in no cell, degenerate or
-    clockwise cells, and edges shared by more than two cells.
+    Rejects non-finite vertex coordinates, vertex indices out of range,
+    vertices in no cell, degenerate or clockwise cells, and edges shared by
+    more than two cells.
     """
 
     def __init__(self, vertices, cells):
@@ -37,6 +38,11 @@ class Mesh:
             raise MeshError("vertices must be (nv, 2)")
         if self.cells.ndim != 2 or self.cells.shape[1] != 3:
             raise MeshError("cells must be (nc, 3)")
+        nonfinite = ~np.isfinite(self.vertices).all(axis=1)
+        if nonfinite.any():
+            bad = int(np.argmax(nonfinite))
+            raise MeshError(f"vertex {bad} has a non-finite coordinate "
+                            f"{self.vertices[bad].tolist()}")
         nv = self.n_vertices
         out = ((self.cells < 0) | (self.cells >= nv)).any(axis=1)
         if out.any():
@@ -157,6 +163,9 @@ def parse_mesh(text: str) -> Mesh:
     rows = [(k, line.split()) for k, line in enumerate(text.splitlines(), 1)
             if line.strip()]
     (nv, nc), = _fields(rows[:1] or [(1, [])], 2, int)
+    if min(nv, nc) < 0:
+        raise MeshError(f"mesh file line {rows[0][0]}: negative count in "
+                        f"header {nv} {nc}")
     if len(rows) != 1 + nv + nc:
         raise MeshError("mesh file has wrong number of lines")
     verts = np.array(_fields(rows[1:1 + nv], 2, float), dtype=float)

@@ -6,26 +6,34 @@ in the exact algebra (element definitions, DOF functionals, golden tables)
 and floats in the shape sets that spaces.tabulate evaluates at points; the
 two never mix inside one polynomial.  Representations are not canonicalized
 modulo lam1 + lam2 + lam3 = 1; evaluation, moments and lambda-derivatives are
-representative-independent on the simplex.  Cartesian derivatives are formed
-from the tabulated lambda-derivatives by the chain rule, not here.
+representative-independent on the simplex.  Edge and cell averages both come
+from one closed-form simplex moment per monomial (barycentric_moment): on an
+edge the monomial is a Beta integral in the two coordinates that do not
+vanish there.  Cartesian derivatives are formed from the tabulated
+lambda-derivatives by the chain rule, not here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
 Exp = tuple[int, int, int]
 
 
-def barycentric_moment(a: int, b: int, c: int) -> Fraction:
-    """Average of lam1^a lam2^b lam3^c over any triangle: 2 a! b! c! / (a+b+c+2)!."""
-    if a < 0 or b < 0 or c < 0:
+def barycentric_moment(*exps: int) -> Fraction:
+    """Average of prod lam_i^a_i over any d-simplex, d = len(exps) - 1:
+    d! prod a_i! / (sum a_i + d)!; for a triangle 2 a! b! c! / (a+b+c+2)!,
+    for an edge the Beta integral m! n! / (m+n+1)!."""
+    if min(exps) < 0:
         raise ValueError("exponents must be nonnegative")
-    return Fraction(2 * factorial(a) * factorial(b) * factorial(c),
-                    factorial(a + b + c + 2))
+    d = len(exps) - 1
+    num = factorial(d)
+    for a in exps:
+        num *= factorial(a)
+    return Fraction(num, factorial(sum(exps) + d))
 
 
 class BaryPoly:
@@ -39,10 +47,6 @@ class BaryPoly:
             for e, c in coeffs.items():
                 if c != 0:
                     self.coeffs[e] = c
-
-    @staticmethod
-    def zero() -> "BaryPoly":
-        return BaryPoly()
 
     @staticmethod
     def const(c) -> "BaryPoly":
@@ -153,49 +157,18 @@ class BaryPoly:
             total += c * barycentric_moment(*e)
         return total
 
-    def restrict_edge(self, i: int) -> list:
-        """Restriction to edge e_{i+1} (opposite vertex i) as a 1D polynomial.
-
-        The edge runs from a_{i+1} to a_{i+2} with parameter t in [0, 1],
-        so lam_i = 0, lam_{i+1} = 1 - t, lam_{i+2} = t.
-        """
+    def edge_average(self, i: int):
+        """Average over edge e_{i+1} (lam_{i+1} = 0) of any triangle."""
         j, k = (i + 1) % 3, (i + 2) % 3
-        out: list = []
+        total = 0
         for e, c in self.coeffs.items():
-            if e[i] > 0:
-                continue
-            m, n = e[j], e[k]  # (1-t)^m * t^n
-            for r in range(m + 1):
-                p = n + r  # power of t
-                coef = c * comb(m, r) * (-1) ** r
-                while len(out) <= p:
-                    out.append(0)
-                out[p] = out[p] + coef
-        while out and out[-1] == 0:
-            out.pop()
-        return out
+            if e[i] == 0:
+                total += c * barycentric_moment(e[j], e[k])
+        return total
 
     def __repr__(self):
         terms = sorted(self.coeffs.items())
         return "BaryPoly(" + " + ".join(f"{c}*l^{e}" for e, c in terms) + ")"
-
-
-def poly1d_mul(p: list, q: list) -> list:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def poly1d_average01(p: list):
-    """Average of a 1D polynomial over [0, 1]."""
-    total = 0
-    for k, c in enumerate(p):
-        total += c * Fraction(1, k + 1)
-    return total
 
 
 def poly1d_eval(p: list, t: np.ndarray) -> np.ndarray:

@@ -472,6 +472,9 @@ def b3_membership_violation(mesh: Mesh, coeffs) -> float:
     continuity across edges, and first-order normal-derivative moment
     continuity, including the homogeneous boundary clauses.
     """
+    if np.shape(coeffs)[-1] != mesh.n_cells * NCUBIC:
+        raise ValueError(f"coeffs has {np.shape(coeffs)[-1]} columns, "
+                         f"expected {mesh.n_cells * NCUBIC}")
     return max(_edge_jump_violation(mesh, coeffs, MEMBERSHIP_QUAD_DEGREE),
                _vertex_violation(mesh, coeffs))
 

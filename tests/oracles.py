@@ -17,10 +17,13 @@ for the library's sparse inertia count in kernel_dimension.
 pcg_saddle_solve is a hand-written Schur-complement PCG, the reference for
 saddle_solve's SciPy cg.  coo_cell_blocks finds the (row, cell) blocks of a
 matrix by a COO round trip and np.unique, the reference for the BSR read of
-stokes_complex._cell_blocks.
+stokes_complex._cell_blocks.  restricted_edge_average restricts a
+polynomial to an edge as a 1-D polynomial, multiplies and integrates it term
+by term, the reference for BaryPoly.edge_average's simplex moments.
 """
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import scipy.linalg
@@ -197,6 +200,32 @@ def whole_mesh_error_norms(field, u, grad_u=None, hess_u=None,
 
 
 # -- edge traces and jumps ----------------------------------------------------
+
+def restrict_edge(p: BaryPoly, i: int) -> list:
+    """p on edge e_{i+1} (lam_{i+1} = 0) as 1-D coefficients in t in [0, 1],
+    with lam_{i+2} = 1 - t and lam_{i+3} = t."""
+    j, k = (i + 1) % 3, (i + 2) % 3
+    out = [0] * (p.degree + 1)
+    for e, c in p.coeffs.items():
+        if e[i] == 0:
+            for r in range(e[j] + 1):       # (1 - t)^m t^n, binomially
+                out[e[k] + r] += c * comb(e[j], r) * (-1) ** r
+    return out
+
+
+def restricted_edge_average(p: BaryPoly, i: int, weight: BaryPoly | None):
+    """The average of weight * p over edge i by 1-D restriction, product and
+    term-by-term integration over [0, 1]."""
+    q = restrict_edge(p, i)
+    if weight is not None:
+        w = restrict_edge(weight, i)
+        prod = [0] * (len(w) + len(q) - 1)
+        for a, x in enumerate(w):
+            for b, y in enumerate(q):
+                prod[a + b] += x * y
+        q = prod
+    return sum(c * Fraction(1, n + 1) for n, c in enumerate(q))
+
 
 def edge_trace(mesh, c: int, e: int, poly: BaryPoly, tpts: np.ndarray,
                deriv: str = "value") -> np.ndarray:

@@ -140,6 +140,32 @@ def test_mesh_rejects_edge_shared_by_three_cells():
         Mesh(verts, [[0, 1, 2], [1, 3, 2], [2, 4, 1]])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_mesh_rejects_non_finite_vertex(value):
+    # a NaN passes the orientation test, and an inf overflows in _geometry
+    m = generate_structured(4)
+    verts = m.vertices.copy()
+    verts[6, 1] = value
+    with pytest.raises(MeshError, match=r"vertex 6 has a non-finite "
+                                        r"coordinate \[0\.25, (nan|inf)\]"):
+        Mesh(verts, m.cells)
+
+
+def test_parse_mesh_rejects_non_finite_vertex():
+    lines = format_mesh(generate_structured(2)).splitlines()
+    lines[3] = "nan 0.0"
+    with pytest.raises(MeshError, match="vertex 2 has a non-finite"):
+        parse_mesh("\n".join(lines))
+
+
+@pytest.mark.parametrize("header", ["3 -1", "-1 2"])
+def test_parse_mesh_rejects_negative_counts(header):
+    lines = format_mesh(generate_structured(2)).splitlines()
+    with pytest.raises(MeshError, match=f"mesh file line 1: negative count "
+                                        f"in header {header}$"):
+        parse_mesh("\n".join([header] + lines[1:]))
+
+
 def test_parse_mesh_rejects_wrong_line_count():
     text = format_mesh(generate_structured(2))
     with pytest.raises(MeshError, match="wrong number of lines"):

@@ -1,13 +1,16 @@
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from biharmfem.elements import edge_weight_poly
 from biharmfem.mesh import cell_geometry
-from biharmfem.polynomials import (BaryPoly, barycentric_moment,
-                                   poly1d_average01)
-from oracles import bary_to_xy, poly_gradient, poly_hessian, xy_to_bary
+from biharmfem.polynomials import BaryPoly, barycentric_moment
+from biharmfem.quadrature import edge_rule
+from oracles import (bary_to_xy, poly_gradient, poly_hessian,
+                     restricted_edge_average, xy_to_bary)
 
 L1, L2, L3 = BaryPoly.lam(0), BaryPoly.lam(1), BaryPoly.lam(2)
 
@@ -29,12 +32,36 @@ def test_cell_average_bubble():
 
 
 def test_edge_restriction():
-    # restriction to edge 0 (lam1 = 0): lam2 = 1 - t, lam3 = t
-    p = L2 * L2
-    coeffs = p.restrict_edge(0)
-    assert coeffs == [Fraction(1), Fraction(-2), Fraction(1)]
-    assert poly1d_average01(coeffs) == Fraction(1, 3)
-    assert (L1 * L2).restrict_edge(0) == []
+    # on edge 0 (lam1 = 0): lam2 = 1 - t, lam3 = t
+    assert (L2 * L2).edge_average(0) == Fraction(1, 3)
+    assert (L1 * L2).edge_average(0) == 0
+
+
+def test_barycentric_moment_on_an_edge_is_the_beta_integral():
+    for m in range(7):
+        for n in range(7):
+            assert barycentric_moment(m, n) == Fraction(
+                factorial(m) * factorial(n), factorial(m + n + 1))
+
+
+def test_edge_average_matches_restriction_and_quadrature():
+    rule = edge_rule(20)
+    monomials = [BaryPoly.monomial(a, b, d - a - b) for d in range(9)
+                 for a in range(d + 1) for b in range(d + 1 - a)]
+    for i in range(3):
+        lam = np.zeros((rule.points.size, 3))
+        lam[:, (i + 1) % 3], lam[:, (i + 2) % 3] = 1 - rule.points, rule.points
+        for power in range(3):
+            w = edge_weight_poly(i, power) if power else None
+            got, want = [], []
+            for p in monomials:
+                wp = p if w is None else w * p
+                exact = wp.edge_average(i)
+                assert exact == restricted_edge_average(p, i, w)
+                assert isinstance(exact, (Fraction, int))
+                got.append(wp.as_float().edge_average(i))
+                want.append(rule.weights @ wp.as_float().eval(lam))
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),

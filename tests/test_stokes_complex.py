@@ -406,6 +406,16 @@ def test_membership_clauses_match_barypoly_oracle(relabeled4):
         rel=1e-12)
 
 
+@pytest.mark.parametrize("extra", [5, -10])
+def test_membership_violation_checks_the_column_count(mesh2, extra):
+    # ncells * 10 - 10 columns would read as a perfect member, + 5 as a
+    # SciPy blocksize error
+    ncols = mesh2.n_cells * NCUBIC + extra
+    with pytest.raises(ValueError, match=f"coeffs has {ncols} columns, "
+                                         f"expected {mesh2.n_cells * NCUBIC}"):
+        b3_membership_violation(mesh2, sp.csr_matrix((2, ncols)))
+
+
 @pytest.fixture(scope="module")
 def jittered16(jitter):
     return jitter(16, seed=7)
